@@ -16,7 +16,8 @@
 // run executes each scenario deterministically and prints its report as
 // JSON, exiting non-zero if any declared assertion fails; validate checks
 // scenario files and reports malformed input with file:line:col positions.
-// A directory argument expands to its *.yaml, *.yml, and *.json entries.
+// Scenario files use a YAML subset; a directory argument expands to its
+// *.yaml and *.yml entries.
 //
 // Without -failures a synthetic trace matching the paper's AIX failure
 // data (1021 failures/year on 128 nodes, MTBF 8.5 h) is generated.

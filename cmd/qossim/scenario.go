@@ -16,8 +16,8 @@ import (
 //	qossim run <scenario.yaml|dir>...       execute scenarios, print reports
 //	qossim validate <scenario.yaml|dir>...  check files, report positioned errors
 //
-// Directories expand to their *.yaml, *.yml, and *.json entries in name
-// order (the zoo layout). run exits non-zero when any scenario's
+// Directories expand to their *.yaml and *.yml entries in name order (the
+// zoo layout). run exits non-zero when any scenario's
 // assertions fail; validate exits non-zero when any file is malformed,
 // with file:line:col on every complaint.
 
@@ -46,7 +46,7 @@ func scenarioFiles(paths []string) ([]string, error) {
 				continue
 			}
 			switch filepath.Ext(e.Name()) {
-			case ".yaml", ".yml", ".json":
+			case ".yaml", ".yml":
 				files = append(files, filepath.Join(p, e.Name()))
 			}
 		}

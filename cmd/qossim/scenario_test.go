@@ -114,6 +114,21 @@ func TestValidateSubcommandPositionedErrors(t *testing.T) {
 	}
 }
 
+// TestValidateSubcommandRejectsJSON pins that YAML is the only scenario
+// syntax: a JSON document is malformed input with a position, whatever
+// its file extension.
+func TestValidateSubcommandRejectsJSON(t *testing.T) {
+	path := writeScenario(t, "x.json", "{\n  \"name\": \"x\",\n  \"seed\": 1\n}\n")
+	var sb strings.Builder
+	err := run(&sb, []string{"validate", path})
+	if err == nil {
+		t.Fatal("JSON scenario accepted")
+	}
+	if want := path + ":1:1: "; !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want position %q", err, want)
+	}
+}
+
 func TestScenarioSubcommandArgErrors(t *testing.T) {
 	var sb strings.Builder
 	if err := run(&sb, []string{"run"}); err == nil {
@@ -135,13 +150,15 @@ func TestScenarioSubcommandsRejectEmptyDirectories(t *testing.T) {
 	for _, sub := range []string{"run", "validate"} {
 		t.Run(sub, func(t *testing.T) {
 			dir := t.TempDir()
-			// Entries a scenario walk must ignore: a subdirectory and a
-			// non-scenario extension.
+			// Entries a scenario walk must ignore: a subdirectory and
+			// non-scenario extensions, JSON included.
 			if err := os.Mkdir(filepath.Join(dir, "nested"), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("not a scenario"), 0o644); err != nil {
-				t.Fatal(err)
+			for _, name := range []string{"notes.txt", "legacy.json"} {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte("not a scenario"), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var sb strings.Builder
 			err := run(&sb, []string{sub, dir})

@@ -33,8 +33,10 @@ func ExampleSystem_Quotes() {
 		events = append(events, probqos.FailureEvent{Time: 1800, Node: n, Detectability: 0.4})
 	}
 	trace, _ := probqos.NewFailureTrace(8, events)
-	system, _ := probqos.NewSystem(8, trace, 1.0)
-	for i, q := range system.Quotes(0, 8, 3600, 2) {
+	cfg := probqos.NewSimConfig(nil, trace)
+	cfg.Nodes, cfg.Accuracy = 8, 1.0
+	system, _ := probqos.NewSystem(cfg)
+	for i, q := range system.Quotes(8, 3600, 2) {
 		fmt.Printf("offer %d: deadline %d, p=%.2f\n", i+1, int64(q.Deadline), q.Success)
 	}
 	// Output:

@@ -7,18 +7,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"probqos"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	workload := probqos.GenerateSDSCWorkload(probqos.WorkloadConfig{Jobs: 2000})
 	trace, err := probqos.GenerateFailureTrace(probqos.RawLogConfig{}, probqos.FilterConfig{})
 	if err != nil {
@@ -35,8 +37,8 @@ func run() error {
 	}
 
 	for _, a := range []float64{0.3, 0.9} {
-		fmt.Printf("prediction accuracy a = %.1f (U = 0.5)\n", a)
-		fmt.Printf("  %-11s  %-8s  %-12s  %-14s  %-18s\n",
+		fmt.Fprintf(w, "prediction accuracy a = %.1f (U = 0.5)\n", a)
+		fmt.Fprintf(w, "  %-11s  %-8s  %-12s  %-14s  %-18s\n",
 			"policy", "QoS", "utilization", "lost (node-s)", "ckpts done/skipped")
 		for _, p := range policies {
 			cfg := probqos.NewSimConfig(workload, trace)
@@ -48,13 +50,13 @@ func run() error {
 				return err
 			}
 			r := probqos.Metrics(res)
-			fmt.Printf("  %-11s  %-8.4f  %-12.4f  %-14.3e  %d/%d\n",
+			fmt.Fprintf(w, "  %-11s  %-8.4f  %-12.4f  %-14.3e  %d/%d\n",
 				p.name, r.QoS, r.Utilization, r.LostWork.NodeSeconds(),
 				r.CheckpointsDone, r.CheckpointsSkipped)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("risk-based checkpointing approaches periodic's protection at a")
-	fmt.Println("fraction of its overhead, and prediction makes the savings safe.")
+	fmt.Fprintln(w, "risk-based checkpointing approaches periodic's protection at a")
+	fmt.Fprintln(w, "fraction of its overhead, and prediction makes the savings safe.")
 	return nil
 }

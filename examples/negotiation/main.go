@@ -6,18 +6,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"probqos"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// A 16-node cluster whose failure trace has a cluster-wide fault
 	// episode three hours in: half the nodes see highly detectable
 	// failures, half see harder ones.
@@ -37,7 +39,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	system, err := probqos.NewSystem(16, trace, 0.7 /* prediction accuracy */)
+	cfg := probqos.NewSimConfig(nil, trace) // no log: jobs arrive through the dialog
+	cfg.Nodes = 16
+	cfg.Accuracy = 0.7
+	system, err := probqos.NewSystem(cfg)
 	if err != nil {
 		return err
 	}
@@ -46,39 +51,55 @@ func run() error {
 	// out. Show the quote ladder the user sees.
 	const size = 16
 	exec := probqos.Duration(4 * probqos.Hour)
-	fmt.Printf("job: %d nodes, %d s execution (reserved %d s with checkpoints)\n\n",
+	fmt.Fprintf(w, "job: %d nodes, %d s execution (reserved %d s with checkpoints)\n\n",
 		size, exec, system.PlannedDuration(exec))
-	fmt.Println("the system's successive offers:")
-	for i, q := range system.Quotes(0, size, exec, 5) {
-		fmt.Printf("  offer %d: start %-13v deadline %-13v p(success) %.2f\n",
+	fmt.Fprintln(w, "the system's successive offers:")
+	ladder := system.Quotes(size, exec, 5)
+	for i, q := range ladder {
+		fmt.Fprintf(w, "  offer %d: start %-13v deadline %-13v p(success) %.2f\n",
 			i+1, q.Candidate.Start, q.Deadline, q.Success)
 	}
 
-	// Three users, three strategies.
-	fmt.Println("\nwhat different users accept:")
-	for i, u := range []float64{0.1, 0.6, 0.95} {
+	// Three users, three strategies: each accepts the earliest offer of the
+	// same ladder that meets its bar (Equation 3). Nothing is reserved.
+	fmt.Fprintln(w, "\nwhat different users accept:")
+	for _, u := range []float64{0.1, 0.6, 0.95} {
 		user, err := probqos.NewUser(u)
 		if err != nil {
 			return err
 		}
-		q, offers, err := system.Submit(100+i, 0, size, exec, user)
+		q, offer, err := firstAccepted(ladder, user)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  U=%.2f accepts offer %d: deadline %-13v with p=%.2f\n",
-			u, offers, q.Deadline, q.Success)
-		system.Release(100 + i) // keep the cluster clean between users
+		fmt.Fprintf(w, "  U=%.2f accepts offer %d: deadline %-13v with p=%.2f\n",
+			u, offer, q.Deadline, q.Success)
 	}
 	// The system-initiated form of the dialog (§3.3): suggest the earliest
 	// deadline that clears a success bar, citing the improved probability.
-	suggestion, err := system.SuggestDeadline(0, size, exec, 0.99)
+	bar, err := probqos.NewUser(0.99)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nsystem suggestion for p >= 0.99: deadline %v (p=%.2f)\n",
+	suggestion, _, err := firstAccepted(ladder, bar)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nsystem suggestion for p >= 0.99: deadline %v (p=%.2f)\n",
 		suggestion.Deadline, suggestion.Success)
 
-	fmt.Println("\nrelaxing the deadline buys probability: that is the incentive")
-	fmt.Println("structure that keeps both sides honest.")
+	fmt.Fprintln(w, "\nrelaxing the deadline buys probability: that is the incentive")
+	fmt.Fprintln(w, "structure that keeps both sides honest.")
 	return nil
+}
+
+// firstAccepted returns the earliest quote of the ladder the user accepts
+// and its 1-based offer number.
+func firstAccepted(ladder []probqos.Quote, user probqos.User) (probqos.Quote, int, error) {
+	for i, q := range ladder {
+		if user.Accepts(q.Success) {
+			return q, i + 1, nil
+		}
+	}
+	return probqos.Quote{}, 0, fmt.Errorf("U=%.2f accepts none of %d offers", user.U, len(ladder))
 }

@@ -5,18 +5,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"probqos"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// A 2,000-job NASA-regime workload on a 128-node cluster, and a
 	// synthetic failure trace matching the paper's AIX data (cluster MTBF
 	// ~8.5 h, bursty).
@@ -26,9 +28,9 @@ func run() error {
 		return err
 	}
 	c := workload.Characteristics()
-	fmt.Printf("workload: %d jobs, avg %.1f nodes, avg %.0f s, max %.1f h\n",
+	fmt.Fprintf(w, "workload: %d jobs, avg %.1f nodes, avg %.0f s, max %.1f h\n",
 		c.Jobs, c.AvgNodes, c.AvgExec, c.MaxExec.Hours())
-	fmt.Printf("failures: %d over %.0f days\n\n", trace.Len(), trace.Stats().Span.Hours()/24)
+	fmt.Fprintf(w, "failures: %d over %.0f days\n\n", trace.Len(), trace.Stats().Span.Hours()/24)
 
 	// Run the full system at a moderate prediction accuracy with users who
 	// want at least even odds, then with no forecasting at all.
@@ -48,7 +50,7 @@ func run() error {
 			return err
 		}
 		r := probqos.Metrics(res)
-		fmt.Printf("%s QoS %.4f  utilization %.4f  lost %.3e node-s  job failures %d\n",
+		fmt.Fprintf(w, "%s QoS %.4f  utilization %.4f  lost %.3e node-s  job failures %d\n",
 			point.label, r.QoS, r.Utilization, r.LostWork.NodeSeconds(), r.JobFailures)
 	}
 	return nil

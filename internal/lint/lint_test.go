@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -266,5 +267,44 @@ func TestNamesMatchAll(t *testing.T) {
 	}
 	if len(all) < 5 {
 		t.Errorf("registry has %d analyzers, want at least the 5 shipped ones", len(all))
+	}
+}
+
+// TestLoadSkipsNestedModules checks that "dir/..." stops at a directory
+// holding its own go.mod, as the go command does: a nested module (such as
+// a benchmark harness with its own build tags) is not part of this one.
+func TestLoadSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":            "module m\n\ngo 1.22\n",
+		"a.go":              "package m\n\nfunc A() {}\n",
+		"sub/b.go":          "package sub\n\nfunc B() {}\n",
+		"nested/go.mod":     "module m/nested\n\ngo 1.22\n",
+		"nested/broken.go":  "package nested\n\nfunc f() {}\n",
+		"nested/broken2.go": "package nested\n\nfunc f() {}\n", // redeclared: loading it fails
+	}
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load(filepath.Join(root, "..."))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.Path)
+	}
+	if want := []string{"m", "m/sub"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("loaded %v, want %v", got, want)
 	}
 }

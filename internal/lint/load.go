@@ -111,10 +111,11 @@ func modulePath(gomod string) (string, error) {
 // Load resolves the patterns to package directories and returns the loaded
 // packages sorted by import path. Supported patterns are "./..." (the whole
 // module), "dir/..." (a subtree), and plain directory paths, all relative to
-// the current working directory. Directories named testdata or vendor and
-// directories whose name starts with "." or "_" are skipped, as are
-// _test.go files: qoslint checks shipped code, and tests legitimately use
-// the wall clock.
+// the current working directory. Directories named testdata or vendor,
+// directories whose name starts with "." or "_", and nested modules (a
+// directory below the walk root holding its own go.mod) are skipped, as
+// "./..." does in the go command; so are _test.go files: qoslint checks
+// shipped code, and tests legitimately use the wall clock.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	dirs, err := l.expand(patterns)
 	if err != nil {
@@ -166,6 +167,11 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 				if path != root && (name == "testdata" || name == "vendor" ||
 					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 					return filepath.SkipDir
+				}
+				if path != root {
+					if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+						return filepath.SkipDir // a nested module
+					}
 				}
 				if ok, err := hasGoFiles(path); err != nil {
 					return err

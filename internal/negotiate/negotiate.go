@@ -189,8 +189,8 @@ func (n *Negotiator) Negotiate(now units.Time, size int, duration units.Duration
 }
 
 // Quotes returns up to max successive quotes for a request without
-// reserving anything: the raw material of the user dialog, used by the
-// negotiation example and cmd/qossim's quote mode.
+// reserving anything: the raw material of the user dialog, served through
+// sim.Engine.Quotes to qosd, the scenario runner, and the public System.
 func (n *Negotiator) Quotes(now units.Time, size int, duration units.Duration, max int) []Quote {
 	var out []Quote
 	// The dialog is informational; ignore walk errors and return what we

@@ -5,24 +5,16 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"probqos/internal/units"
 )
 
-// Decode parses and validates one scenario file. The format follows the
-// file name: ".json" selects the JSON parser, anything else the YAML
-// subset. Errors carry file:line:col positions; when several fields are
-// bad, all of them are reported (joined), so one validate pass shows the
-// whole damage.
+// Decode parses and validates one scenario file written in the YAML
+// subset; name labels positions only. Errors carry file:line:col
+// positions; when several fields are bad, all of them are reported
+// (joined), so one validate pass shows the whole damage.
 func Decode(name string, data []byte) (*Scenario, error) {
-	var root *node
-	var err error
-	if strings.HasSuffix(name, ".json") {
-		root, err = parseJSON(name, data)
-	} else {
-		root, err = parseYAML(name, data)
-	}
+	root, err := parseYAML(name, data)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +101,7 @@ func (b *binder) scalar(n *node, what string) (string, bool) {
 	if n == nil {
 		return "", false
 	}
-	if n.kind != scalarNode || n.null {
+	if n.kind != scalarNode {
 		b.errf(n.pos, "%s must be a scalar, got a %s", what, n.kind)
 		return "", false
 	}

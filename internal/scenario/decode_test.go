@@ -61,40 +61,6 @@ assertions:
     max: 0.9
 `
 
-const jsonDoc = `{
-  "name": "decode-check",
-  "description": "quoted: with # punctuation",
-  "seed": 42,
-  "fleet": {
-    "nodes": 16,
-    "rack_size": 4,
-    "accuracy": 0.75,
-    "user_risk": 0.5,
-    "checkpoint": {"interval_s": 3600, "overhead_s": 720},
-    "downtime_s": 120,
-    "policy": "risk",
-    "fault_aware": false,
-    "failures": {"mtbf_s": 28800, "shape": 0.7}
-  },
-  "events": [
-    {"at_s": 0, "action": "arrival_burst",
-     "burst": {"jobs": 3, "min_nodes": 1, "max_nodes": 4,
-               "min_exec_s": 600, "max_exec_s": 1200,
-               "spread_s": 300, "user_risk": 0.9}},
-    {"at_s": 500, "action": "inject_failure",
-     "inject": {"nodes": [1, 2], "stagger_s": 60}},
-    {"at_s": 900, "action": "maintenance_window",
-     "maintenance": {"nodes": [3], "duration_s": 600}},
-    {"at_s": 1000, "action": "mtbf_shift", "shift": {"factor": 0.5}},
-    {"at_s": 2000, "action": "drain"}
-  ],
-  "assertions": [
-    {"type": "qos_floor", "min": 0.5},
-    {"type": "utilization_band", "min": 0.1, "max": 0.9}
-  ]
-}
-`
-
 func TestDecodeYAML(t *testing.T) {
 	s, err := Decode("doc.yaml", []byte(yamlDoc))
 	if err != nil {
@@ -140,22 +106,6 @@ func TestDecodeYAML(t *testing.T) {
 	}
 	if len(s.Asserts) != 2 || s.Asserts[1].Max != 0.9 {
 		t.Fatalf("assertions mismatch: %+v", s.Asserts)
-	}
-}
-
-// The two formats must describe identical scenarios: one semantic model,
-// two encodings.
-func TestDecodeFormatsAgree(t *testing.T) {
-	fromYAML, err := Decode("doc.yaml", []byte(yamlDoc))
-	if err != nil {
-		t.Fatalf("yaml: %v", err)
-	}
-	fromJSON, err := Decode("doc.json", []byte(jsonDoc))
-	if err != nil {
-		t.Fatalf("json: %v", err)
-	}
-	if !reflect.DeepEqual(fromYAML, fromJSON) {
-		t.Fatalf("formats disagree:\nyaml: %+v\njson: %+v", fromYAML, fromJSON)
 	}
 }
 
@@ -227,30 +177,6 @@ func TestDecodeErrors(t *testing.T) {
 			src: "name: x\nseed: 1\nfleet:\n  nodes: 4\n  accuracy: 1\n  user_risk: 1\n  checkpoint:\n    interval_s: 10\n    overhead_s: 1\n  downtime_s: 10\n  policy: risk\nevents:\n" +
 				"  - at_s: 0\n    action: explode\n",
 			want: []string{"bad.yaml:13:5", "unknown action \"explode\""},
-		},
-		{
-			name: "json trailing garbage",
-			file: "bad.json",
-			src:  "{\"name\": \"x\", \"seed\": 1}extra",
-			want: []string{"bad.json:1:25", "trailing data"},
-		},
-		{
-			name: "json duplicate key",
-			file: "bad.json",
-			src:  "{\"name\": \"x\",\n \"name\": \"y\"}",
-			want: []string{"bad.json:2:2", "duplicate key \"name\""},
-		},
-		{
-			name: "json bad number",
-			file: "bad.json",
-			src:  "{\"name\": \"x\", \"seed\": 1e}",
-			want: []string{"bad.json:1:23", "bad number"},
-		},
-		{
-			name: "json null field",
-			file: "bad.json",
-			src:  "{\"name\": null, \"seed\": 1}",
-			want: []string{"bad.json:1:10", "must be a scalar"},
 		},
 		{
 			name: "flow mapping rejected",

@@ -2,10 +2,10 @@ package scenario
 
 import "fmt"
 
-// The decoders (JSON and the YAML subset) both parse into this generic,
-// position-carrying document tree; one binder then turns the tree into a
-// Scenario. Keeping positions on every node is what lets `qossim validate`
-// point at the exact file:line:col of a bad field in either format.
+// The YAML-subset parser builds this generic, position-carrying document
+// tree; the binder then turns the tree into a Scenario. Keeping positions
+// on every node is what lets `qossim validate` point at the exact
+// file:line:col of a bad field.
 
 // Pos is a source position in a scenario file.
 type Pos struct {
@@ -41,12 +41,8 @@ type node struct {
 	pos  Pos
 	kind nodeKind
 
-	// Scalar payload. quoted records whether the text came from a quoted
-	// string (so "42" stays a string-looking scalar the binder can still
-	// coerce); null marks a JSON null, which no field accepts.
+	// Scalar payload, unquoted.
 	scalar string
-	quoted bool
-	null   bool
 
 	// Map payload, with keys in source order for deterministic iteration.
 	keys     []string
@@ -70,7 +66,7 @@ func (n *node) put(key string, child *node) error {
 	return nil
 }
 
-// maxDepth bounds document nesting in both parsers, so hostile inputs (the
+// maxDepth bounds document nesting in the parser, so hostile inputs (the
 // fuzz target feeds plenty) cannot drive the recursive descent arbitrarily
 // deep. Real scenarios nest four levels.
 const maxDepth = 64

@@ -1,54 +1,51 @@
 package scenario
 
 import (
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// FuzzDecodeScenario hammers both scenario decoders — the YAML-subset
-// parser and the positional JSON parser — through the shared binder.
+// FuzzDecodeScenario hammers the YAML-subset parser through the binder.
 // The decoder must never panic, and every scenario it does accept must
 // satisfy Validate: the runner builds engines and failure traces straight
 // from these fields, so an accepted-but-invalid document would turn a
 // config mistake into a runtime fault.
 func FuzzDecodeScenario(f *testing.F) {
-	// Full-surface documents in both encodings.
-	f.Add("zoo.yaml", []byte(yamlDoc))
-	f.Add("zoo.json", []byte(jsonDoc))
-
-	// Minimal valid documents.
-	f.Add("min.yaml", []byte("name: n\nseed: 1\nfleet:\n  nodes: 4\n"))
-	f.Add("min.json", []byte(`{"name": "n", "seed": 1, "fleet": {"nodes": 4}}`))
-
-	// Structural edge cases the hand-written parsers must reject cleanly.
-	f.Add("bad.yaml", []byte("\tname: tabbed\n"))
-	f.Add("bad.yaml", []byte("name: a\nname: b\n"))
-	f.Add("bad.yaml", []byte("seed: {inline: map}\n"))
-	f.Add("bad.yaml", []byte("events:\n  - at_s: 0\n    action: explode\n"))
-	f.Add("bad.yaml", []byte("fleet:\n  nodes: [1, 2\n"))
-	f.Add("bad.yaml", []byte("name: \"unterminated\n"))
-	f.Add("bad.yaml", []byte("deep:\n  deep:\n    deep:\n      deep: 1\n"))
-	f.Add("bad.yaml", []byte("- just\n- a\n- list\n"))
-	f.Add("bad.yaml", []byte("key:\n"))
-	f.Add("bad.yaml", []byte("#only a comment\n"))
-	f.Add("bad.json", []byte(`{"name": "n"} trailing`))
-	f.Add("bad.json", []byte(`{"name": "n", "name": "dup"}`))
-	f.Add("bad.json", []byte(`{"seed": 1e999}`))
-	f.Add("bad.json", []byte(`{"seed": null}`))
-	f.Add("bad.json", []byte(`[1, 2, 3]`))
-	f.Add("bad.json", []byte(`{"a": {"b": {"c": {"d": "e"`))
-	f.Add("bad.json", []byte(`"just a string"`))
-	f.Add("bad.json", []byte(``))
-	f.Add("bad.json", []byte(`{`))
-	f.Add("bad.json", []byte("{\"name\": \"\x00\"}"))
-
-	f.Fuzz(func(t *testing.T, name string, data []byte) {
-		// The extension picks the parser; keep it one of the two real
-		// ones so both sides of Decode stay under fuzz pressure.
-		if !strings.HasSuffix(name, ".json") {
-			name = strings.TrimSuffix(name, ".yaml") + ".yaml"
+	// Every zoo scenario: real documents with comments, flow lists and
+	// every event kind.
+	zoo, err := filepath.Glob(filepath.Join("zoo", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range zoo {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
 		}
-		s, err := Decode(name, data)
+		f.Add(data)
+	}
+
+	// A full-surface document and a minimal valid one.
+	f.Add([]byte(yamlDoc))
+	f.Add([]byte("name: n\nseed: 1\nfleet:\n  nodes: 4\n"))
+
+	// Structural edge cases the hand-written parser must reject cleanly.
+	f.Add([]byte("\tname: tabbed\n"))
+	f.Add([]byte("name: a\nname: b\n"))
+	f.Add([]byte("seed: {inline: map}\n"))
+	f.Add([]byte("events:\n  - at_s: 0\n    action: explode\n"))
+	f.Add([]byte("fleet:\n  nodes: [1, 2\n"))
+	f.Add([]byte("name: \"unterminated\n"))
+	f.Add([]byte("deep:\n  deep:\n    deep:\n      deep: 1\n"))
+	f.Add([]byte("- just\n- a\n- list\n"))
+	f.Add([]byte("key:\n"))
+	f.Add([]byte("#only a comment\n"))
+	f.Add([]byte(`{"name": "n", "seed": 1, "fleet": {"nodes": 4}}`))
+	f.Add([]byte(""))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode("fuzz.yaml", data)
 		if err != nil {
 			if s != nil {
 				t.Fatalf("Decode(%q) returned both a scenario and error %v", data, err)

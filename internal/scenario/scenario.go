@@ -1,6 +1,6 @@
 // Package scenario is the declarative scenario harness: a small, stdlib-only
-// format (JSON, plus a YAML-subset so files read like fleet-simulator
-// scenarios) describing a fleet, a timeline of events, and assertions over
+// YAML-subset format (so files read like fleet-simulator scenarios, comments
+// included) describing a fleet, a timeline of events, and assertions over
 // the outcome, compiled deterministically onto the sim.Engine primitives.
 //
 // A scenario has three sections:

@@ -259,7 +259,7 @@ func (p *yamlParser) parseScalarText(l yline, col int, text string) (*node, erro
 		if err != nil {
 			return nil, fmt.Errorf("%s: bad quoted string %s", pos, text)
 		}
-		return &node{pos: pos, kind: scalarNode, scalar: s, quoted: true}, nil
+		return &node{pos: pos, kind: scalarNode, scalar: s}, nil
 	}
 	if strings.ContainsAny(text, "{}[]") {
 		return nil, fmt.Errorf("%s: flow mappings are outside the supported YAML subset", pos)

@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite the golden zoo reports")
 func zooFiles(t *testing.T) []string {
 	t.Helper()
 	var files []string
-	for _, pattern := range []string{"zoo/*.yaml", "zoo/*.yml", "zoo/*.json"} {
+	for _, pattern := range []string{"zoo/*.yaml", "zoo/*.yml"} {
 		matches, err := filepath.Glob(pattern)
 		if err != nil {
 			t.Fatal(err)

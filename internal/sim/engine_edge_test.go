@@ -3,10 +3,13 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"probqos/internal/checkpoint"
 	"probqos/internal/failure"
 	"probqos/internal/negotiate"
+	"probqos/internal/predict"
 	"probqos/internal/units"
 	"probqos/internal/workload"
 )
@@ -214,4 +217,182 @@ func liveQuote(t *testing.T, eng *Engine, size int) negotiate.Quote {
 		t.Fatalf("no quotes for size %d", size)
 	}
 	return qs[0]
+}
+
+// TestNewEngineValidation pins the configurations an interactive engine
+// refuses. A nil workload is fine: jobs then arrive through Admit.
+func TestNewEngineValidation(t *testing.T) {
+	tr, err := failure.NewTrace(8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		configure func(*Config)
+		wantErr   string // "" means the engine must build
+	}{
+		{name: "ok", configure: func(*Config) {}},
+		{name: "nil trace", configure: func(c *Config) { c.Failures = nil }, wantErr: "sim: config needs a failure trace (it may be empty)"},
+		{name: "node mismatch", configure: func(c *Config) { c.Nodes = 16 }, wantErr: "sim: failure trace covers 8 nodes but the cluster has 16"},
+		{name: "bad accuracy", configure: func(c *Config) { c.Accuracy = 1.5 }, wantErr: "sim: accuracy 1.5 outside [0,1]"},
+		{name: "bad checkpoint params", configure: func(c *Config) { c.Checkpoint = checkpoint.Params{} }, wantErr: "checkpoint: interval must be positive"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(nil, tr)
+			cfg.Nodes = 8
+			tc.configure(&cfg)
+			_, err := NewEngine(cfg)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("NewEngine = %v, want accepted", err)
+				}
+				return
+			}
+			if err == nil || !strings.HasPrefix(err.Error(), tc.wantErr) {
+				t.Fatalf("NewEngine = %v, want an error starting %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestEngineQuoteSuccess pins how the Config fields that shape the quote
+// path move the promised probability. The failures are foreseen by the
+// predictor only, so the cluster itself never goes down and the quotes
+// differ by configuration alone.
+func TestEngineQuoteSuccess(t *testing.T) {
+	cases := []struct {
+		name      string
+		nodes     int
+		foreseen  failure.Event
+		now       units.Time
+		configure func(*Config)
+		size      int
+		exec      units.Duration
+		want      float64
+	}{
+		{
+			name:      "zero downtime leaves a failure 60 s before the start outside the window",
+			nodes:     1,
+			foreseen:  failure.Event{Time: 940, Node: 0, Detectability: 0.5},
+			now:       1000,
+			configure: func(c *Config) { c.Downtime = 0 },
+			size:      1, exec: 500, want: 1,
+		},
+		{
+			name:      "a 120 s downtime widens the risk window over it",
+			nodes:     1,
+			foreseen:  failure.Event{Time: 940, Node: 0, Detectability: 0.5},
+			now:       1000,
+			configure: func(c *Config) { c.Downtime = 2 * units.Minute },
+			size:      1, exec: 500, want: 0.5,
+		},
+		{
+			name:      "fault-aware selection avoids the risky node",
+			nodes:     4,
+			foreseen:  failure.Event{Time: 500, Node: 0, Detectability: 0.4},
+			configure: func(c *Config) { c.FaultAware = true },
+			size:      2, exec: 1000, want: 1,
+		},
+		{
+			name:      "first-fit quotes the risky node",
+			nodes:     4,
+			foreseen:  failure.Event{Time: 500, Node: 0, Detectability: 0.4},
+			configure: func(c *Config) { c.FaultAware = false },
+			size:      2, exec: 1000, want: 0.6,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			quiet, err := failure.NewTrace(tc.nodes, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen, err := failure.NewTrace(tc.nodes, []failure.Event{tc.foreseen})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(nil, quiet)
+			cfg.Nodes = tc.nodes
+			if cfg.Predictor, err = predict.NewTrace(seen, 1); err != nil {
+				t.Fatal(err)
+			}
+			tc.configure(&cfg)
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.AdvanceTo(tc.now); err != nil {
+				t.Fatal(err)
+			}
+			qs := eng.Quotes(tc.size, tc.exec, 1)
+			if len(qs) != 1 || qs[0].Success != tc.want {
+				t.Fatalf("Quotes = %+v, want one quote with success %v", qs, tc.want)
+			}
+		})
+	}
+}
+
+// TestEnginePlannedDuration pins E_j: the execution time plus one overhead
+// C for every checkpoint request at I, 2I, ... strictly before the end.
+func TestEnginePlannedDuration(t *testing.T) {
+	cases := []struct {
+		name   string
+		params checkpoint.Params
+		exec   units.Duration
+		want   units.Duration
+	}{
+		{name: "zero", params: checkpoint.DefaultParams(), exec: 0, want: 0},
+		{name: "under one interval", params: checkpoint.DefaultParams(), exec: 3600, want: 3600},
+		{name: "just over", params: checkpoint.DefaultParams(), exec: 3601, want: 3601 + 720},
+		{name: "two and a half intervals", params: checkpoint.DefaultParams(), exec: 9000, want: 9000 + 2*720},
+		{name: "custom params", params: checkpoint.Params{Interval: 100, Overhead: 10}, exec: 250, want: 250 + 2*10},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := failure.NewTrace(8, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(nil, tr)
+			cfg.Nodes = 8
+			cfg.Checkpoint = tc.params
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.PlannedDuration(tc.exec); got != tc.want {
+				t.Fatalf("PlannedDuration(%v) = %v, want %v", tc.exec, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestAdmitCommitsReservation checks that an admitted quote holds its
+// nodes: quoting the same request again lands after the first job's
+// reservation, unless a second copy fits beside it on the 8-node cluster.
+func TestAdmitCommitsReservation(t *testing.T) {
+	cases := []struct {
+		name      string
+		size      int
+		wantLater bool
+	}{
+		{name: "full-machine job: the copy waits", size: 8, wantLater: true},
+		{name: "half-machine job: the copy fits beside it", size: 4, wantLater: false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := edgeTestEngine(t)
+			first := liveQuote(t, eng, tc.size)
+			job := workload.Job{ID: 1, Arrival: eng.Now(), Nodes: tc.size, Exec: 1 * units.Hour}
+			if err := eng.Admit(job, first, 1); err != nil {
+				t.Fatal(err)
+			}
+			again := liveQuote(t, eng, tc.size)
+			if later := again.Candidate.Start > first.Candidate.Start; later != tc.wantLater {
+				t.Fatalf("second quote starts at %v, first at %v; want later = %v",
+					again.Candidate.Start, first.Candidate.Start, tc.wantLater)
+			}
+		})
+	}
 }

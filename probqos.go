@@ -10,8 +10,9 @@
 //   - synthetic workload and failure-trace generators calibrated to the
 //     paper's NASA/SDSC logs and AIX failure data (plus an SWF parser for
 //     real archive logs);
-//   - the live control system (System) that quotes and negotiates
-//     deadlines against a failure forecast;
+//   - the live control system (System, the simulator's engine driven one
+//     request at a time) that quotes and admits deadlines against a
+//     failure forecast;
 //   - the trace-driven simulator (Run) that replays a whole job log and
 //     measures QoS, utilization, and lost work;
 //   - the experiment harness that regenerates every table and figure of
@@ -32,7 +33,6 @@ import (
 	"io"
 
 	"probqos/internal/checkpoint"
-	"probqos/internal/core"
 	"probqos/internal/eventlog"
 	"probqos/internal/failure"
 	"probqos/internal/health"
@@ -104,8 +104,9 @@ type (
 	User = negotiate.User
 	// Quote is one (deadline, probability of success) offer.
 	Quote = negotiate.Quote
-	// System is the live control system: quotes, negotiation, reservation.
-	System = core.System
+	// System is the live control system — the simulator's engine driven
+	// one request at a time: quotes, admission, and a virtual clock.
+	System = sim.Engine
 	// SimConfig assembles one simulation run.
 	SimConfig = sim.Config
 	// Result is everything a simulation run produces.
@@ -250,12 +251,10 @@ func NewTracePredictor(tr *FailureTrace, a float64) (Predictor, error) {
 	return predict.NewTrace(tr, a)
 }
 
-// NewSystem builds a live control system for a cluster of nodes,
-// forecasting from the trace with the given accuracy. See core.Option for
-// configuration.
-func NewSystem(nodes int, trace *FailureTrace, accuracy float64, opts ...core.Option) (*System, error) {
-	return core.NewSystem(nodes, trace, accuracy, opts...)
-}
+// NewSystem builds a live control system from a simulation config whose
+// Workload may be nil: jobs then arrive only through Admit. Drive it with
+// AdvanceTo, Quotes, and Admit.
+func NewSystem(cfg SimConfig) (*System, error) { return sim.NewEngine(cfg) }
 
 // NewUser validates a user risk strategy U in [0, 1].
 func NewUser(u float64) (User, error) { return negotiate.NewUser(u) }
@@ -406,9 +405,9 @@ type (
 	ScenarioState = scenario.State
 )
 
-// DecodeScenario parses and validates a scenario file (JSON if the name
-// ends in .json, the YAML subset otherwise), reporting malformed input
-// with file:line:col positions.
+// DecodeScenario parses and validates a scenario file written in the YAML
+// subset, reporting malformed input with file:line:col positions; name is
+// used only to label them.
 func DecodeScenario(name string, data []byte) (*Scenario, error) {
 	return scenario.Decode(name, data)
 }

@@ -44,11 +44,13 @@ func TestPublicSystemNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := probqos.NewSystem(16, trace, 1.0)
+	cfg := probqos.NewSimConfig(nil, trace)
+	cfg.Nodes, cfg.Accuracy = 16, 1.0
+	sys, err := probqos.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quotes := sys.Quotes(0, 16, 2*probqos.Hour, 4)
+	quotes := sys.Quotes(16, 2*probqos.Hour, 4)
 	if len(quotes) < 2 {
 		t.Fatalf("quotes = %+v", quotes)
 	}
@@ -60,27 +62,37 @@ func TestPublicSystemNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, offers, err := sys.Submit(1, 0, 16, 2*probqos.Hour, user)
-	if err != nil {
-		t.Fatal(err)
+	accept := func(id int) probqos.Quote {
+		t.Helper()
+		for i, q := range sys.Quotes(16, 2*probqos.Hour, 8) {
+			if user.Accepts(q.Success) {
+				job := probqos.Job{ID: id, Nodes: 16, Exec: 2 * probqos.Hour}
+				if err := sys.Admit(job, q, i+1); err != nil {
+					t.Fatal(err)
+				}
+				return q
+			}
+		}
+		t.Fatal("no acceptable quote")
+		return probqos.Quote{}
 	}
-	if q.Success < 0.9 || offers < 2 {
-		t.Errorf("accepted %+v after %d offers", q, offers)
+	q := accept(1)
+	if q.Success < 0.9 || q.Candidate.Start == 0 {
+		t.Errorf("accepted %+v, want a later, safer offer", q)
 	}
-	// The reservation is committed: an identical second submission cannot
-	// get the same slot.
-	q2, _, err := sys.Submit(2, 0, 16, 2*probqos.Hour, user)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2.Candidate.Start == q.Candidate.Start {
+	// The reservation is committed: an identical second job cannot get the
+	// same slot.
+	if q2 := accept(2); q2.Candidate.Start == q.Candidate.Start {
 		t.Error("second job reserved the same slot")
 	}
-	sys.Release(2)
 	if got := sys.Nodes(); got != 16 {
 		t.Errorf("Nodes = %d", got)
 	}
-	if pf := sys.PFail([]int{0}, 0, 10000); pf != 0.4 {
+	pred, err := probqos.NewTracePredictor(trace, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pf := pred.PFail([]int{0}, 0, 10000); pf != 0.4 {
 		t.Errorf("PFail = %v, want 0.4", pf)
 	}
 }
@@ -90,7 +102,9 @@ func TestPublicPlannedDuration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := probqos.NewSystem(4, trace, 0.5)
+	cfg := probqos.NewSimConfig(nil, trace)
+	cfg.Nodes = 4
+	sys, err := probqos.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
