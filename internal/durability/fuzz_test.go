@@ -41,7 +41,7 @@ func FuzzReplayWAL(f *testing.F) {
 		// The valid prefix is canonical: re-encoding the decoded records
 		// reproduces it byte for byte, so replay-after-truncate sees the
 		// same operations this decode did.
-		if re := EncodeRecords(recs); !bytes.Equal(re, data[:valid]) {
+		if re := encodeRecords(recs); !bytes.Equal(re, data[:valid]) {
 			t.Fatalf("re-encoded prefix differs: %d bytes vs %d", len(re), valid)
 		}
 		// Decoding must stop at the first corrupt record: decoding the

@@ -225,10 +225,6 @@ func (st *Store) SetReplayCost(total time.Duration, records int) {
 	}
 }
 
-// LastLSN returns the LSN of the most recently committed record (0 before
-// any).
-func (st *Store) LastLSN() uint64 { return st.lastLSN }
-
 // RecordsSinceSnapshot returns how many committed records the next
 // recovery would replay.
 func (st *Store) RecordsSinceSnapshot() int { return st.sinceSnap }

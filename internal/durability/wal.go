@@ -77,16 +77,6 @@ func DecodeRecords(data []byte) (recs []Record, valid int64) {
 	return recs, off
 }
 
-// EncodeRecords is the inverse of DecodeRecords, used by tests and the
-// fuzz target to assert the round trip is exact.
-func EncodeRecords(recs []Record) []byte {
-	var buf []byte
-	for _, r := range recs {
-		buf = AppendFrame(buf, r.LSN, r.Payload)
-	}
-	return buf
-}
-
 // wal is the append side of the log. It tracks the last known-good file
 // length so that a failed append (short write, fsync error) can be healed
 // by truncating back to the record boundary before the next write.

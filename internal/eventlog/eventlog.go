@@ -1,5 +1,5 @@
 // Package eventlog records the simulator's event journal as JSON lines and
-// reads it back for analysis. cmd/qossim -journal uses it.
+// reads it back. cmd/qossim -journal writes it.
 package eventlog
 
 import (
@@ -75,13 +75,4 @@ func Read(r io.Reader) ([]sim.Note, error) {
 		}
 		notes = append(notes, n)
 	}
-}
-
-// Summary counts notes by kind.
-func Summary(notes []sim.Note) map[string]int {
-	counts := make(map[string]int)
-	for _, n := range notes {
-		counts[n.Kind]++
-	}
-	return counts
 }

@@ -42,15 +42,6 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	counts := Summary([]sim.Note{
-		{Kind: "arrival"}, {Kind: "arrival"}, {Kind: "finish"},
-	})
-	if counts["arrival"] != 2 || counts["finish"] != 1 {
-		t.Errorf("summary = %v", counts)
-	}
-}
-
 type failingWriter struct{ n int }
 
 func (f *failingWriter) Write(p []byte) (int, error) {
@@ -70,56 +61,5 @@ func TestStickyError(t *testing.T) {
 	}
 	if w.Err() == nil && w.Close() == nil {
 		t.Error("expected a sticky write error")
-	}
-}
-
-func TestJobTimeline(t *testing.T) {
-	notes := []sim.Note{
-		{Time: 30, Kind: "finish", JobID: 1},
-		{Time: 10, Kind: "arrival", JobID: 1},
-		{Time: 20, Kind: "start", JobID: 2},
-		{Time: 15, Kind: "start", JobID: 1},
-	}
-	got := JobTimeline(notes, 1)
-	if len(got) != 3 {
-		t.Fatalf("timeline length = %d", len(got))
-	}
-	if got[0].Kind != "arrival" || got[1].Kind != "start" || got[2].Kind != "finish" {
-		t.Errorf("timeline out of order: %+v", got)
-	}
-}
-
-func TestNodeTimeline(t *testing.T) {
-	notes := []sim.Note{
-		{Time: 50, Kind: "recovery", Node: 3},
-		{Time: 40, Kind: "failure", Node: 3},
-		{Time: 45, Kind: "start", Node: 3, JobID: 9}, // not a node lifecycle event
-		{Time: 41, Kind: "failure", Node: 4},
-	}
-	got := NodeTimeline(notes, 3)
-	if len(got) != 2 || got[0].Kind != "failure" || got[1].Kind != "recovery" {
-		t.Errorf("node timeline = %+v", got)
-	}
-}
-
-func TestOccupancySeries(t *testing.T) {
-	notes := []sim.Note{
-		{Time: 0, Kind: "start", JobID: 1, Width: 4},
-		{Time: 100, Kind: "start", JobID: 2, Width: 2},
-		{Time: 150, Kind: "failure", JobID: 2, Node: 5, Width: 2},
-		{Time: 200, Kind: "finish", JobID: 1, Width: 4},
-	}
-	series := OccupancySeries(notes, 8, 50)
-	want := []float64{0.5, 0.5, 0.75, 0.5, 0} // t = 0,50,100,150,200
-	if len(series) != len(want) {
-		t.Fatalf("series length = %d, want %d: %v", len(series), len(want), series)
-	}
-	for i := range want {
-		if series[i] != want[i] {
-			t.Errorf("series[%d] = %v, want %v (full %v)", i, series[i], want[i], series)
-		}
-	}
-	if got := OccupancySeries(nil, 8, 50); got != nil {
-		t.Errorf("empty journal series = %v", got)
 	}
 }

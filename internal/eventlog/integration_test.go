@@ -3,6 +3,7 @@ package eventlog
 import (
 	"bytes"
 	"math"
+	"sort"
 	"testing"
 
 	"probqos/internal/failure"
@@ -12,10 +13,10 @@ import (
 )
 
 // TestJournalMatchesSimulatorAccounting runs a real simulation with the
-// journal attached and cross-checks the journal-reconstructed occupancy
-// against the simulator's own busy-node-second integration. The two are
-// independent code paths over the same events, so agreement is a strong
-// consistency check.
+// journal attached and cross-checks the busy node-seconds the journal
+// implies against the simulator's own integration. The two are independent
+// code paths over the same events, so agreement is a strong consistency
+// check.
 func TestJournalMatchesSimulatorAccounting(t *testing.T) {
 	log := workload.GenerateSDSC(workload.GenConfig{Jobs: 150, Seed: 17, ClusterNodes: 16})
 	for i := range log.Jobs {
@@ -49,23 +50,40 @@ func TestJournalMatchesSimulatorAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const step = units.Duration(60)
-	series := OccupancySeries(notes, 16, step)
-	if len(series) == 0 {
-		t.Fatal("no occupancy series")
-	}
+	// Integrate the busy-node count implied by the width-annotated start,
+	// finish, and job-killing failure notes, in time order.
+	sort.SliceStable(notes, func(i, j int) bool { return notes[i].Time < notes[j].Time })
 	var integrated float64
-	for _, frac := range series {
-		if frac < 0 || frac > 1 {
-			t.Fatalf("occupancy fraction out of range: %v", frac)
+	var prev units.Time
+	busy := 0
+	kinds := make(map[int]map[string]int)
+	for _, n := range notes {
+		integrated += float64(busy) * n.Time.Sub(prev).Seconds()
+		prev = n.Time
+		switch n.Kind {
+		case "start":
+			busy += n.Width
+		case "finish":
+			busy -= n.Width
+		case "failure":
+			if n.JobID != 0 {
+				busy -= n.Width
+			}
 		}
-		integrated += frac * step.Seconds() * 16
+		if busy < 0 || busy > 16 {
+			t.Fatalf("journal busy-node count %d outside [0, 16] at %v", busy, n.Time)
+		}
+		if n.JobID != 0 {
+			if kinds[n.JobID] == nil {
+				kinds[n.JobID] = make(map[string]int)
+			}
+			kinds[n.JobID][n.Kind]++
+		}
 	}
 	want := res.BusyNodeSeconds.NodeSeconds()
 	if want == 0 {
 		t.Fatal("simulator accounted no busy time")
 	}
-	// Riemann-sum discretization error only.
 	if rel := math.Abs(integrated-want) / want; rel > 0.01 {
 		t.Errorf("journal occupancy %.4g vs simulator %.4g (relative error %.4f)",
 			integrated, want, rel)
@@ -74,9 +92,7 @@ func TestJournalMatchesSimulatorAccounting(t *testing.T) {
 	// The journal's per-job story must be complete: every job has an
 	// arrival, at least one start, and exactly one finish.
 	for _, j := range res.Jobs {
-		timeline := JobTimeline(notes, j.ID)
-		counts := Summary(timeline)
-		if counts["arrival"] != 1 || counts["finish"] != 1 || counts["start"] < 1 {
+		if counts := kinds[j.ID]; counts["arrival"] != 1 || counts["finish"] != 1 || counts["start"] < 1 {
 			t.Fatalf("job %d journal incomplete: %v", j.ID, counts)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestGoldenScenarioByteIdenticalAcrossRuns is the runtime backstop behind
-// the qoslint detwallclock/detrand analyzers: it executes the golden-corpus
+// qoslint's dettaint analyzer: it executes the golden-corpus
 // scenario twice in one process, each time from a fresh Env, and demands
 // byte-identical rendered output. A wall-clock read or global-PRNG draw
 // that slips past the static checks (through an interface, reflection, or

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"probqos/internal/checkpoint"
@@ -222,18 +221,6 @@ func (e *Env) stochasticTrace(variant string) (*failure.Trace, error) {
 		}
 		return failure.GenerateStochastic(failure.StochasticConfig{Kind: kind, Seed: e.Seed})
 	})
-}
-
-// VariantNames lists the ablation variants in a stable order.
-func VariantNames() []string {
-	names := make([]string, 0, len(variants))
-	for n := range variants {
-		if n != "" {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // noteQueued adds n newly queued points to the progress tally and notifies

@@ -126,18 +126,6 @@ func TestPrefetchParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestVariantNamesStable(t *testing.T) {
-	names := VariantNames()
-	if len(names) != 12 {
-		t.Errorf("variants = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] <= names[i-1] {
-			t.Errorf("variant names not sorted: %v", names)
-		}
-	}
-}
-
 func TestEveryExperimentRunsSmallScale(t *testing.T) {
 	// Execute every experiment definition end to end at small scale; the
 	// full-scale versions are exercised by cmd/qossweep and the benchmark

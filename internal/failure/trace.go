@@ -145,26 +145,6 @@ func (t *Trace) Events() []Event {
 // At returns the i-th failure in time order.
 func (t *Trace) At(i int) Event { return t.events[i] }
 
-// NodeEvents returns the failures of one node in time order.
-func (t *Trace) NodeEvents(node int) []Event {
-	idx := t.perNode[node].pos
-	out := make([]Event, len(idx))
-	for i, k := range idx {
-		out[i] = t.events[k]
-	}
-	return out
-}
-
-// NextOnNode returns the first failure of node at or after from, if any.
-func (t *Trace) NextOnNode(node int, from units.Time) (Event, bool) {
-	ix := &t.perNode[node]
-	i := ix.searchTime(from)
-	if i == len(ix.pos) {
-		return Event{}, false
-	}
-	return t.events[ix.pos[i]], true
-}
-
 // ScanNode calls fn for each failure of one node with Time in [from, to), in
 // ascending time order, stopping early if fn returns false. It is the
 // allocation-free single-node fast path under Scan: one binary search into

@@ -2,6 +2,8 @@ package failure
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -57,6 +59,9 @@ func TestTraceSortsEvents(t *testing.T) {
 	}
 }
 
+// TestNextOnNode checks the next-failure-on-a-node query as ScanNode's
+// first yield: from is inclusive, other nodes never leak in, and a node
+// with nothing left yields nothing.
 func TestNextOnNode(t *testing.T) {
 	tr := mustTrace(t, 4, []Event{
 		{Time: 100, Node: 1}, {Time: 200, Node: 1}, {Time: 150, Node: 2},
@@ -76,12 +81,17 @@ func TestNextOnNode(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			e, ok := tr.NextOnNode(tt.node, tt.from)
+			var e Event
+			ok := false
+			tr.ScanNode(tt.node, tt.from, math.MaxInt64, func(ev Event) bool {
+				e, ok = ev, true
+				return false
+			})
 			if ok != tt.wantOK {
 				t.Fatalf("ok = %v, want %v", ok, tt.wantOK)
 			}
-			if ok && e.Time != tt.want {
-				t.Errorf("time = %v, want %v", e.Time, tt.want)
+			if ok && (e.Time != tt.want || e.Node != tt.node) {
+				t.Errorf("event = %+v, want node %d at %v", e, tt.node, tt.want)
 			}
 		})
 	}
@@ -197,16 +207,31 @@ func TestParseCSVErrors(t *testing.T) {
 	}
 }
 
+// TestNodeEvents checks that ScanNode walks all of one node's failures in
+// time order, honours its half-open window, and stops when fn says so.
 func TestNodeEvents(t *testing.T) {
 	tr := mustTrace(t, 4, []Event{
 		{Time: 300, Node: 1}, {Time: 100, Node: 1}, {Time: 200, Node: 2},
 	})
-	got := tr.NodeEvents(1)
-	if len(got) != 2 || got[0].Time != 100 || got[1].Time != 300 {
-		t.Errorf("NodeEvents(1) = %+v", got)
+	scan := func(node int, from, to units.Time, limit int) []units.Time {
+		var out []units.Time
+		tr.ScanNode(node, from, to, func(e Event) bool {
+			out = append(out, e.Time)
+			return len(out) < limit
+		})
+		return out
 	}
-	if got := tr.NodeEvents(3); len(got) != 0 {
-		t.Errorf("NodeEvents(3) = %+v, want empty", got)
+	if got := scan(1, 0, math.MaxInt64, 10); !slices.Equal(got, []units.Time{100, 300}) {
+		t.Errorf("node 1 failures = %v, want [100 300]", got)
+	}
+	if got := scan(1, 100, 300, 10); !slices.Equal(got, []units.Time{100}) {
+		t.Errorf("node 1 failures in [100, 300) = %v, want [100]", got)
+	}
+	if got := scan(1, 0, math.MaxInt64, 1); !slices.Equal(got, []units.Time{100}) {
+		t.Errorf("early stop = %v, want [100]", got)
+	}
+	if got := scan(3, 0, math.MaxInt64, 10); len(got) != 0 {
+		t.Errorf("node 3 failures = %v, want none", got)
 	}
 }
 

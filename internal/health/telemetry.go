@@ -29,8 +29,7 @@ type Sample struct {
 
 // Telemetry holds regularly sampled per-node signals.
 type Telemetry struct {
-	interval units.Duration
-	perNode  [][]Sample // ascending in time
+	perNode [][]Sample // ascending in time
 }
 
 // TelemetryConfig parameterizes the synthetic telemetry generator.
@@ -90,7 +89,7 @@ func Generate(cfg TelemetryConfig, raw []failure.RawEvent) (*Telemetry, error) {
 		sort.Slice(criticalAt[n], func(i, j int) bool { return criticalAt[n][i] < criticalAt[n][j] })
 	}
 
-	t := &Telemetry{interval: cfg.Interval, perNode: make([][]Sample, cfg.Nodes)}
+	t := &Telemetry{perNode: make([][]Sample, cfg.Nodes)}
 	samples := int(cfg.Span / cfg.Interval)
 	day := units.Day.Seconds()
 	for n := 0; n < cfg.Nodes; n++ {
@@ -129,9 +128,6 @@ func Generate(cfg TelemetryConfig, raw []failure.RawEvent) (*Telemetry, error) {
 
 // Nodes returns the number of nodes covered.
 func (t *Telemetry) Nodes() int { return len(t.perNode) }
-
-// Interval returns the sampling period.
-func (t *Telemetry) Interval() units.Duration { return t.interval }
 
 // Window returns the node's samples with Time in [from, to).
 func (t *Telemetry) Window(node int, from, to units.Time) []Sample {

@@ -12,8 +12,6 @@ import (
 // All returns the registered analyzer set in the order the driver runs them.
 func All() []*Analyzer {
 	return []*Analyzer{
-		DetWallClock,
-		DetRand,
 		FloatEq,
 		SyncErr,
 		MapRange,
@@ -25,15 +23,14 @@ func All() []*Analyzer {
 	}
 }
 
-// Names returns the names of every registered analyzer; allow directives may
-// only name these.
+// Names returns the allow-directive vocabulary: the name of every
+// registered analyzer, then dettaint's two source-kind aliases.
 func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, a := range all {
-		names[i] = a.Name
+	var names []string
+	for _, a := range All() {
+		names = append(names, a.Name)
 	}
-	return names
+	return append(names, wallClockAlias, globalRandAlias)
 }
 
 // deterministicDirs names the internal packages whose behaviour must be a
@@ -59,15 +56,7 @@ var deterministicDirs = map[string]bool{
 
 // IsDeterministicPkg reports whether the import path lies in (or under) one
 // of the deterministic internal packages.
-func IsDeterministicPkg(path string) bool {
-	segs := strings.Split(path, "/")
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i] == "internal" && deterministicDirs[segs[i+1]] {
-			return true
-		}
-	}
-	return false
-}
+func IsDeterministicPkg(path string) bool { return underInternal(path, deterministicDirs) }
 
 // observabilityDirs names the internal packages on the wall-clock side of
 // the boundary: metrics exposition (obs) and request tracing / promise
@@ -82,22 +71,21 @@ var observabilityDirs = map[string]bool{
 
 // IsObservabilityPkg reports whether the import path lies in (or under) one
 // of the observability internal packages.
-func IsObservabilityPkg(path string) bool {
-	segs := strings.Split(path, "/")
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i] == "internal" && observabilityDirs[segs[i+1]] {
-			return true
-		}
-	}
-	return false
+func IsObservabilityPkg(path string) bool { return underInternal(path, observabilityDirs) }
+
+// durabilityCriticalDirs names the packages in scope for the syncerr
+// analyzer: the WAL/snapshot layer and the service that wires it.
+var durabilityCriticalDirs = map[string]bool{
+	"durability": true,
+	"service":    true,
 }
 
-// durabilityCriticalPkg reports whether the import path is in scope for the
-// syncerr analyzer: the WAL/snapshot layer and the service that wires it.
-func durabilityCriticalPkg(path string) bool {
+// underInternal reports whether the import path has an internal/<dir>
+// segment pair with dir in dirs.
+func underInternal(path string, dirs map[string]bool) bool {
 	segs := strings.Split(path, "/")
 	for i := 0; i+1 < len(segs); i++ {
-		if segs[i] == "internal" && (segs[i+1] == "durability" || segs[i+1] == "service") {
+		if segs[i] == "internal" && dirs[segs[i+1]] {
 			return true
 		}
 	}

@@ -8,21 +8,26 @@ import (
 	"strings"
 )
 
-// DetTaint is the interprocedural complement of detwallclock and detrand:
-// those catch a literal time.Now or rand.Float64 written inside a
-// deterministic package, while this one catches the same read laundered
-// through any chain of module helpers. A function whose result derives —
-// directly or through calls — from the wall clock, the process-global
-// PRNG, or map-iteration order is marked with a nondeterministic-source
-// fact; any call to (or reference of) such a function from a deterministic
-// package is a finding, reported with the full taint chain down to the
-// original source.
+// DetTaint is the determinism analyzer. Inside a deterministic package it
+// reports every reference to a nondeterministic source: a wall-clock
+// function, a process-global math/rand function, or a module function
+// whose result derives — directly or through any chain of helpers — from
+// one of those or from map-iteration order. A laundered read is reported
+// with the full taint chain down to the original source. The same walk
+// covers package-level initializers and function literals, so nothing in
+// a deterministic package reads the clock or the global PRNG unreviewed.
 //
-// Sources that are already annotated (//qoslint:allow detwallclock,
-// detrand, maprange, or dettaint on the source line) are sanctioned
-// boundaries — profiling reads that feed obs and never simulation state —
-// and do not seed taint, so one reviewed annotation clears both the
-// syntactic and the flow-aware analyzer.
+// Seeded sources are fine: rand.New(rand.NewSource(seed)) and every
+// sampler in internal/stats remain legal, because their streams are a pure
+// function of the seed.
+//
+// A direct source keeps an allow-directive alias naming its kind:
+// //qoslint:allow detwallclock silences a wall-clock read on its line and
+// detrand a global-PRNG draw, neither anything else; dettaint silences
+// every finding on the line. Annotated sources (dettaint, the matching
+// alias, or maprange for map order) are sanctioned boundaries — profiling
+// reads that feed obs and never simulation state — and do not seed taint,
+// so one reviewed annotation clears the site for every caller.
 //
 // Known limits, all deliberate: calls through interfaces and function
 // values are not chased (sim.Probe implementations may read the clock —
@@ -33,8 +38,41 @@ import (
 // sanctioned way real time enters the system.
 var DetTaint = &Analyzer{
 	Name: "dettaint",
-	Doc:  "forbid calls whose results transitively derive from wall clock, global PRNG, or map order in deterministic packages",
+	Doc:  "forbid wall-clock reads, global-PRNG draws, and calls whose results transitively derive from them or map order in deterministic packages",
 	Run:  runDetTaint,
+}
+
+// Allow-directive aliases for dettaint's two primitive source kinds. They
+// are directive names only, not analyzers: All() does not list them, but
+// Names() does.
+const (
+	wallClockAlias  = "detwallclock"
+	globalRandAlias = "detrand"
+)
+
+// wallClockFuncs lists the package-level time functions that read or depend
+// on the process clock. Referencing one at all (not just calling it) is a
+// finding, so passing time.Now as a value is caught too.
+var wallClockFuncs = map[string]bool{
+	"Now":       true,
+	"Since":     true,
+	"Until":     true,
+	"Sleep":     true,
+	"Tick":      true,
+	"NewTicker": true,
+	"NewTimer":  true,
+	"After":     true,
+	"AfterFunc": true,
+}
+
+// randConstructors are the math/rand and math/rand/v2 functions that build
+// an explicitly seeded generator rather than drawing from the global one.
+var randConstructors = map[string]bool{
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true,
+	"NewChaCha8": true,
 }
 
 // taintFactNS namespaces dettaint's facts in the Program store.
@@ -64,6 +102,26 @@ func runDetTaint(pass *Pass) error {
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				// A direct wall-clock or global-PRNG reference inside a
+				// deterministic package.
+				if !det {
+					return true
+				}
+				reason, alias := primitiveSource(pass.Pkg, n)
+				if reason == "" || d.allowed(pass.Pkg, n.Pos(), alias) {
+					return true
+				}
+				if alias == wallClockAlias {
+					pass.Reportf(n.Pos(),
+						"%s reads the wall clock in deterministic package %s; derive time from the engine clock, or annotate a profiling boundary with %s %s <reason>",
+						reason, pass.Pkg.Path, DirectivePrefix, alias)
+				} else {
+					pass.Reportf(n.Pos(),
+						"%s uses the process-global PRNG in deterministic package %s; draw from a seeded *stats.Source (or rand.New with an explicit seed) instead",
+						reason, pass.Pkg.Path)
+				}
+				return true
 			case *ast.Ident:
 				if !det {
 					return true
@@ -161,12 +219,12 @@ func (d *tainter) compute(fn *types.Func) *taintFact {
 		}
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			if reason := primitiveSource(pkg, n); reason != "" && !d.allowedSource(pkg, n.Pos()) {
+			if reason, alias := primitiveSource(pkg, n); reason != "" && !d.allowed(pkg, n.Pos(), alias) {
 				fact = &taintFact{Reason: reason, Chain: []string{funcLabel(fn), reason}}
 				return false
 			}
 		case *ast.RangeStmt:
-			if reason := mapOrderSource(pkg, n); reason != "" && !d.allowedSource(pkg, n.For) {
+			if reason := mapOrderSource(pkg, n); reason != "" && !d.allowed(pkg, n.For, "maprange") {
 				fact = &taintFact{Reason: reason, Chain: []string{funcLabel(fn), reason}}
 				return false
 			}
@@ -175,7 +233,7 @@ func (d *tainter) compute(fn *types.Func) *taintFact {
 			if callee == nil || callee == fn {
 				return true
 			}
-			if sub := d.taintOf(callee); sub != nil && !d.allowedSource(pkg, n.Pos()) {
+			if sub := d.taintOf(callee); sub != nil && !d.allowed(pkg, n.Pos(), "") {
 				fact = &taintFact{Reason: sub.Reason, Chain: append([]string{funcLabel(fn)}, sub.Chain...)}
 				return false
 			}
@@ -185,26 +243,18 @@ func (d *tainter) compute(fn *types.Func) *taintFact {
 	return fact
 }
 
-// taintAllowNames are the analyzers whose allow directive sanctions a
-// source line against seeding taint: the flow-aware analyzer itself plus
-// the syntactic determinism analyzers, so one reviewed annotation clears
-// both layers.
-var taintAllowNames = []string{"dettaint", "detwallclock", "detrand", "maprange"}
-
-// allowedSource reports whether an allow directive for dettaint or one of
-// the syntactic determinism analyzers covers the position — a reviewed
-// boundary that must not seed taint.
-func (d *tainter) allowedSource(pkg *Package, pos token.Pos) bool {
+// allowed reports whether a dettaint directive, or one for the given
+// alias, covers the position: a reviewed boundary that must not seed taint.
+// The alias is the directive name for the source's kind (detwallclock,
+// detrand, or maprange for map order) and is empty for a call to a tainted
+// function, which only dettaint sanctions.
+func (d *tainter) allowed(pkg *Package, pos token.Pos, alias string) bool {
 	if !pos.IsValid() {
 		return false
 	}
 	p := pkg.Fset.Position(pos)
-	for _, name := range taintAllowNames {
-		if d.prog.Allowed(name, p.Filename, p.Line) {
-			return true
-		}
-	}
-	return false
+	return d.prog.Allowed("dettaint", p.Filename, p.Line) ||
+		alias != "" && d.prog.Allowed(alias, p.Filename, p.Line)
 }
 
 // directTaintIn scans an argument expression for a syntactically direct
@@ -219,7 +269,7 @@ func (d *tainter) directTaintIn(pkg *Package, arg ast.Expr) (ast.Node, string) {
 		}
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			if reason := primitiveSource(pkg, n); reason != "" && !d.allowedSource(pkg, n.Pos()) {
+			if reason, alias := primitiveSource(pkg, n); reason != "" && !d.allowed(pkg, n.Pos(), alias) {
 				node, label = n, reason
 				return false
 			}
@@ -228,7 +278,7 @@ func (d *tainter) directTaintIn(pkg *Package, arg ast.Expr) (ast.Node, string) {
 			if callee == nil {
 				return true
 			}
-			if sub := d.taintOf(callee); sub != nil && !d.allowedSource(pkg, n.Pos()) {
+			if sub := d.taintOf(callee); sub != nil && !d.allowed(pkg, n.Pos(), "") {
 				node, label = n, chainString(sub)
 				return false
 			}
@@ -239,24 +289,27 @@ func (d *tainter) directTaintIn(pkg *Package, arg ast.Expr) (ast.Node, string) {
 }
 
 // primitiveSource classifies a selector as a primitive nondeterministic
-// read: a wall-clock function from time, or a process-global math/rand
-// function.
-func primitiveSource(pkg *Package, sel *ast.SelectorExpr) string {
+// read — a wall-clock function from time, or a process-global math/rand
+// function — returning its label ("time.Now") and the directive alias that
+// names its kind, or "" if it is neither.
+func primitiveSource(pkg *Package, sel *ast.SelectorExpr) (reason, alias string) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
-		return ""
+		return "", ""
 	}
 	switch path := pkgNameOf(&Pass{Pkg: pkg}, id); path {
 	case "time":
 		if wallClockFuncs[sel.Sel.Name] {
-			return "time." + sel.Sel.Name
+			return "time." + sel.Sel.Name, wallClockAlias
 		}
 	case "math/rand", "math/rand/v2":
+		// Types (rand.Rand, rand.Source) and seeded constructors are fine;
+		// any other function reference draws from the global generator.
 		if _, isFunc := pkg.Info.Uses[sel.Sel].(*types.Func); isFunc && !randConstructors[sel.Sel.Name] {
-			return "rand." + sel.Sel.Name
+			return "rand." + sel.Sel.Name, globalRandAlias
 		}
 	}
-	return ""
+	return "", ""
 }
 
 // mapOrderSource reports whether a range statement iterates a map in a way

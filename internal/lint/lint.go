@@ -12,17 +12,18 @@
 //	file:line:col: [analyzer] message
 //
 // and any finding makes the driver exit non-zero. Intentional exceptions are
-// annotated in source with an allow directive naming one analyzer and a
-// mandatory reason:
+// annotated in source with an allow directive naming one analyzer (or one of
+// dettaint's source-kind aliases, see Names) and a mandatory reason:
 //
 //	//qoslint:allow detwallclock profiling boundary, never feeds results
 //
 // A directive written on the same line as the finding suppresses that line;
 // a directive on its own line suppresses the next non-directive line.
-// Suppression is per-analyzer: an allow for detwallclock does not silence a
-// floateq finding on the same line. Directives with a missing analyzer name,
-// a missing reason, or an unknown analyzer name are themselves reported (as
-// analyzer "qoslint") and cannot be suppressed.
+// Suppression is per-name: an allow for detwallclock silences a wall-clock
+// read, but not a global-PRNG draw or a floateq finding on the same line.
+// Directives with a missing analyzer name, a missing reason, or an unknown
+// name are themselves reported (as analyzer "qoslint") and cannot be
+// suppressed.
 package lint
 
 import (

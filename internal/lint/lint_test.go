@@ -79,22 +79,22 @@ func TestAnalyzerFixtures(t *testing.T) {
 			name:       "detwallclock",
 			dir:        "detwallclock",
 			importPath: "probqos/internal/sim/fixture",
-			analyzer:   DetWallClock,
+			analyzer:   DetTaint,
 			want: []string{
-				"detwallclock.go:13:10: [detwallclock] time.Now reads the wall clock in deterministic package probqos/internal/sim/fixture; derive time from the engine clock, or annotate a profiling boundary with //qoslint:allow detwallclock <reason>",
-				"detwallclock.go:14:7: [detwallclock] time.Since reads the wall clock in deterministic package probqos/internal/sim/fixture; derive time from the engine clock, or annotate a profiling boundary with //qoslint:allow detwallclock <reason>",
-				"detwallclock.go:15:7: [detwallclock] time.NewTimer reads the wall clock in deterministic package probqos/internal/sim/fixture; derive time from the engine clock, or annotate a profiling boundary with //qoslint:allow detwallclock <reason>",
+				"detwallclock.go:13:10: [dettaint] time.Now reads the wall clock in deterministic package probqos/internal/sim/fixture; derive time from the engine clock, or annotate a profiling boundary with //qoslint:allow detwallclock <reason>",
+				"detwallclock.go:14:7: [dettaint] time.Since reads the wall clock in deterministic package probqos/internal/sim/fixture; derive time from the engine clock, or annotate a profiling boundary with //qoslint:allow detwallclock <reason>",
+				"detwallclock.go:15:7: [dettaint] time.NewTimer reads the wall clock in deterministic package probqos/internal/sim/fixture; derive time from the engine clock, or annotate a profiling boundary with //qoslint:allow detwallclock <reason>",
 			},
 		},
 		{
 			name:       "detrand",
 			dir:        "detrand",
 			importPath: "probqos/internal/sched/fixture",
-			analyzer:   DetRand,
+			analyzer:   DetTaint,
 			want: []string{
-				"detrand.go:14:7: [detrand] rand.Float64 uses the process-global PRNG in deterministic package probqos/internal/sched/fixture; draw from a seeded *stats.Source (or rand.New with an explicit seed) instead",
-				"detrand.go:15:7: [detrand] rand.Intn uses the process-global PRNG in deterministic package probqos/internal/sched/fixture; draw from a seeded *stats.Source (or rand.New with an explicit seed) instead",
-				"detrand.go:16:2: [detrand] rand.Shuffle uses the process-global PRNG in deterministic package probqos/internal/sched/fixture; draw from a seeded *stats.Source (or rand.New with an explicit seed) instead",
+				"detrand.go:14:7: [dettaint] rand.Float64 uses the process-global PRNG in deterministic package probqos/internal/sched/fixture; draw from a seeded *stats.Source (or rand.New with an explicit seed) instead",
+				"detrand.go:15:7: [dettaint] rand.Intn uses the process-global PRNG in deterministic package probqos/internal/sched/fixture; draw from a seeded *stats.Source (or rand.New with an explicit seed) instead",
+				"detrand.go:16:2: [dettaint] rand.Shuffle uses the process-global PRNG in deterministic package probqos/internal/sched/fixture; draw from a seeded *stats.Source (or rand.New with an explicit seed) instead",
 			},
 		},
 		{
@@ -159,15 +159,15 @@ func TestScopedAnalyzersSilentOutsideScope(t *testing.T) {
 		importPath string
 		analyzer   *Analyzer
 	}{
-		{"detwallclock", "probqos/internal/obs/fixture", DetWallClock},
-		{"detwallclock", "probqos/internal/trace/fixture", DetWallClock},
-		{"detrand", "probqos/internal/obs/fixture", DetRand},
+		{"detwallclock", "probqos/internal/obs/fixture", DetTaint},
+		{"detwallclock", "probqos/internal/trace/fixture", DetTaint},
+		{"detrand", "probqos/internal/obs/fixture", DetTaint},
 		{"syncerr", "probqos/internal/obs/fixture", SyncErr},
 		{"syncerr", "probqos/cmd/fixture", SyncErr},
 		{"obsimport", "probqos/internal/service/fixture", ObsImport},
 	}
 	for _, tc := range cases {
-		t.Run(tc.analyzer.Name+"/"+tc.importPath, func(t *testing.T) {
+		t.Run(tc.dir+"/"+tc.importPath, func(t *testing.T) {
 			pkg := loadFixture(t, tc.dir, tc.importPath)
 			if got := runOn(t, pkg, tc.analyzer); len(got) != 0 {
 				t.Errorf("%s fired outside its scope:\n  %s", tc.analyzer.Name, strings.Join(got, "\n  "))
@@ -179,12 +179,24 @@ func TestScopedAnalyzersSilentOutsideScope(t *testing.T) {
 // TestAllowDirectiveScoping asserts a directive suppresses findings only
 // for the analyzer it names: the wrong-name and half-allowed wall-clock
 // reads survive, while the stacked and trailing forms are fully silenced.
+// dettaint's aliases are narrower still: on a line holding a wall-clock
+// read and a global-PRNG draw, detwallclock leaves exactly the draw,
+// detrand exactly the read, and dettaint neither; no alias silences a
+// call-chain finding, and an annotated source does not taint its caller.
 func TestAllowDirectiveScoping(t *testing.T) {
 	pkg := loadFixture(t, "allow", "probqos/internal/sim/fixture")
-	got := runOn(t, pkg, DetWallClock, FloatEq)
+	got := runOn(t, pkg, DetTaint, FloatEq)
 	want := []string{
-		"allow.go:12:9: [detwallclock] time.Now reads the wall clock in deterministic package probqos/internal/sim/fixture; derive time from the engine clock, or annotate a profiling boundary with //qoslint:allow detwallclock <reason>",
-		"allow.go:26:9: [detwallclock] time.Since reads the wall clock in deterministic package probqos/internal/sim/fixture; derive time from the engine clock, or annotate a profiling boundary with //qoslint:allow detwallclock <reason>",
+		// WrongName: detrand does not cover a wall-clock read.
+		"allow.go:17:9: [dettaint] time.Now reads the wall clock in deterministic package probqos/internal/sim/fixture; derive time from the engine clock, or annotate a profiling boundary with //qoslint:allow detwallclock <reason>",
+		// HalfAllowed: floateq does not cover it either.
+		"allow.go:31:9: [dettaint] time.Since reads the wall clock in deterministic package probqos/internal/sim/fixture; derive time from the engine clock, or annotate a profiling boundary with //qoslint:allow detwallclock <reason>",
+		// ClockAllowed: detwallclock leaves the draw.
+		"allow.go:48:35: [dettaint] rand.Intn uses the process-global PRNG in deterministic package probqos/internal/sim/fixture; draw from a seeded *stats.Source (or rand.New with an explicit seed) instead",
+		// RandAllowed: detrand leaves the read.
+		"allow.go:54:9: [dettaint] time.Now reads the wall clock in deterministic package probqos/internal/sim/fixture; derive time from the engine clock, or annotate a profiling boundary with //qoslint:allow detwallclock <reason>",
+		// ChainNotAllowed: detwallclock does not cover a call chain.
+		"allow.go:65:9: [dettaint] fixture.ClockAllowed -> rand.Intn is a nondeterministic source (rand.Intn) used in deterministic package probqos/internal/sim/fixture; derive the value from engine state, or annotate a reviewed boundary with //qoslint:allow dettaint <reason>",
 	}
 	diffStrings(t, got, want)
 }
@@ -253,20 +265,24 @@ func TestIsDeterministicPkg(t *testing.T) {
 }
 
 // TestNamesMatchAll keeps the directive vocabulary in sync with the
-// registry.
+// registry: every analyzer name in order, then dettaint's two aliases,
+// which name no analyzer of their own.
 func TestNamesMatchAll(t *testing.T) {
 	names := Names()
 	all := All()
-	if len(names) != len(all) {
-		t.Fatalf("Names() has %d entries, All() has %d", len(names), len(all))
+	if len(names) != len(all)+2 {
+		t.Fatalf("Names() has %d entries, want %d analyzers plus 2 aliases", len(names), len(all))
 	}
 	for i, a := range all {
 		if names[i] != a.Name {
 			t.Errorf("Names()[%d] = %q, want %q", i, names[i], a.Name)
 		}
 	}
-	if len(all) < 5 {
-		t.Errorf("registry has %d analyzers, want at least the 5 shipped ones", len(all))
+	if aliases := names[len(all):]; aliases[0] != "detwallclock" || aliases[1] != "detrand" {
+		t.Errorf("aliases = %v, want [detwallclock detrand]", aliases)
+	}
+	if len(all) != 8 {
+		t.Errorf("registry has %d analyzers, want the 8 shipped ones", len(all))
 	}
 }
 

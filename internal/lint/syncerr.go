@@ -34,7 +34,7 @@ var writerIface = func() *types.Interface {
 }()
 
 func runSyncErr(pass *Pass) error {
-	if !durabilityCriticalPkg(pass.Pkg.Path) {
+	if !underInternal(pass.Pkg.Path, durabilityCriticalDirs) {
 		return nil
 	}
 	forEachNode(pass, func(n ast.Node) bool {

@@ -23,16 +23,10 @@ type CalibrationBin struct {
 	WorkShare float64
 }
 
-// BinIndex maps a promised probability onto one of bins uniform
-// reliability-diagram buckets: [i/bins, (i+1)/bins), with the final bin
-// closed so a promise of exactly 1.0 lands in it. The rule lives in
-// stats.BinIndex so qosd's live promise ledger (internal/trace) bins
-// identically without importing the whole metrics layer.
-func BinIndex(promised float64, bins int) int { return stats.BinIndex(promised, bins) }
-
 // Calibration computes a reliability diagram over the promised success
 // probabilities with the given number of uniform bins (minimum 1). The
-// final bin is closed, so a promise of exactly 1.0 lands in it.
+// final bin is closed, so a promise of exactly 1.0 lands in it; the rule is
+// stats.BinIndex, which qosd's live promise ledger (internal/trace) shares.
 func Calibration(res *sim.Result, bins int) []CalibrationBin {
 	if bins < 1 {
 		bins = 1
@@ -51,7 +45,7 @@ func Calibration(res *sim.Result, bins int) []CalibrationBin {
 		totalWork += j.Exec.Seconds() * float64(j.Nodes)
 	}
 	for _, j := range res.Jobs {
-		i := BinIndex(j.Promised, bins)
+		i := stats.BinIndex(j.Promised, bins)
 		b := &out[i]
 		b.Jobs++
 		b.PromisedMean += j.Promised

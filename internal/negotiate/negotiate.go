@@ -58,12 +58,6 @@ type optionFunc func(*Negotiator)
 
 func (f optionFunc) apply(n *Negotiator) { f(n) }
 
-// WithMaxQuotes bounds how many quotes one negotiation offers before
-// switching to exponential deferral. Defaults to 128.
-func WithMaxQuotes(n int) Option {
-	return optionFunc(func(neg *Negotiator) { neg.maxQuotes = n })
-}
-
 // WithLocator provides the failure-locating predictor used to advance past
 // predicted failures when proposing later deadlines.
 func WithLocator(l interface {
@@ -80,17 +74,20 @@ func WithFailureSlack(d units.Duration) Option {
 	return optionFunc(func(neg *Negotiator) { neg.slack = d })
 }
 
+// maxQuotes bounds how many located-failure steps one quote walk takes
+// before switching to exponential deferral.
+const maxQuotes = 128
+
 // Negotiator runs the system side of the dialog against a scheduler.
 type Negotiator struct {
-	sched     *sched.Scheduler
-	locator   failureLocator
-	slack     units.Duration
-	maxQuotes int
+	sched   *sched.Scheduler
+	locator failureLocator
+	slack   units.Duration
 }
 
 // New creates a Negotiator over the scheduler.
 func New(s *sched.Scheduler, opts ...Option) *Negotiator {
-	n := &Negotiator{sched: s, maxQuotes: 128}
+	n := &Negotiator{sched: s}
 	for _, o := range opts {
 		o.apply(n)
 	}
@@ -106,7 +103,7 @@ func New(s *sched.Scheduler, opts ...Option) *Negotiator {
 func (n *Negotiator) walk(now units.Time, size int, duration units.Duration, yield func(Quote) bool) error {
 	from := now
 	offers := 0
-	for offers < n.maxQuotes {
+	for offers < maxQuotes {
 		c, ok := n.sched.EarliestCandidate(from, size, duration)
 		if !ok {
 			return fmt.Errorf("negotiate: no schedulable candidate for size %d duration %v", size, duration)

@@ -121,10 +121,11 @@ func TestNegotiateLaterDeadlineHigherSuccessMonotonicity(t *testing.T) {
 }
 
 func TestNegotiateExponentialDeferral(t *testing.T) {
-	// A failure storm across every node for a long stretch with a tiny
-	// candidate budget: the negotiator must defer past the storm.
+	// A failure storm across every node that outlasts the located-failure
+	// budget (one step a day): the negotiator must defer past the storm.
+	const days = maxQuotes + 72
 	var events []failure.Event
-	for day := 0; day < 30; day++ {
+	for day := 0; day < days; day++ {
 		for node := 0; node < 8; node++ {
 			events = append(events, failure.Event{
 				Time: units.Time(int64(day) * int64(units.Day)), Node: node, Detectability: 0.3,
@@ -132,16 +133,19 @@ func TestNegotiateExponentialDeferral(t *testing.T) {
 		}
 	}
 	s, p := newScheduler(t, 1, events...)
-	n := New(s, WithLocator(p), WithMaxQuotes(2))
-	q, _, err := n.Negotiate(0, 8, units.Duration(2*units.Day), User{U: 0.95})
+	n := New(s, WithLocator(p))
+	q, offered, err := n.Negotiate(0, 8, units.Duration(2*units.Day), User{U: 0.95})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if offered <= maxQuotes {
+		t.Errorf("%d quotes offered; the walk never reached exponential deferral", offered)
 	}
 	if q.Success < 0.95 {
 		t.Errorf("deferred quote promises %v < U", q.Success)
 	}
-	if q.Candidate.Start < units.Time(29*int64(units.Day)) {
-		t.Errorf("start %v does not clear the 30-day storm", q.Candidate.Start)
+	if q.Candidate.Start < units.Time((days-1)*int64(units.Day)) {
+		t.Errorf("start %v does not clear the %d-day storm", q.Candidate.Start, days)
 	}
 }
 

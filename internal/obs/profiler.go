@@ -14,9 +14,9 @@ import (
 
 // phaseDurationBounds bucket phase occurrences from 1µs to 1s; simulator
 // phases are far below a second, so the overflow bucket flags pathology.
-// Exact literals rather than ExponentialBuckets(1e-6, 10, 7): repeated
-// multiplication drifts (1e-6*10*10 = 9.999...e-05) and the drift would
-// leak into the le= labels.
+// Exact literals rather than a product series: repeated multiplication
+// drifts (1e-6*10*10 = 9.999...e-05) and the drift would leak into the le=
+// labels.
 var phaseDurationBounds = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
 
 // PhaseStat summarizes one hot phase's wall-clock bill.

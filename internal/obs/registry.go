@@ -140,20 +140,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels)
 	return h
 }
 
-// ExponentialBuckets returns n bucket upper bounds starting at start and
-// growing by factor, e.g. ExponentialBuckets(1e-6, 10, 7) spans 1µs..1s.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExponentialBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start
-		start *= factor
-	}
-	return b
-}
-
 // Counter is a monotonically increasing value.
 type Counter struct {
 	labels   Labels

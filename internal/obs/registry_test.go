@@ -121,13 +121,6 @@ func TestHistogramInvalidBoundsPanic(t *testing.T) {
 	r.Histogram("bad_seconds", "h", []float64{1, 1}, nil)
 }
 
-func TestExponentialBuckets(t *testing.T) {
-	b := ExponentialBuckets(1e-6, 10, 7)
-	if len(b) != 7 || b[0] != 1e-6 || math.Abs(b[6]-1) > 1e-12 {
-		t.Errorf("buckets = %v", b)
-	}
-}
-
 // TestConcurrentUpdates exercises the registry under the race detector and
 // checks that no increments are lost.
 func TestConcurrentUpdates(t *testing.T) {

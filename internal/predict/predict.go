@@ -98,9 +98,6 @@ func NewTrace(tr *failure.Trace, a float64) (*Trace, error) {
 	return &Trace{trace: tr, accuracy: a}, nil
 }
 
-// Accuracy returns the predictor's accuracy a.
-func (p *Trace) Accuracy() float64 { return p.accuracy }
-
 // PFail implements Predictor. The multi-node query is answered by the
 // trace's batched segment-tree pass: the earliest detectable event across
 // the partition, without merge-walking the undetectable events a Scan

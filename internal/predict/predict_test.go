@@ -35,12 +35,8 @@ func TestNewTraceValidation(t *testing.T) {
 			t.Errorf("expected error for accuracy %v", a)
 		}
 	}
-	p, err := NewTrace(tr, 0.7)
-	if err != nil {
+	if _, err := NewTrace(tr, 0.7); err != nil {
 		t.Fatal(err)
-	}
-	if p.Accuracy() != 0.7 {
-		t.Errorf("Accuracy = %v", p.Accuracy())
 	}
 }
 

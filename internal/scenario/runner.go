@@ -90,9 +90,6 @@ func buildEngine(s *Scenario) (*sim.Engine, *trace.Ledger, error) {
 	return eng, trace.NewLedger(0), nil
 }
 
-// Scenario returns the scenario the runner executes.
-func (r *Runner) Scenario() *Scenario { return r.scn }
-
 // Done reports whether every step (including the final drain) has run.
 func (r *Runner) Done() bool { return r.step > len(r.scn.Events) }
 

@@ -92,8 +92,8 @@ func TestRandomOperationSequencesKeepProfileConsistent(t *testing.T) {
 // TestEveryCandidateIsReservable pins the feasibility claim Candidates
 // makes — including the budget-exhausted fallback's "after the last known
 // busy interval the whole machine is free, so that instant is always
-// feasible". Random profiles (reservations, outages, overlapping forced
-// restarts) are hammered with walks under a tiny candidate budget so the
+// feasible". Random profiles (reservations, outages, and start slips that
+// overlap both) are hammered with walks under a tiny candidate budget so the
 // fallback fires constantly, and every yielded candidate must pass Reserve.
 func TestEveryCandidateIsReservable(t *testing.T) {
 	tr, err := failure.GenerateTrace(failure.RawConfig{Seed: 7}, failure.FilterConfig{})
@@ -128,24 +128,14 @@ func TestEveryCandidateIsReservable(t *testing.T) {
 			case 2: // a node outage, possibly overlapping reservations
 				n := src.Intn(nodes)
 				s.AddDowntime(n, now, now.Add(units.Duration(30+src.Intn(2000))))
-			default: // a forced restart overlapping whatever is there
-				k := 1 + src.Intn(4)
-				set := make([]int, 0, k)
-				for len(set) < k {
-					n := src.Intn(nodes)
-					dup := false
-					for _, m := range set {
-						if m == n {
-							dup = true
-							break
+			default: // a start slip, overlapping whatever is there
+				if nextID > 1 {
+					id := 1 + src.Intn(nextID-1)
+					if r, ok := s.Reservation(id); ok {
+						if err := s.Slip(id, r.Start.Add(units.Duration(60+src.Intn(3000)))); err != nil {
+							t.Fatalf("seed %d step %d: slip: %v", seed, step, err)
 						}
 					}
-					if !dup {
-						set = append(set, n)
-					}
-				}
-				if _, err := s.ForceReserve(nextID, set, now, units.Duration(60+src.Intn(3000))); err == nil {
-					nextID++
 				}
 			}
 

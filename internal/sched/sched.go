@@ -349,29 +349,6 @@ func (s *Scheduler) getReservation() *Reservation {
 	return &Reservation{}
 }
 
-// ForceReserve reserves the given nodes for a job without checking that
-// they are free. It exists for failure restarts: migration is disabled
-// (§3.3), so a failed job restarts on its own just-freed partition as soon
-// as the failed node recovers, and any later reservation it now overlaps
-// simply slips when its start finds the nodes occupied. The overlapped
-// profile region reads as busy, so new jobs still schedule around it.
-func (s *Scheduler) ForceReserve(jobID int, nodes []int, start units.Time, duration units.Duration) (*Reservation, error) {
-	if _, ok := s.reservations[jobID]; ok {
-		return nil, fmt.Errorf("sched: job %d already holds a reservation", jobID)
-	}
-	r := s.getReservation()
-	r.JobID = jobID
-	r.Start = start
-	r.Duration = duration
-	r.Nodes = append(r.Nodes[:0], nodes...)
-	r.PFail = 0
-	for _, n := range r.Nodes {
-		s.profile.insert(n, interval{start: r.Start, end: r.End(), owner: jobID})
-	}
-	s.reservations[jobID] = r
-	return r, nil
-}
-
 // Reservation returns the job's current reservation, if any.
 func (s *Scheduler) Reservation(jobID int) (*Reservation, bool) {
 	r, ok := s.reservations[jobID]

@@ -223,9 +223,6 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Registry returns the instrumentation registry the service reports into.
-func (s *Service) Registry() *obs.Registry { return s.reg }
-
 // loop is the state-machine goroutine: it owns the engine, the session
 // book, and the virtual clock, executing request closures one at a time.
 // After quit it drains already-queued closures, then exits.

@@ -19,9 +19,6 @@ var ErrStaleQuote = errors.New("sim: quote start is in the past")
 // Now returns the engine's virtual clock.
 func (s *Engine) Now() units.Time { return s.now }
 
-// Nodes returns the cluster size.
-func (s *Engine) Nodes() int { return s.cfg.Nodes }
-
 // AdvanceTo processes every event due at or before t, then moves the clock
 // to t. Advancing to the past is a no-op (the clock never goes backwards).
 func (s *Engine) AdvanceTo(t units.Time) error {

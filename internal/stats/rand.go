@@ -47,9 +47,6 @@ func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 // Int63n returns a uniform sample in [0, n). It panics if n <= 0.
 func (s *Source) Int63n(n int64) int64 { return s.rng.Int63n(n) }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
 // Shuffle randomizes the order of n elements using swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
@@ -80,19 +77,6 @@ func (s *Source) Weibull(shape, scale float64) float64 {
 		u = s.rng.Float64()
 	}
 	return scale * math.Pow(-math.Log(u), 1/shape)
-}
-
-// BoundedPareto returns a Pareto sample with tail index alpha truncated to
-// [lo, hi]. It panics if the bounds are not 0 < lo < hi.
-func (s *Source) BoundedPareto(alpha, lo, hi float64) float64 {
-	if !(lo > 0 && hi > lo) {
-		panic("stats: BoundedPareto requires 0 < lo < hi")
-	}
-	u := s.rng.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	// Inverse CDF of the bounded Pareto distribution.
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
 
 // Poisson returns a Poisson sample with the given mean, using inversion for

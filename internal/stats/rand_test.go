@@ -102,25 +102,6 @@ func TestWeibullPositiveAndMean(t *testing.T) {
 	}
 }
 
-func TestBoundedParetoBounds(t *testing.T) {
-	s := NewSource(4)
-	for i := 0; i < 10000; i++ {
-		v := s.BoundedPareto(1.2, 10, 1000)
-		if v < 10 || v > 1000 {
-			t.Fatalf("BoundedPareto out of range: %v", v)
-		}
-	}
-}
-
-func TestBoundedParetoPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for invalid bounds")
-		}
-	}()
-	NewSource(1).BoundedPareto(1, 5, 5)
-}
-
 func TestPoissonMean(t *testing.T) {
 	tests := []struct {
 		name string
@@ -189,23 +170,17 @@ func TestIntSamplers(t *testing.T) {
 	}
 }
 
+// TestPermAndShuffle checks that Shuffle yields a permutation: every
+// element kept exactly once.
 func TestPermAndShuffle(t *testing.T) {
 	s := NewSource(22)
-	perm := s.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range perm {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation: %v", perm)
+	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	seen := make([]bool, len(xs))
+	for _, v := range xs {
+		if v < 0 || v >= len(xs) || seen[v] {
+			t.Fatalf("shuffle is not a permutation: %v", xs)
 		}
 		seen[v] = true
-	}
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle changed contents: %v", xs)
 	}
 }

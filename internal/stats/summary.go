@@ -83,45 +83,3 @@ func Percentile(xs []float64, p float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Histogram counts samples into uniform-width bins over [lo, hi]. Samples
-// outside the range are clamped into the first or last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins uniform bins over [lo, hi].
-// It panics unless lo < hi and bins > 0.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if !(lo < hi) || bins <= 0 {
-		panic("stats: NewHistogram requires lo < hi and bins > 0")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	i := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= bins {
-		i = bins - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}

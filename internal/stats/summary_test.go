@@ -74,41 +74,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	want := []int{3, 1, 1, 0, 3}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("bin %d = %d, want %d (all: %v)", i, c, want[i], h.Counts)
-		}
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	if got := h.Fraction(0); math.Abs(got-3.0/8) > 1e-12 {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-func TestEmptyHistogramFraction(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
-	if h.Fraction(0) != 0 {
-		t.Error("empty histogram fraction should be 0")
-	}
-}
-
 func TestWeightedChoiceDistribution(t *testing.T) {
 	c := NewWeightedChoice([]float64{1, 0, 3})
 	s := NewSource(11)

@@ -68,14 +68,6 @@ func New(capacity int) *Tracer {
 // disabled.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Epoch is the wall instant Chrome-export timestamps are relative to.
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
-}
-
 // Dropped counts spans overwritten before export because a ring wrapped.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {

@@ -9,7 +9,7 @@ import (
 
 // The transforms below derive new logs from existing ones without mutating
 // the input — the standard toolkit for what-if studies on real archive
-// logs (densify the arrivals, take a busy window, combine machine logs).
+// logs (densify the arrivals, combine machine logs).
 
 // ScaleArrivals returns a copy of the log with every arrival time
 // multiplied by factor, compressing (factor < 1) or stretching the offered
@@ -24,36 +24,6 @@ func (l *Log) ScaleArrivals(factor float64) (*Log, error) {
 		out.Jobs[i].Arrival = units.Time(float64(out.Jobs[i].Arrival) * factor)
 	}
 	return out, nil
-}
-
-// Window returns the jobs arriving in [from, to), re-based so the window
-// start is time zero and renumbered from 1.
-func (l *Log) Window(from, to units.Time) *Log {
-	out := &Log{Name: l.Name}
-	for _, j := range l.Jobs {
-		if j.Arrival >= from && j.Arrival < to {
-			j.Arrival -= from
-			out.Jobs = append(out.Jobs, j)
-		}
-	}
-	for i := range out.Jobs {
-		out.Jobs[i].ID = i + 1
-	}
-	return out
-}
-
-// FilterJobs returns the jobs satisfying keep, renumbered from 1.
-func (l *Log) FilterJobs(keep func(Job) bool) *Log {
-	out := &Log{Name: l.Name}
-	for _, j := range l.Jobs {
-		if keep(j) {
-			out.Jobs = append(out.Jobs, j)
-		}
-	}
-	for i := range out.Jobs {
-		out.Jobs[i].ID = i + 1
-	}
-	return out
 }
 
 // Merge interleaves several logs by arrival time into one log named name,

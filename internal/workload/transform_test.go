@@ -35,26 +35,6 @@ func TestScaleArrivals(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	w := sampleLog().Window(500, 2000)
-	if len(w.Jobs) != 1 {
-		t.Fatalf("window kept %d jobs, want 1", len(w.Jobs))
-	}
-	if w.Jobs[0].Arrival != 500 || w.Jobs[0].ID != 1 {
-		t.Errorf("window job = %+v, want rebased arrival 500, ID 1", w.Jobs[0])
-	}
-}
-
-func TestFilterJobs(t *testing.T) {
-	wide := sampleLog().FilterJobs(func(j Job) bool { return j.Nodes >= 4 })
-	if len(wide.Jobs) != 2 {
-		t.Fatalf("filter kept %d jobs", len(wide.Jobs))
-	}
-	if wide.Jobs[0].ID != 1 || wide.Jobs[1].ID != 2 {
-		t.Errorf("renumbering wrong: %+v", wide.Jobs)
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a := &Log{Jobs: []Job{{ID: 1, Arrival: 100, Nodes: 1, Exec: 10}}}
 	b := &Log{Jobs: []Job{{ID: 1, Arrival: 50, Nodes: 2, Exec: 20}}}

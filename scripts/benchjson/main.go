@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -72,17 +73,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	replaced := false
-	for i := range traj.Runs {
-		if traj.Runs[i].Label == r.Label {
-			traj.Runs[i] = r
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		traj.Runs = append(traj.Runs, r)
-	}
+	replaced := traj.upsert(r)
 
 	buf, err := json.MarshalIndent(traj, "", "  ")
 	if err != nil {
@@ -98,6 +89,19 @@ func main() {
 		verb = "replaced"
 	}
 	fmt.Printf("benchjson: %s run %q (%d benchmarks) in %s\n", verb, r.Label, len(r.Benchmarks), *out)
+}
+
+// upsert replaces the run carrying r's label, or appends r if no run does.
+// It reports whether a run was replaced.
+func (t *trajectory) upsert(r run) bool {
+	for i := range t.Runs {
+		if t.Runs[i].Label == r.Label {
+			t.Runs[i] = r
+			return true
+		}
+	}
+	t.Runs = append(t.Runs, r)
+	return false
 }
 
 func load(path string) (trajectory, error) {
@@ -140,7 +144,7 @@ func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 
 // parse folds benchfmt text into one run: config lines and benchmark result
 // lines are kept verbatim, and samples of the same benchmark are averaged.
-func parse(f *os.File) (run, error) {
+func parse(f io.Reader) (run, error) {
 	var r run
 	agg := map[string]*benchmark{}
 	var order []string
