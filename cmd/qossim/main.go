@@ -133,7 +133,7 @@ func run(out io.Writer, args []string) error {
 	}
 
 	var journal interface {
-		probqos.Observer
+		probqos.SimProbe
 		Close() error
 	}
 	if *journalPath != "" {
@@ -143,7 +143,7 @@ func run(out io.Writer, args []string) error {
 		}
 		defer f.Close()
 		jw := probqos.NewJournalWriter(f)
-		cfg.Observer = jw
+		cfg.Probe = jw
 		journal = jw
 	}
 
@@ -154,8 +154,7 @@ func run(out io.Writer, args []string) error {
 		}
 		reg := probqos.NewMetricsRegistry()
 		instrument = probqos.NewInstrument(reg, probqos.Duration(*sampleMins*60))
-		cfg.Probe = instrument
-		cfg.Observer = probqos.MultiObserver(cfg.Observer, instrument)
+		cfg.Probe = probqos.MultiProbe(cfg.Probe, instrument)
 		if *serveAddr != "" {
 			srv := probqos.NewMetricsServer(reg, instrument)
 			addr, err := srv.Start(*serveAddr)

@@ -79,7 +79,7 @@ func run(out io.Writer, args []string) error {
 
 	if *serve != "" {
 		reg := obs.NewRegistry()
-		srv := obs.NewServer(reg, nil, nil)
+		srv := obs.NewServer(reg, nil)
 		addr, err := srv.Start(*serve)
 		if err != nil {
 			return err

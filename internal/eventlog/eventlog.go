@@ -8,13 +8,15 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"probqos/internal/sim"
 )
 
-// Writer is a sim.Observer that appends each note as one JSON line. Errors
-// are sticky: the first write failure is remembered and later notes are
-// dropped; check Err (or Close) when the run finishes.
+// Writer is a sim.Probe that renders each journaled decision as a note and
+// appends it as one JSON line. Errors are sticky: the first write failure
+// is remembered and later notes are dropped; check Err (or Close) when the
+// run finishes.
 type Writer struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
@@ -22,7 +24,7 @@ type Writer struct {
 	err error
 }
 
-var _ sim.Observer = (*Writer)(nil)
+var _ sim.Probe = (*Writer)(nil)
 
 // NewWriter creates a journal writer over w.
 func NewWriter(w io.Writer) *Writer {
@@ -30,8 +32,13 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
 }
 
-// Observe implements sim.Observer.
-func (w *Writer) Observe(n sim.Note) {
+// Decision implements sim.Probe: decisions the journal records are written
+// as notes, the rest are ignored.
+func (w *Writer) Decision(d sim.Decision) {
+	n, ok := d.Note()
+	if !ok {
+		return
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -41,6 +48,12 @@ func (w *Writer) Observe(n sim.Note) {
 		w.err = fmt.Errorf("eventlog: write: %w", err)
 	}
 }
+
+// Sample implements sim.Probe; the journal holds no state samples.
+func (*Writer) Sample(sim.State) {}
+
+// Phase implements sim.Probe; the journal holds no wall-clock timings.
+func (*Writer) Phase(sim.Phase, time.Duration) {}
 
 // Err returns the first write error, if any.
 func (w *Writer) Err() error {

@@ -11,13 +11,22 @@ import (
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	notes := []sim.Note{
-		{Time: 10, Kind: "arrival", JobID: 1, Detail: "deadline=d0+00:10:00 p=1.000"},
-		{Time: 20, Kind: "failure", Node: 5, Detail: "lost=120"},
-		{Time: 30, Kind: "finish", JobID: 1},
+	decisions := []sim.Decision{
+		{Kind: sim.DecisionQuote, Time: 10, JobID: 1, N: 3}, // not journaled
+		{Kind: sim.DecisionReserve, Time: 10, JobID: 1, N: 1, Deadline: 600, Promise: 1},
+		{Kind: sim.DecisionFailureIdle, Time: 20, N: 1, Node: 5},
+		{Kind: sim.DecisionFailureKill, Time: 20, JobID: 1, N: 1, Node: 5, Width: 2, Lost: 120},
+		{Kind: sim.DecisionFinish, Time: 30, JobID: 1, N: 1, Width: 2, Met: true},
 	}
-	for _, n := range notes {
-		w.Observe(n)
+	var notes []sim.Note
+	for _, d := range decisions {
+		w.Decision(d)
+		if n, ok := d.Note(); ok {
+			notes = append(notes, n)
+		}
+	}
+	if notes[0].Detail != "deadline=d0+00:10:00 p=1.000" || notes[2].Detail != "lost=120" {
+		t.Errorf("rendered details = %q, %q", notes[0].Detail, notes[2].Detail)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -55,9 +64,8 @@ func (*writeError) Error() string { return "disk full" }
 func TestStickyError(t *testing.T) {
 	w := NewWriter(&failingWriter{})
 	// The bufio layer absorbs small writes; force enough volume to flush.
-	big := strings.Repeat("x", 8192)
-	for i := 0; i < 4; i++ {
-		w.Observe(sim.Note{Kind: big})
+	for i := 0; i < 400; i++ {
+		w.Decision(sim.Decision{Kind: sim.DecisionRecovery, Time: 1, N: 1, Node: i})
 	}
 	if w.Err() == nil && w.Close() == nil {
 		t.Error("expected a sticky write error")

@@ -37,7 +37,7 @@ func TestJournalMatchesSimulatorAccounting(t *testing.T) {
 	cfg.Nodes = 16
 	cfg.Accuracy = 0.6
 	cfg.UserRisk = 0.5
-	cfg.Observer = journal
+	cfg.Probe = journal
 	res, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -49,9 +49,11 @@ var deterministicDirs = map[string]bool{
 	"durability": true,
 	// The scenario runner replays declarative timelines onto the engine;
 	// golden zoo reports are byte-compared in CI, so the whole package —
-	// decoder included — must be input-pure. The promise-ledger import is
-	// annotated at the two sites that hold deterministic ledger state.
+	// decoder included — must be input-pure.
 	"scenario": true,
+	// The paper's metrics and the promise ledger, which qosd carries
+	// through WAL replay and snapshots.
+	"metrics": true,
 }
 
 // IsDeterministicPkg reports whether the import path lies in (or under) one
@@ -59,8 +61,7 @@ var deterministicDirs = map[string]bool{
 func IsDeterministicPkg(path string) bool { return underInternal(path, deterministicDirs) }
 
 // observabilityDirs names the internal packages on the wall-clock side of
-// the boundary: metrics exposition (obs) and request tracing / promise
-// conformance (trace). They may read the process clock — annotated at each
+// the boundary: metrics exposition (obs) and request tracing (trace). They may read the process clock — annotated at each
 // site — but the dependency between them and the deterministic set must
 // point one way only: the service layer hands state to observability,
 // never the reverse.

@@ -9,11 +9,11 @@ import (
 	"probqos/internal/units"
 )
 
-// Reg and Led give the forbidden imports something to declare; the
+// Reg and Tr give the forbidden imports something to declare; the
 // findings are on the import specs themselves, not the uses.
 var (
 	Reg *obs.Registry
-	Led *trace.Ledger
+	Tr  *trace.Tracer
 )
 
 // Legal shows the corrected form: deterministic code computes on virtual

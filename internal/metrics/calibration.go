@@ -26,7 +26,7 @@ type CalibrationBin struct {
 // Calibration computes a reliability diagram over the promised success
 // probabilities with the given number of uniform bins (minimum 1). The
 // final bin is closed, so a promise of exactly 1.0 lands in it; the rule is
-// stats.BinIndex, which qosd's live promise ledger (internal/trace) shares.
+// stats.BinIndex, which qosd's live promise ledger (Ledger) shares.
 func Calibration(res *sim.Result, bins int) []CalibrationBin {
 	if bins < 1 {
 		bins = 1

@@ -1,8 +1,9 @@
 // Package obs is the simulator's instrumentation layer: a concurrency-safe
-// metrics registry (counters, gauges, fixed-bucket histograms), a Sampler
-// that turns the simulator's hook stream into a cluster-state time series, a
-// Profiler that accounts wall-clock per hot phase, and exposition as
-// Prometheus text, JSON snapshots, CSV series, and an opt-in HTTP endpoint.
+// metrics registry (counters, gauges, fixed-bucket histograms), an
+// Instrument that turns the simulator's probe stream into live metrics, a
+// cluster-state time series, and a per-phase wall-clock report, and
+// exposition as Prometheus text, JSON snapshots, CSV series, and an opt-in
+// HTTP endpoint.
 //
 // Everything is stdlib-only and safe for concurrent use. Instrumentation is
 // strictly opt-in: a simulation with no Probe attached pays nothing.

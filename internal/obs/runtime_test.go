@@ -22,7 +22,7 @@ func TestCaptureRuntime(t *testing.T) {
 
 func TestServerOnScrapeRefreshesMetrics(t *testing.T) {
 	r := NewRegistry()
-	srv := NewServer(r, nil, nil)
+	srv := NewServer(r, nil)
 	srv.SetOnScrape(func() { CaptureRuntime(r) })
 
 	rec := httptest.NewRecorder()

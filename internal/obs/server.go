@@ -13,8 +13,8 @@ import (
 // for more (n=0 means everything).
 const defaultSnapshotTail = 720
 
-// Server exposes a registry (and optionally a sampler's series and a
-// profiler's report) over HTTP:
+// Server exposes a registry (and optionally an instrument's series and
+// phase report) over HTTP:
 //
 //	/metrics   Prometheus text exposition
 //	/healthz   liveness JSON (status, uptime)
@@ -23,8 +23,7 @@ const defaultSnapshotTail = 720
 // Start binds and serves in the background; Close shuts the listener down.
 type Server struct {
 	reg      *Registry
-	sampler  *Sampler
-	profiler *Profiler
+	ins      *Instrument
 	health   func() (status string, detail map[string]any)
 	onScrape func()
 
@@ -33,9 +32,9 @@ type Server struct {
 	ln      net.Listener
 }
 
-// NewServer builds a server over reg; sampler and profiler may be nil.
-func NewServer(reg *Registry, sampler *Sampler, profiler *Profiler) *Server {
-	return &Server{reg: reg, sampler: sampler, profiler: profiler, started: time.Now()}
+// NewServer builds a server over reg; ins may be nil.
+func NewServer(reg *Registry, ins *Instrument) *Server {
+	return &Server{reg: reg, ins: ins, started: time.Now()}
 }
 
 // SetHealth installs a hook /healthz consults on every request. A non-empty
@@ -137,11 +136,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		Series  []Point          `json:"series,omitempty"`
 		Profile []PhaseStat      `json:"profile,omitempty"`
 	}{Metrics: s.reg.Snapshot()}
-	if s.sampler != nil {
-		payload.Series = s.sampler.SeriesTail(tail)
-	}
-	if s.profiler != nil {
-		payload.Profile = s.profiler.Report()
+	if s.ins != nil {
+		payload.Series = s.ins.SeriesTail(tail)
+		payload.Profile = s.ins.Report()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

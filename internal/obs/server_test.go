@@ -22,7 +22,7 @@ func instrumentedServer() *Server {
 	ins.Sample(sim.State{Time: 180, EventsProcessed: 2, QueueDepth: 2, RunningJobs: 2, BusyNodes: 6})
 	ins.Decision(sim.Decision{Kind: sim.DecisionCheckpointGrant, N: 1})
 	ins.Phase(sim.PhaseDispatch, time.Millisecond)
-	return NewServer(reg, ins.Sampler, ins.Profiler)
+	return NewServer(reg, ins)
 }
 
 func get(t *testing.T, url string) (int, string, http.Header) {
@@ -141,7 +141,7 @@ func TestServerSnapshot(t *testing.T) {
 func TestServerWithoutSamplerOrProfiler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("lonely_total", "h", nil).Inc()
-	srv := NewServer(reg, nil, nil)
+	srv := NewServer(reg, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -157,12 +157,15 @@ func TestServerWithoutSamplerOrProfiler(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := snap["series"]; ok {
-		t.Error("series present without a sampler")
+		t.Error("series present without an instrument")
+	}
+	if _, ok := snap["profile"]; ok {
+		t.Error("profile present without an instrument")
 	}
 }
 
 func TestServerCloseUnstarted(t *testing.T) {
-	if err := NewServer(NewRegistry(), nil, nil).Close(); err != nil {
+	if err := NewServer(NewRegistry(), nil).Close(); err != nil {
 		t.Errorf("close of unstarted server: %v", err)
 	}
 }

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"probqos/internal/metrics"
 	"probqos/internal/sim"
-	//qoslint:allow obsimport the conformance stats embedded in the report come from the deterministic ledger
-	"probqos/internal/trace"
 	"probqos/internal/units"
 )
 
@@ -21,9 +20,9 @@ type Report struct {
 	// drain, the last processed event).
 	FinalClock units.Time `json:"final_clock_s"`
 
-	Jobs        JobsReport             `json:"jobs"`
-	Metrics     MetricsReport          `json:"metrics"`
-	Conformance trace.ConformanceStats `json:"conformance"`
+	Jobs        JobsReport               `json:"jobs"`
+	Metrics     MetricsReport            `json:"metrics"`
+	Conformance metrics.ConformanceStats `json:"conformance"`
 
 	Assertions []AssertionResult `json:"assertions"`
 	// OK is true when every assertion held (vacuously true with none).

@@ -4,11 +4,10 @@ import (
 	"fmt"
 
 	"probqos/internal/checkpoint"
+	"probqos/internal/metrics"
 	"probqos/internal/negotiate"
 	"probqos/internal/sim"
 	"probqos/internal/stats"
-	//qoslint:allow obsimport the promise ledger is deterministic virtual-clock state, not wall-clock observability
-	"probqos/internal/trace"
 	"probqos/internal/units"
 	"probqos/internal/workload"
 )
@@ -39,7 +38,7 @@ func policyFor(name string) (checkpoint.Policy, error) {
 type Runner struct {
 	scn    *Scenario
 	eng    *sim.Engine
-	ledger *trace.Ledger
+	ledger *metrics.Ledger
 
 	step      int // next timeline step; len(scn.Events)+1 total (final drain)
 	nextJobID int
@@ -64,7 +63,7 @@ func NewRunner(s *Scenario) (*Runner, error) {
 // buildEngine constructs the fresh engine + ledger pair a scenario defines;
 // NewRunner and Resume share it so a resumed run restores onto an engine
 // identical to the original.
-func buildEngine(s *Scenario) (*sim.Engine, *trace.Ledger, error) {
+func buildEngine(s *Scenario) (*sim.Engine, *metrics.Ledger, error) {
 	bg, err := backgroundTrace(s)
 	if err != nil {
 		return nil, nil, err
@@ -87,7 +86,7 @@ func buildEngine(s *Scenario) (*sim.Engine, *trace.Ledger, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	return eng, trace.NewLedger(0), nil
+	return eng, metrics.NewLedger(0), nil
 }
 
 // Done reports whether every step (including the final drain) has run.
@@ -230,14 +229,14 @@ func (r *Runner) Run() (*Report, error) {
 // fresh process reconstructs a runner that finishes with the exact report
 // the uninterrupted run would have produced.
 type State struct {
-	Scenario  *Scenario         `json:"scenario"`
-	Step      int               `json:"step"`
-	NextJobID int               `json:"next_job_id"`
-	Submitted int               `json:"submitted"`
-	Rejected  int               `json:"rejected"`
-	Injected  int               `json:"injected"`
-	Engine    sim.EngineState   `json:"engine"`
-	Ledger    trace.LedgerState `json:"ledger"`
+	Scenario  *Scenario           `json:"scenario"`
+	Step      int                 `json:"step"`
+	NextJobID int                 `json:"next_job_id"`
+	Submitted int                 `json:"submitted"`
+	Rejected  int                 `json:"rejected"`
+	Injected  int                 `json:"injected"`
+	Engine    sim.EngineState     `json:"engine"`
+	Ledger    metrics.LedgerState `json:"ledger"`
 }
 
 // Export snapshots the runner between steps.

@@ -13,7 +13,7 @@
 //     inject_failure, maintenance_window, mtbf_shift, drain — applied in
 //     order on the engine's virtual clock.
 //   - assertions: declarative checks evaluated against the final report —
-//     QoS floor, promise-keeping rate (via the trace.Ledger), utilization
+//     QoS floor, promise-keeping rate (via the metrics.Ledger), utilization
 //     band, lost-work ceiling.
 //
 // Everything is a pure function of the scenario text: the background

@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"probqos/internal/durability"
+	"probqos/internal/metrics"
 	"probqos/internal/negotiate"
 	"probqos/internal/obs"
 	"probqos/internal/sim"
-	"probqos/internal/trace"
 	"probqos/internal/units"
 	"probqos/internal/workload"
 )
@@ -81,7 +81,7 @@ type machine struct {
 	eng       *sim.Engine
 	book      *negotiate.Book
 	nextJobID int
-	ledger    *trace.Ledger
+	ledger    *metrics.Ledger
 }
 
 func newMachine(cfg Config) (machine, error) {
@@ -103,7 +103,7 @@ func newMachine(cfg Config) (machine, error) {
 	if err != nil {
 		return machine{}, err
 	}
-	return machine{eng: eng, book: book, ledger: trace.NewLedger(trace.DefaultBins)}, nil
+	return machine{eng: eng, book: book, ledger: metrics.NewLedger(metrics.DefaultBins)}, nil
 }
 
 // applyAdvance moves the clock, sweeps lapsed sessions, and settles every
@@ -192,7 +192,7 @@ type persistedState struct {
 	// Ledger carries the promise-conformance record. A pointer so
 	// snapshots written before the ledger existed still decode (they
 	// restore an empty ledger).
-	Ledger *trace.LedgerState `json:"ledger,omitempty"`
+	Ledger *metrics.LedgerState `json:"ledger,omitempty"`
 	// Clean marks a shutdown snapshot: the WAL was drained and truncated
 	// before exit, so a boot that finds it with an empty log was preceded
 	// by a graceful stop, not a crash.

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"probqos/internal/metrics"
 	"probqos/internal/sim"
 	"probqos/internal/trace"
 	"probqos/internal/units"
@@ -137,8 +138,8 @@ type stateResponse struct {
 // conformanceResponse is the live promise ledger: streaming stats plus a
 // tail of individual ledger rows.
 type conformanceResponse struct {
-	trace.ConformanceStats
-	Entries []trace.Promise `json:"entries,omitempty"`
+	metrics.ConformanceStats
+	Entries []metrics.Promise `json:"entries,omitempty"`
 }
 
 type errorResponse struct {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"probqos/internal/failure"
+	"probqos/internal/metrics"
 	"probqos/internal/trace"
 )
 
@@ -187,13 +188,13 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if rep.Promises != sessions || len(rep.Entries) != sessions {
 		t.Fatalf("ledger holds %d promises, %d rows; want %d", rep.Promises, len(rep.Entries), sessions)
 	}
-	byJob := make(map[int]trace.Promise, sessions)
+	byJob := make(map[int]metrics.Promise, sessions)
 	for _, e := range rep.Entries {
 		if _, dup := byJob[e.JobID]; dup {
 			t.Errorf("job %d appears twice in the ledger", e.JobID)
 		}
 		byJob[e.JobID] = e
-		if e.Outcome != trace.OutcomeKept && e.Outcome != trace.OutcomeBroken {
+		if e.Outcome != metrics.OutcomeKept && e.Outcome != metrics.OutcomeBroken {
 			t.Errorf("job %d outcome %q past the horizon", e.JobID, e.Outcome)
 		}
 	}
@@ -215,7 +216,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	kept, brierSum := 0, 0.0
 	for _, e := range rep.Entries {
 		outcome := 0.0
-		if e.Outcome == trace.OutcomeKept {
+		if e.Outcome == metrics.OutcomeKept {
 			kept++
 			outcome = 1
 		}

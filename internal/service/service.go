@@ -210,7 +210,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.clockBase = s.eng.Now()
 	s.clockMark = time.Now()
-	s.obsSrv = obs.NewServer(s.reg, nil, nil)
+	s.obsSrv = obs.NewServer(s.reg, nil)
 	s.obsSrv.SetOnScrape(func() { obs.CaptureRuntime(s.reg) })
 	s.obsSrv.SetHealth(func() (string, map[string]any) {
 		if msg, _ := s.degradedMsg.Load().(string); msg != "" {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"probqos/internal/failure"
+	"probqos/internal/metrics"
 	"probqos/internal/trace"
 )
 
@@ -169,7 +170,7 @@ func TestConformanceEndpoint(t *testing.T) {
 	if rep.Promises != 1 || rep.Open != 1 || rep.Settled != 0 {
 		t.Fatalf("open promise not reported: %+v", rep.ConformanceStats)
 	}
-	if len(rep.Entries) != 1 || rep.Entries[0].Outcome != trace.OutcomePending {
+	if len(rep.Entries) != 1 || rep.Entries[0].Outcome != metrics.OutcomePending {
 		t.Fatalf("entries: %+v", rep.Entries)
 	}
 
@@ -184,7 +185,7 @@ func TestConformanceEndpoint(t *testing.T) {
 	if rep.Settled != 1 || rep.Kept != 1 || rep.KeepingRate != 1 {
 		t.Fatalf("settled promise not reported: %+v", rep.ConformanceStats)
 	}
-	if rep.Entries[0].Outcome != trace.OutcomeKept || rep.Entries[0].SettledAt == 0 {
+	if rep.Entries[0].Outcome != metrics.OutcomeKept || rep.Entries[0].SettledAt == 0 {
 		t.Fatalf("entry not settled: %+v", rep.Entries[0])
 	}
 	wantBrier := (1 - rep.Entries[0].Promised) * (1 - rep.Entries[0].Promised)

@@ -12,8 +12,8 @@ import (
 )
 
 // BenchmarkRunSDSCInstrumented is BenchmarkRunSDSC with the full instrument
-// attached (sampler + profiler as probe and observer); the delta against the
-// uninstrumented run is the observability overhead.
+// attached once, as the run's Probe; the delta against the uninstrumented
+// run is the observability overhead.
 func BenchmarkRunSDSCInstrumented(b *testing.B) {
 	log := workload.GenerateSDSC(workload.GenConfig{Jobs: 1000, Seed: 1})
 	tr, err := failure.GenerateTrace(failure.RawConfig{Seed: 1}, failure.FilterConfig{})
@@ -28,7 +28,6 @@ func BenchmarkRunSDSCInstrumented(b *testing.B) {
 		cfg.UserRisk = 0.5
 		ins := obs.NewInstrument(obs.NewRegistry(), 0)
 		cfg.Probe = ins
-		cfg.Observer = ins
 		if _, err := sim.Run(cfg); err != nil {
 			b.Fatal(err)
 		}

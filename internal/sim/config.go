@@ -15,24 +15,6 @@ import (
 	"probqos/internal/workload"
 )
 
-// Note is one line of the simulation journal, delivered to an Observer.
-type Note struct {
-	Time  units.Time `json:"time"`
-	Kind  string     `json:"kind"`
-	JobID int        `json:"job,omitempty"`
-	Node  int        `json:"node,omitempty"`
-	// Width is the node count of the job the event concerns, for start,
-	// finish, and job-killing failure events; occupancy analysis sums it.
-	Width  int    `json:"width,omitempty"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// Observer receives journal notes as the simulation executes. Observers
-// must not retain the Note's backing memory across calls.
-type Observer interface {
-	Observe(Note)
-}
-
 // Config assembles one simulation run. The zero value is not runnable; use
 // DefaultConfig and override fields, then pass to Run.
 type Config struct {
@@ -83,12 +65,12 @@ type Config struct {
 	// regime (see DESIGN.md §3); the floor restores the paper's baseline
 	// behaviour. Turning it off gives the pure-forecast ablation.
 	BaseRateFloor bool
-	// Observer, when non-nil, receives the event journal.
-	Observer Observer
-	// Probe, when non-nil, receives fine-grained instrumentation callbacks:
-	// per-event cluster-state samples, control-plane decisions, and
-	// wall-clock phase timings. internal/obs provides the standard
-	// implementation. A nil Probe costs the run nothing.
+	// Probe, when non-nil, receives the run's instrumentation callbacks:
+	// every engine event as a Decision (the journal is rendered from
+	// these), per-event cluster-state samples, and wall-clock phase
+	// timings. internal/obs and internal/eventlog provide the standard
+	// implementations; MultiProbe attaches several. A nil Probe costs the
+	// run nothing.
 	Probe Probe
 }
 

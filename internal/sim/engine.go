@@ -80,8 +80,7 @@ func (s *Engine) Admit(job workload.Job, q negotiate.Quote, offers int) error {
 	s.promiseSum += q.Success
 	s.promisedJobs++
 	s.push(event{time: q.Candidate.Start, kind: KindStart, jobID: job.ID, epoch: js.epoch})
-	s.observe(KindArrival, job.ID, -1,
-		"deadline="+q.Deadline.String()+" p="+strconv.FormatFloat(q.Success, 'f', 3, 64))
+	s.decide(Decision{Kind: DecisionReserve, JobID: job.ID, Deadline: q.Deadline, Promise: q.Success})
 	jc, qc := job, q
 	s.record(Op{Kind: OpAdmit, Job: &jc, Quote: &qc, Offers: offers})
 	return nil

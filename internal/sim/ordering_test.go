@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"testing"
+	"time"
 
 	"probqos/internal/checkpoint"
 	"probqos/internal/failure"
@@ -155,12 +156,22 @@ func TestCheckpointFinishExactlyAtFailureInstant(t *testing.T) {
 	}
 }
 
-// recordingObserver captures the journal for delivery-order assertions.
-type recordingObserver struct{ notes []Note }
+// journalProbe renders the decisions it receives into the journal, for
+// delivery-order assertions.
+type journalProbe struct{ notes []Note }
 
-func (o *recordingObserver) Observe(n Note) { o.notes = append(o.notes, n) }
+func (p *journalProbe) Decision(d Decision) {
+	if n, ok := d.Note(); ok {
+		p.notes = append(p.notes, n)
+	}
+}
 
-// TestObserverDeliveryOrder pins the journal contract: notes arrive in
+func (p *journalProbe) Sample(State) {}
+
+func (p *journalProbe) Phase(Phase, time.Duration) {}
+
+// TestObserverDeliveryOrder pins the journal contract as a probe observes
+// it: notes arrive in
 // nondecreasing simulation time even through failures, checkpoints, requeues,
 // and recoveries, and every lifecycle kind the scenario exercises shows up.
 func TestObserverDeliveryOrder(t *testing.T) {
@@ -176,8 +187,8 @@ func TestObserverDeliveryOrder(t *testing.T) {
 	cfg := smallConfig(t, jobs, events)
 	cfg.Accuracy = 0 // failures invisible: job 1 dies and requeues
 	cfg.Policy = checkpoint.Periodic{}
-	rec := &recordingObserver{}
-	cfg.Observer = rec
+	rec := &journalProbe{}
+	cfg.Probe = rec
 	res := run(t, cfg)
 
 	if len(rec.notes) == 0 {
@@ -216,20 +227,30 @@ func TestObserverDeliveryOrder(t *testing.T) {
 	}
 }
 
-// TestMultiObserver pins the fan-out semantics: nil entries are dropped, a
-// single live observer is returned unwrapped, and fan-out preserves order.
-func TestMultiObserver(t *testing.T) {
-	if MultiObserver(nil, nil) != nil {
+// TestMultiProbe pins the fan-out semantics: nil entries are dropped, a
+// single live probe is returned unwrapped, and fan-out preserves order
+// through all three hooks.
+func TestMultiProbe(t *testing.T) {
+	if MultiProbe(nil, nil) != nil {
 		t.Error("all-nil fan-out should collapse to nil")
 	}
-	a := &recordingObserver{}
-	if got := MultiObserver(nil, a); got != Observer(a) {
-		t.Error("single live observer should be returned unwrapped")
+	a := &journalProbe{}
+	if got := MultiProbe(nil, a); got != Probe(a) {
+		t.Error("single live probe should be returned unwrapped")
 	}
-	b := &recordingObserver{}
-	m := MultiObserver(a, nil, b)
-	m.Observe(Note{Time: 7, Kind: "x"})
+	b := &journalProbe{}
+	m := MultiProbe(a, nil, b)
+	m.Decision(Decision{Kind: DecisionRecovery, Time: 7, Node: 3})
 	if len(a.notes) != 1 || len(b.notes) != 1 || a.notes[0].Time != 7 {
 		t.Errorf("fan-out failed: a=%v b=%v", a.notes, b.notes)
+	}
+	c, d := newStubProbe(t, 8), newStubProbe(t, 8)
+	m = MultiProbe(c, d)
+	m.Sample(State{Time: 9, EventsProcessed: 1})
+	m.Phase(PhaseSchedule, time.Millisecond)
+	for _, p := range []*stubProbe{c, d} {
+		if len(p.states) != 1 || p.states[0].Time != 9 || p.phases[PhaseSchedule] != 1 {
+			t.Errorf("fan-out of Sample/Phase failed: %+v", p)
+		}
 	}
 }

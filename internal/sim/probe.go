@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strconv"
 	"time"
 
 	"probqos/internal/units"
@@ -39,15 +40,17 @@ func (st State) MeanPromise() float64 {
 	return st.PromiseSum / float64(st.PromisedJobs)
 }
 
-// DecisionKind enumerates the control-plane decisions the simulator reports
-// to a Probe.
+// DecisionKind enumerates the engine events the simulator reports to a
+// Probe: control-plane decisions and the job and node lifecycle facts the
+// journal records. The numeric values are stable; new kinds are appended.
 type DecisionKind int
 
 const (
 	// DecisionQuote reports the offers extended during one negotiation
 	// (Decision.N is the offer count).
 	DecisionQuote DecisionKind = iota + 1
-	// DecisionReserve is a reservation placed at arrival.
+	// DecisionReserve is a reservation placed at arrival, with the
+	// negotiated deadline and promise.
 	DecisionReserve
 	// DecisionBackfill is a post-failure requeue placement: the restarted
 	// job takes the earliest hole the profile offers.
@@ -66,6 +69,14 @@ const (
 	// DecisionFailureIdle hit an unoccupied node.
 	DecisionFailureKill
 	DecisionFailureIdle
+	// DecisionStart is a job attempt starting on its reserved nodes.
+	DecisionStart
+	// DecisionCheckpointDone is a performed checkpoint completing.
+	DecisionCheckpointDone
+	// DecisionFinish is a job completing.
+	DecisionFinish
+	// DecisionRecovery is a failed node coming back up.
+	DecisionRecovery
 )
 
 var decisionNames = map[DecisionKind]string{
@@ -78,6 +89,10 @@ var decisionNames = map[DecisionKind]string{
 	DecisionCheckpointDeadlineSkip: "checkpoint-deadline-skip",
 	DecisionFailureKill:            "failure-kill",
 	DecisionFailureIdle:            "failure-idle",
+	DecisionStart:                  "start",
+	DecisionCheckpointDone:         "checkpoint-done",
+	DecisionFinish:                 "finish",
+	DecisionRecovery:               "recovery",
 }
 
 func (k DecisionKind) String() string {
@@ -87,7 +102,9 @@ func (k DecisionKind) String() string {
 	return "unknown"
 }
 
-// Decision is one control-plane decision as reported to a Probe.
+// Decision is one engine event as reported to a Probe: a control-plane
+// decision or a lifecycle fact. The fields after N are set only by the
+// kinds named in their comments; Note renders them as a journal line.
 type Decision struct {
 	Kind  DecisionKind
 	Time  units.Time
@@ -95,6 +112,75 @@ type Decision struct {
 	// N is the decision's multiplicity: the offer count for DecisionQuote,
 	// 1 for everything else.
 	N int
+	// Node is the failed or recovered node (DecisionFailureKill,
+	// DecisionFailureIdle, DecisionRecovery).
+	Node int
+	// Width is the job's node count (DecisionStart, DecisionFinish,
+	// DecisionFailureKill).
+	Width int
+	// Deadline and Promise are the negotiated deadline and success
+	// probability (DecisionReserve).
+	Deadline units.Time
+	Promise  float64
+	// SlipTo is the instant the delayed start is retried
+	// (DecisionStartSlip).
+	SlipTo units.Time
+	// AtRisk is the number of intervals a failure would roll back, d in
+	// Equation 1 (DecisionCheckpointGrant, DecisionCheckpointSkip,
+	// DecisionCheckpointDeadlineSkip).
+	AtRisk int
+	// Met reports whether the job finished by its deadline
+	// (DecisionFinish).
+	Met bool
+	// Lost is the work the failure destroyed (DecisionFailureKill).
+	Lost units.Work
+}
+
+// Note is one line of the simulation journal, as Decision.Note renders it.
+type Note struct {
+	Time  units.Time `json:"time"`
+	Kind  string     `json:"kind"`
+	JobID int        `json:"job,omitempty"`
+	Node  int        `json:"node,omitempty"`
+	// Width is the node count of the job the event concerns, for start,
+	// finish, and job-killing failure events; occupancy analysis sums it.
+	Width  int    `json:"width,omitempty"`
+	Detail string `json:"detail,omitempty"`
+}
+
+// Note renders d as a journal line, or reports false for the kinds the
+// journal does not record: quotes, backfills, and deadline skips. A line
+// carries the kind of the event the decision was made on; job events carry
+// node -1, failure and recovery lines the node.
+func (d Decision) Note() (Note, bool) {
+	n := Note{Time: d.Time, JobID: d.JobID, Node: -1}
+	var kind Kind
+	switch d.Kind {
+	case DecisionReserve:
+		kind = KindArrival
+		n.Detail = "deadline=" + d.Deadline.String() + " p=" + strconv.FormatFloat(d.Promise, 'f', 3, 64)
+	case DecisionStartSlip:
+		kind, n.Detail = KindStart, "slip to "+d.SlipTo.String()
+	case DecisionStart:
+		kind, n.Width = KindStart, d.Width
+	case DecisionCheckpointGrant:
+		kind, n.Detail = KindCheckpointRequest, "perform d="+strconv.Itoa(d.AtRisk)
+	case DecisionCheckpointSkip:
+		kind, n.Detail = KindCheckpointRequest, "skip d="+strconv.Itoa(d.AtRisk)
+	case DecisionCheckpointDone:
+		kind = KindCheckpointFinish
+	case DecisionFinish:
+		kind, n.Width, n.Detail = KindFinish, d.Width, "met="+strconv.FormatBool(d.Met)
+	case DecisionFailureKill, DecisionFailureIdle:
+		kind, n.Node, n.Width = KindFailure, d.Node, d.Width
+		n.Detail = "lost=" + strconv.FormatInt(int64(d.Lost), 10)
+	case DecisionRecovery:
+		kind, n.Node = KindRecovery, d.Node
+	default:
+		return Note{}, false
+	}
+	n.Kind = kind.String()
+	return n, true
 }
 
 // Phase enumerates the simulator's hot wall-clock phases. PhaseDispatch
@@ -128,13 +214,14 @@ func AllPhases() []Phase {
 	return []Phase{PhaseDispatch, PhaseNegotiate, PhaseSchedule, PhaseCheckpoint}
 }
 
-// Probe receives fine-grained instrumentation callbacks from the simulator:
-// per-event cluster-state samples, control-plane decisions, and wall-clock
-// phase timings. internal/obs provides the standard implementation. Probes
+// Probe is the simulator's one instrumentation hook: every engine event as
+// a Decision, per-event cluster-state samples, and wall-clock phase
+// timings. internal/obs (metrics, series, profile) and internal/eventlog
+// (the JSON-lines journal) provide the standard implementations. Probes
 // run on the simulator goroutine and must not block; a nil Config.Probe
 // costs the run nothing.
 type Probe interface {
-	// Decision reports one control-plane decision as it is made.
+	// Decision reports one engine event as it happens.
 	Decision(Decision)
 	// Sample receives the cluster state after every processed event;
 	// implementations downsample as they see fit.
@@ -143,14 +230,14 @@ type Probe interface {
 	Phase(p Phase, elapsed time.Duration)
 }
 
-// MultiObserver fans the journal out to several observers in order. Nil
-// entries are skipped; with zero or one live observers no fan-out wrapper is
+// MultiProbe fans the instrumentation out to several probes in order. Nil
+// entries are skipped; with zero or one live probes no fan-out wrapper is
 // allocated.
-func MultiObserver(obs ...Observer) Observer {
-	live := make(multiObserver, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			live = append(live, o)
+func MultiProbe(probes ...Probe) Probe {
+	live := make(multiProbe, 0, len(probes))
+	for _, p := range probes {
+		if p != nil {
+			live = append(live, p)
 		}
 	}
 	switch len(live) {
@@ -162,11 +249,23 @@ func MultiObserver(obs ...Observer) Observer {
 	return live
 }
 
-type multiObserver []Observer
+type multiProbe []Probe
 
-func (m multiObserver) Observe(n Note) {
-	for _, o := range m {
-		o.Observe(n)
+func (m multiProbe) Decision(d Decision) {
+	for _, p := range m {
+		p.Decision(d)
+	}
+}
+
+func (m multiProbe) Sample(st State) {
+	for _, p := range m {
+		p.Sample(st)
+	}
+}
+
+func (m multiProbe) Phase(ph Phase, elapsed time.Duration) {
+	for _, p := range m {
+		p.Phase(ph, elapsed)
 	}
 }
 
@@ -190,12 +289,17 @@ func (s *Engine) phaseEnd(p Phase, t0 time.Time) {
 	s.probe.Phase(p, time.Since(t0))
 }
 
-// decide reports one decision to the probe, if any.
-func (s *Engine) decide(kind DecisionKind, jobID, n int) {
+// decide stamps d with the clock and reports it to the probe, if any.
+// Every kind but DecisionQuote has multiplicity 1.
+func (s *Engine) decide(d Decision) {
 	if s.probe == nil {
 		return
 	}
-	s.probe.Decision(Decision{Kind: kind, Time: s.now, JobID: jobID, N: n})
+	d.Time = s.now
+	if d.Kind != DecisionQuote {
+		d.N = 1
+	}
+	s.probe.Decision(d)
 }
 
 // state snapshots the cluster-level counters for Probe.Sample.

@@ -111,3 +111,45 @@ func TestProbeSeesConsistentRun(t *testing.T) {
 		t.Errorf("schedule phases = %d, want %d", probe.phases[PhaseSchedule], want)
 	}
 }
+
+// nopProbe is attached only to measure what attaching a probe costs.
+type nopProbe struct{}
+
+func (nopProbe) Decision(Decision)          {}
+func (nopProbe) Sample(State)               {}
+func (nopProbe) Phase(Phase, time.Duration) {}
+
+// TestProbeAddsNoAllocations guards "zero cost when off" from the engine's
+// side: every fact reaches a probe as a plain Decision value, so attaching
+// one that does nothing allocates nothing beyond the bare run. The run is
+// Run's engine and drain without its pooled arena: the race detector drops
+// pooled items at random, which would charge either side for fresh arenas.
+func TestProbeAddsNoAllocations(t *testing.T) {
+	log := workload.GenerateSDSC(workload.GenConfig{Jobs: 60, Seed: 3, ClusterNodes: 16})
+	tr, err := failure.GenerateTrace(failure.RawConfig{Nodes: 16, Seed: 3}, failure.FilterConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(p Probe) float64 {
+		return testing.AllocsPerRun(5, func() {
+			cfg := DefaultConfig(log, tr)
+			cfg.Nodes = 16
+			cfg.Accuracy, cfg.UserRisk = 0.3, 0.5
+			cfg.Probe = p
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bare, probed := allocs(nil), allocs(nopProbe{})
+	if bare == 0 {
+		t.Fatal("a run allocated nothing; the comparison proves nothing")
+	}
+	if probed != bare {
+		t.Errorf("allocations per run: %v with a no-op probe, %v without", probed, bare)
+	}
+}

@@ -3,9 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"strconv"
 	"sync"
-	"time"
 
 	"probqos/internal/checkpoint"
 	"probqos/internal/cluster"
@@ -263,20 +261,6 @@ func (s *Engine) push(ev event) {
 	heap.Push(&s.queue, p)
 }
 
-func (s *Engine) observe(kind Kind, jobID, node int, detail string) {
-	s.observeWidth(kind, jobID, node, 0, detail)
-}
-
-func (s *Engine) observeWidth(kind Kind, jobID, node, width int, detail string) {
-	if s.cfg.Observer == nil {
-		return
-	}
-	s.cfg.Observer.Observe(Note{
-		Time: s.now, Kind: kind.String(), JobID: jobID, Node: node,
-		Width: width, Detail: detail,
-	})
-}
-
 // Drain processes events until the queue is empty, however far into the
 // future that reaches. Run uses it to replay a whole workload log.
 func (s *Engine) Drain() error {
@@ -317,7 +301,7 @@ func (s *Engine) step() error {
 	case KindFailure:
 		err = s.onFailure(ev)
 	case KindRecovery:
-		s.observe(KindRecovery, 0, ev.node, "")
+		s.decide(Decision{Kind: DecisionRecovery, Node: ev.node})
 	default:
 		err = fmt.Errorf("sim: unknown event kind %d", ev.kind)
 	}
@@ -327,9 +311,8 @@ func (s *Engine) step() error {
 	// No handler retains the event past its dispatch, so it can go straight
 	// back to the arena.
 	s.arena.put(ev)
+	s.phaseEnd(PhaseDispatch, t0)
 	if s.probe != nil {
-		//qoslint:allow detwallclock profiling boundary; feeds obs phase timings, never simulation state
-		s.probe.Phase(PhaseDispatch, time.Since(t0))
 		s.probe.Sample(s.state())
 	}
 	return nil
@@ -354,14 +337,14 @@ func (s *Engine) onArrival(ev *event) error {
 	if err != nil {
 		return fmt.Errorf("sim: job %d: %w", js.job.ID, err)
 	}
-	s.decide(DecisionQuote, js.job.ID, offers)
+	s.decide(Decision{Kind: DecisionQuote, JobID: js.job.ID, N: offers})
 	t0 = s.phaseStart()
 	_, err = s.scheduler.Reserve(js.job.ID, quote.Candidate, duration)
 	s.phaseEnd(PhaseSchedule, t0)
 	if err != nil {
 		return fmt.Errorf("sim: job %d: %w", js.job.ID, err)
 	}
-	s.decide(DecisionReserve, js.job.ID, 1)
+	s.decide(Decision{Kind: DecisionReserve, JobID: js.job.ID, Deadline: quote.Deadline, Promise: quote.Success})
 	js.deadline = quote.Deadline
 	js.promised = quote.Success
 	js.rec.Quotes = offers
@@ -369,10 +352,6 @@ func (s *Engine) onArrival(ev *event) error {
 	s.promiseSum += quote.Success
 	s.promisedJobs++
 	s.push(event{time: quote.Candidate.Start, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
-	if s.cfg.Observer != nil {
-		s.observe(KindArrival, js.job.ID, -1,
-			"deadline="+quote.Deadline.String()+" p="+strconv.FormatFloat(quote.Success, 'f', 3, 64))
-	}
 	return nil
 }
 
@@ -405,11 +384,8 @@ func (s *Engine) onStart(ev *event) error {
 			return err
 		}
 		js.rec.StartSlips++
-		s.decide(DecisionStartSlip, js.job.ID, 1)
+		s.decide(Decision{Kind: DecisionStartSlip, JobID: js.job.ID, SlipTo: retry})
 		s.push(event{time: retry, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
-		if s.cfg.Observer != nil {
-			s.observe(KindStart, js.job.ID, -1, "slip to "+retry.String())
-		}
 		return nil
 	}
 
@@ -432,7 +408,7 @@ func (s *Engine) onStart(ev *event) error {
 		js.rec.FirstStart = s.now
 	}
 	js.rec.LastStart = s.now
-	s.observeWidth(KindStart, js.job.ID, -1, len(js.nodes), "")
+	s.decide(Decision{Kind: DecisionStart, JobID: js.job.ID, Width: len(js.nodes)})
 	s.scheduleNextWork(js)
 	return nil
 }
@@ -496,24 +472,18 @@ func (s *Engine) onCheckpointRequest(ev *event) error {
 	if deadlineSkip {
 		perform = false
 		js.rec.DeadlineSkips++
-		s.decide(DecisionCheckpointDeadlineSkip, js.job.ID, 1)
+		s.decide(Decision{Kind: DecisionCheckpointDeadlineSkip, JobID: js.job.ID, AtRisk: req.AtRiskIntervals})
 	}
 	if perform {
-		s.decide(DecisionCheckpointGrant, js.job.ID, 1)
+		s.decide(Decision{Kind: DecisionCheckpointGrant, JobID: js.job.ID, AtRisk: req.AtRiskIntervals})
 		js.inCheckpoint = true
 		js.ckptStarted = s.now
 		s.push(event{time: s.now.Add(p.Overhead), kind: KindCheckpointFinish, jobID: js.job.ID, epoch: js.epoch})
-		if s.cfg.Observer != nil {
-			s.observe(KindCheckpointRequest, js.job.ID, -1, "perform d="+strconv.Itoa(req.AtRiskIntervals))
-		}
 		return nil
 	}
-	s.decide(DecisionCheckpointSkip, js.job.ID, 1)
+	s.decide(Decision{Kind: DecisionCheckpointSkip, JobID: js.job.ID, AtRisk: req.AtRiskIntervals})
 	js.rec.CheckpointsSkipped++
 	js.skippedSince++
-	if s.cfg.Observer != nil {
-		s.observe(KindCheckpointRequest, js.job.ID, -1, "skip d="+strconv.Itoa(req.AtRiskIntervals))
-	}
 	s.scheduleNextWork(js)
 	return nil
 }
@@ -532,7 +502,7 @@ func (s *Engine) onCheckpointFinish(ev *event) error {
 	js.lastMark = s.now
 	js.rec.CheckpointsDone++
 	js.rec.CheckpointOverheads += s.cfg.Checkpoint.Overhead
-	s.observe(KindCheckpointFinish, js.job.ID, -1, "")
+	s.decide(Decision{Kind: DecisionCheckpointDone, JobID: js.job.ID})
 	s.scheduleNextWork(js)
 	return nil
 }
@@ -557,9 +527,7 @@ func (s *Engine) onFinish(ev *event) error {
 	s.accountOccupancy(-len(js.nodes))
 	s.runningJobs--
 	s.scheduler.CompleteEarly(js.job.ID, s.now)
-	if s.cfg.Observer != nil {
-		s.observeWidth(KindFinish, js.job.ID, -1, len(js.nodes), "met="+strconv.FormatBool(js.rec.MetDeadline))
-	}
+	s.decide(Decision{Kind: DecisionFinish, JobID: js.job.ID, Width: len(js.nodes), Met: js.rec.MetDeadline})
 	return nil
 }
 
@@ -578,7 +546,7 @@ func (s *Engine) onFailure(ev *event) error {
 		js.rec.LostWork += lost
 		js.rec.FailuresSuffered++
 		s.lostWork += lost
-		s.decide(DecisionFailureKill, occ, 1)
+		s.decide(Decision{Kind: DecisionFailureKill, JobID: occ, Node: node, Width: js.job.Nodes, Lost: lost})
 		if err := s.cluster.Release(js.nodes, occ); err != nil {
 			return err
 		}
@@ -594,16 +562,9 @@ func (s *Engine) onFailure(ev *event) error {
 			return err
 		}
 	} else {
-		s.decide(DecisionFailureIdle, 0, 1)
+		s.decide(Decision{Kind: DecisionFailureIdle, Node: node})
 	}
 	s.res.Failures = append(s.res.Failures, frec)
-	if s.cfg.Observer != nil {
-		width := 0
-		if frec.JobID != 0 {
-			width = s.jobs[frec.JobID].job.Nodes
-		}
-		s.observeWidth(KindFailure, frec.JobID, node, width, "lost="+strconv.FormatInt(int64(frec.LostWork), 10))
-	}
 	return nil
 }
 
@@ -627,7 +588,7 @@ func (s *Engine) requeue(js *jobState) error {
 	if err != nil {
 		return fmt.Errorf("sim: job %d: %w", js.job.ID, err)
 	}
-	s.decide(DecisionBackfill, js.job.ID, 1)
+	s.decide(Decision{Kind: DecisionBackfill, JobID: js.job.ID})
 	s.push(event{time: c.Start, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
 	return nil
 }

@@ -357,17 +357,16 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestObserverReceivesJournal(t *testing.T) {
-	var notes []Note
-	obs := observerFunc(func(n Note) { notes = append(notes, n) })
+	probe := &journalProbe{}
 	cfg := smallConfig(t,
 		[]workload.Job{{ID: 1, Arrival: 0, Nodes: 2, Exec: 5000}},
 		[]failure.Event{{Time: 100000, Node: 7, Detectability: 0.5}},
 	)
 	cfg.Policy = checkpoint.Periodic{}
-	cfg.Observer = obs
+	cfg.Probe = probe
 	run(t, cfg)
 	kinds := make(map[string]int)
-	for _, n := range notes {
+	for _, n := range probe.notes {
 		kinds[n.Kind]++
 	}
 	for _, want := range []string{"arrival", "start", "checkpoint-request", "checkpoint-finish", "finish", "failure", "recovery"} {
@@ -376,10 +375,6 @@ func TestObserverReceivesJournal(t *testing.T) {
 		}
 	}
 }
-
-type observerFunc func(Note)
-
-func (f observerFunc) Observe(n Note) { f(n) }
 
 func TestOccupancyAccounting(t *testing.T) {
 	// One 2-node job, 9000 s exec, periodic checkpointing: occupancy is

@@ -1,11 +1,9 @@
-// Package trace is qosd's request-scoped tracing layer and live QoS
-// promise-conformance ledger. A Tracer records named wall-clock spans —
-// HTTP handling, session-book operations, WAL appends, snapshots, engine
-// advances — attributed to a trace ID that travels with the request (the
-// X-Qos-Trace header), into sharded ring buffers exportable as Chrome
-// trace_event JSON. The Ledger (ledger.go) tracks every admitted promise
-// from quote to terminal outcome on the *virtual* clock, so it is fully
-// deterministic and safe to carry through WAL replay.
+// Package trace is qosd's request-scoped tracing layer. A Tracer records
+// named wall-clock spans — HTTP handling, session-book operations, WAL
+// appends, snapshots, engine advances — attributed to a trace ID that
+// travels with the request (the X-Qos-Trace header), into sharded ring
+// buffers exportable as Chrome trace_event JSON. The promise-conformance
+// ledger, which lives on the virtual clock, is metrics.Ledger.
 //
 // Like sim.Probe, the whole layer is strictly opt-in: a nil *Tracer hands
 // out nil *Scopes, every method is nil-receiver safe, and the disabled

@@ -119,8 +119,6 @@ type (
 	Report = metrics.Report
 	// Note is one line of the simulation journal.
 	Note = sim.Note
-	// Observer receives journal notes during a run.
-	Observer = sim.Observer
 )
 
 // Checkpoint policies.
@@ -292,7 +290,7 @@ func MetricsBySize(res *Result) []ClassReport { return metrics.BySize(res) }
 // (I = 3600 s, C = 720 s).
 func DefaultCheckpointParams() CheckpointParams { return checkpoint.DefaultParams() }
 
-// NewJournalWriter returns an Observer that records the simulation journal
+// NewJournalWriter returns a SimProbe that records the simulation journal
 // as JSON lines on w; call Close when the run finishes.
 func NewJournalWriter(w io.Writer) *eventlog.Writer { return eventlog.NewWriter(w) }
 
@@ -303,8 +301,9 @@ type (
 	MetricsRegistry = obs.Registry
 	// MetricLabels attach dimensions to one instrument of a metric family.
 	MetricLabels = obs.Labels
-	// Instrument samples cluster state, meters decisions, and profiles the
-	// simulator's hot phases; assign to SimConfig.Probe (and Observer).
+	// Instrument samples cluster state, meters decisions and journal
+	// notes, and profiles the simulator's hot phases; assign to
+	// SimConfig.Probe.
 	Instrument = obs.Instrument
 	// MetricsServer serves /metrics, /healthz, and /snapshot over HTTP.
 	MetricsServer = obs.Server
@@ -312,7 +311,8 @@ type (
 	PhaseStat = obs.PhaseStat
 	// SeriesPoint is one sampled cluster state on the simulation clock.
 	SeriesPoint = obs.Point
-	// SimProbe receives the simulator's instrumentation callbacks.
+	// SimProbe receives the simulator's instrumentation callbacks: every
+	// engine event as a decision, state samples, and phase timings.
 	SimProbe = sim.Probe
 	// SimState is the cluster-level snapshot handed to a probe.
 	SimState = sim.State
@@ -332,15 +332,12 @@ func NewInstrument(reg *MetricsRegistry, cadence Duration) *Instrument {
 // with a non-nil instrument, /snapshot also carries the sampled series and
 // the phase profile. Call Start to bind and Close to stop.
 func NewMetricsServer(reg *MetricsRegistry, ins *Instrument) *MetricsServer {
-	if ins == nil {
-		return obs.NewServer(reg, nil, nil)
-	}
-	return obs.NewServer(reg, ins.Sampler, ins.Profiler)
+	return obs.NewServer(reg, ins)
 }
 
-// MultiObserver fans the simulation journal out to several observers; nil
-// entries are skipped.
-func MultiObserver(o ...Observer) Observer { return sim.MultiObserver(o...) }
+// MultiProbe fans the simulation's instrumentation out to several probes,
+// e.g. a journal writer and an instrument; nil entries are skipped.
+func MultiProbe(p ...SimProbe) SimProbe { return sim.MultiProbe(p...) }
 
 // Online negotiation service (qosd): the §5 quote/accept dialog as a
 // long-running daemon over a live cluster state on a virtual clock.
@@ -361,9 +358,9 @@ func NewQoSServiceConfig(tr *FailureTrace) QoSServiceConfig {
 	return service.DefaultConfig(tr)
 }
 
-// Request tracing and promise conformance (internal/trace): request-scoped
-// spans with Chrome trace_event export, and the live ledger that scores
-// every admitted promise against its outcome.
+// Request tracing and promise conformance: request-scoped spans with Chrome
+// trace_event export (internal/trace), and the live ledger that scores
+// every admitted promise against its outcome (internal/metrics).
 type (
 	// Tracer records request-scoped spans into per-shard ring buffers;
 	// assign one to QoSServiceConfig.Tracer (nil disables tracing).
@@ -371,12 +368,12 @@ type (
 	// TraceSpan is one recorded interval of a traced request.
 	TraceSpan = trace.Span
 	// PromiseLedger scores admitted promises against their outcomes.
-	PromiseLedger = trace.Ledger
+	PromiseLedger = metrics.Ledger
 	// PromiseEntry is one promise row of the ledger.
-	PromiseEntry = trace.Promise
+	PromiseEntry = metrics.Promise
 	// ConformanceStats are the ledger's streaming honesty statistics:
 	// keeping rate, Brier score, and reliability bins.
-	ConformanceStats = trace.ConformanceStats
+	ConformanceStats = metrics.ConformanceStats
 )
 
 // NewTracer returns a tracer holding up to capacity completed spans

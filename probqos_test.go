@@ -123,7 +123,7 @@ func TestPublicJournal(t *testing.T) {
 	var buf bytes.Buffer
 	journal := probqos.NewJournalWriter(&buf)
 	cfg := probqos.NewSimConfig(log, trace)
-	cfg.Observer = journal
+	cfg.Probe = journal
 	if _, err := probqos.Run(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,14 @@ echo "== scheduler micro-benchmarks"
 go test -run '^$' -bench 'EarliestCandidate|ReserveRelease' -benchtime "$benchtime" -count "$count" ./internal/sched | tee -a "$tmp"
 
 echo "== simulator benchmarks"
-go test -run '^$' -bench 'BenchmarkRun(SDSC|NASA)$' -benchtime "$benchtime" -count "$count" ./internal/sim | tee -a "$tmp"
+go test -run '^$' -bench 'BenchmarkRun(SDSC|NASA|SDSCInstrumented)$' -benchtime "$benchtime" -count "$count" ./internal/sim | tee -a "$tmp"
+
+# The instrumented run is BenchmarkRunSDSC with obs.Instrument attached as
+# the Probe: the pair records the observability overhead.
+if ! grep -q "^BenchmarkRunSDSCInstrumented" "$tmp"; then
+    echo "FAIL: BenchmarkRunSDSCInstrumented missing from benchmark output" >&2
+    exit 1
+fi
 
 echo "== end-to-end sweep (Figure 1, jobs=$jobs)"
 PROBQOS_BENCH_JOBS="$jobs" go test -run '^$' -bench 'BenchmarkFig1QoSvsAccuracySDSC' \
