@@ -31,9 +31,6 @@ func New(n int) *Cluster {
 	}
 }
 
-// N returns the number of nodes.
-func (c *Cluster) N() int { return len(c.occupant) }
-
 // Fail marks the node down from at until at+downtime. If the node is
 // already down past that point, the longer outage wins.
 func (c *Cluster) Fail(node int, at units.Time, downtime units.Duration) {

@@ -1,8 +1,9 @@
 package failure
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"probqos/internal/stats"
 	"probqos/internal/units"
@@ -148,7 +149,7 @@ func GenerateRawLog(cfg RawConfig) []RawEvent {
 		})
 	}
 
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+	slices.SortStableFunc(events, func(a, b RawEvent) int { return cmp.Compare(a.Time, b.Time) })
 	return events
 }
 
@@ -190,7 +191,7 @@ func Filter(raw []RawEvent, nodes int, cfg FilterConfig) (*Trace, error) {
 			critical = append(critical, e)
 		}
 	}
-	sort.SliceStable(critical, func(i, j int) bool { return critical[i].Time < critical[j].Time })
+	slices.SortStableFunc(critical, func(a, b RawEvent) int { return cmp.Compare(a.Time, b.Time) })
 
 	// lastKept[subsystem] is the time of the most recently kept failure in
 	// that subsystem; anything critical in the same subsystem within the

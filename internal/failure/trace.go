@@ -1,8 +1,9 @@
 package failure
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"probqos/internal/units"
 )
@@ -110,7 +111,7 @@ func NewTrace(nodes int, events []Event) (*Trace, error) {
 		perNode: make([]nodeIndex, nodes),
 	}
 	copy(t.events, events)
-	sort.SliceStable(t.events, func(i, j int) bool { return t.events[i].Time < t.events[j].Time })
+	slices.SortStableFunc(t.events, func(a, b Event) int { return cmp.Compare(a.Time, b.Time) })
 	for i, e := range t.events {
 		if e.Node < 0 || e.Node >= nodes {
 			return nil, fmt.Errorf("failure: event %d references node %d outside [0,%d)", i, e.Node, nodes)

@@ -11,7 +11,6 @@ package facts
 import (
 	"fmt"
 	"go/types"
-	"sort"
 )
 
 // A Store holds facts keyed by (object, namespace). It is not safe for
@@ -47,37 +46,5 @@ func (s *Store) Get(obj types.Object, ns string) (any, bool) {
 	return f, ok
 }
 
-// An Entry pairs an object with its recorded fact, for All.
-type Entry struct {
-	Obj  types.Object
-	Fact any
-}
-
-// All returns every fact in namespace ns, sorted by the object's full
-// qualified name so iteration is deterministic.
-func (s *Store) All(ns string) []Entry {
-	var out []Entry
-	for obj, byNS := range s.m {
-		if f, ok := byNS[ns]; ok {
-			out = append(out, Entry{Obj: obj, Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return fullName(out[i].Obj) < fullName(out[j].Obj) })
-	return out
-}
-
 // Len reports the number of objects carrying at least one fact.
 func (s *Store) Len() int { return len(s.m) }
-
-// fullName renders pkgpath.Name (with the receiver for methods) for stable
-// sorting.
-func fullName(obj types.Object) string {
-	pkg := ""
-	if obj.Pkg() != nil {
-		pkg = obj.Pkg().Path()
-	}
-	if fn, ok := obj.(*types.Func); ok {
-		return pkg + "." + fn.FullName()
-	}
-	return pkg + "." + obj.Name()
-}

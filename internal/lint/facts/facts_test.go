@@ -51,26 +51,3 @@ func TestNilObjectRejected(t *testing.T) {
 		t.Fatal("nil object accepted")
 	}
 }
-
-func TestAllSortedDeterministically(t *testing.T) {
-	s := NewStore()
-	pa := types.NewPackage("example/a", "a")
-	pb := types.NewPackage("example/b", "b")
-	fb := newFunc(pb, "B")
-	fa := newFunc(pa, "A")
-	fa2 := newFunc(pa, "Z")
-	s.Set(fb, "n", "b")
-	s.Set(fa2, "n", "z")
-	s.Set(fa, "n", "a")
-	s.Set(fa, "other", "x") // different namespace, excluded
-	got := s.All("n")
-	if len(got) != 3 {
-		t.Fatalf("All returned %d entries, want 3", len(got))
-	}
-	wantOrder := []types.Object{fa, fa2, fb}
-	for i, e := range got {
-		if e.Obj != wantOrder[i] {
-			t.Errorf("All[%d] = %v, want %v", i, e.Obj, wantOrder[i])
-		}
-	}
-}

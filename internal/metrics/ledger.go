@@ -87,10 +87,6 @@ type Ledger struct {
 	binSettled   []int
 	binKept      []int
 	binPromised  []float64
-
-	// version increments on every admit or settlement, so callers can
-	// cheaply skip republishing unchanged stats.
-	version uint64
 }
 
 // DefaultBins matches the offline calibration diagram's usual resolution.
@@ -111,10 +107,6 @@ func NewLedger(bins int) *Ledger {
 	}
 }
 
-// Version increments on every state change; equal versions mean equal
-// stats.
-func (l *Ledger) Version() uint64 { return l.version }
-
 // Admit files a new promise. Re-admitting a job ID is ignored: the engine
 // rejects duplicate admits, so a second call is a replay artifact, not a
 // new promise.
@@ -132,7 +124,6 @@ func (l *Ledger) Admit(jobID int, sessionID string, promised float64, deadline, 
 		Outcome:    OutcomePending,
 	})
 	l.open = append(l.open, len(l.entries)-1)
-	l.version++
 }
 
 // Settle scans the open promises in admit order and asks judge for each
@@ -174,7 +165,6 @@ func (l *Ledger) settle(idx int, kept bool, now units.Time) {
 		l.binKept[b]++
 	}
 	l.binPromised[b] += e.Promised
-	l.version++
 }
 
 // Stats summarizes the ledger.
@@ -276,7 +266,6 @@ func (l *Ledger) Import(st LedgerState) error {
 		}
 	}
 	fresh.brierSum = st.BrierSum
-	fresh.version = l.version + 1
 	*l = *fresh
 	return nil
 }

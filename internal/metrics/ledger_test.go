@@ -167,22 +167,3 @@ func TestLedgerEntriesTail(t *testing.T) {
 		t.Fatalf("tail(0) returned %d rows, want all 5", len(all))
 	}
 }
-
-func TestLedgerVersionTracksChanges(t *testing.T) {
-	l := NewLedger(10)
-	v0 := l.Version()
-	l.Admit(1, "", 0.5, 100, 0)
-	if l.Version() == v0 {
-		t.Fatal("admit did not bump the version")
-	}
-	v1 := l.Version()
-	settleAll(l, 50, map[int]bool{1: true})
-	if l.Version() == v1 {
-		t.Fatal("settlement did not bump the version")
-	}
-	v2 := l.Version()
-	settleAll(l, 60, nil) // nothing to settle
-	if l.Version() != v2 {
-		t.Fatal("no-op sweep bumped the version")
-	}
-}

@@ -149,16 +149,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// WriteJSON writes the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.Snapshot()); err != nil {
-		return fmt.Errorf("obs: write json: %w", err)
-	}
-	return nil
-}
-
 // escapeHelp escapes a HELP string per the Prometheus text format, where
 // backslash and newline (but not quote) must be escaped. An embedded
 // newline would otherwise truncate the comment and corrupt the line after

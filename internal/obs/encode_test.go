@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -136,19 +135,5 @@ func TestSnapshotShape(t *testing.T) {
 	last := hist.Buckets[len(hist.Buckets)-1]
 	if !math.IsInf(last.UpperBound, 1) || last.CumulativeCount != 3 {
 		t.Errorf("+Inf bucket wrong: %+v", last)
-	}
-}
-
-func TestWriteJSONRoundTrips(t *testing.T) {
-	var sb strings.Builder
-	if err := exampleRegistry().WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []MetricSnapshot
-	if err := json.Unmarshal([]byte(sb.String()), &decoded); err != nil {
-		t.Fatalf("JSON does not parse: %v", err)
-	}
-	if len(decoded) != 3 || decoded[1].Type != "counter" {
-		t.Errorf("decoded shape wrong: %+v", decoded)
 	}
 }

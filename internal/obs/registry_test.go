@@ -18,8 +18,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := r.Gauge("test_gauge", "a gauge", nil)
 	g.Set(10)
 	g.Add(-4)
-	g.Inc()
-	g.Dec()
 	if got := g.Value(); got != 6 {
 		t.Errorf("gauge = %v, want 6", got)
 	}

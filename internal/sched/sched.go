@@ -139,9 +139,6 @@ func (s *Scheduler) pfailNode(node int, from, to units.Time) float64 {
 	return s.predictor.PFail(s.singleton[:], from, to)
 }
 
-// N returns the cluster size.
-func (s *Scheduler) N() int { return s.n }
-
 // Candidates walks schedulable options for a job of the given size and
 // duration, earliest first, calling yield for each until yield returns
 // false or the candidate budget is exhausted. Every yielded candidate is

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"probqos/internal/durability"
 	"probqos/internal/failure"
@@ -556,5 +557,59 @@ func TestDegradedQuoteSessionIsMemoryOnly(t *testing.T) {
 	if code := call(t, s2.Handler(), "POST", "/v1/accept",
 		map[string]any{"session_id": q.SessionID, "offer": 1}, nil); code != http.StatusNotFound {
 		t.Fatalf("memory-only session should 404 after crash, got %d", code)
+	}
+}
+
+// TestScrapeNeitherTicksNorJournals pins the scrape hook's contract on a
+// durable service whose clock follows wall time: /metrics and /snapshot
+// read the state as of the last request, so scrapes spread over wall time
+// neither advance the virtual clock nor append to the WAL. The next API
+// request does both, which shows the clock really was running.
+func TestScrapeNeitherTicksNorJournals(t *testing.T) {
+	cfg := durableConfig(t, t.TempDir())
+	cfg.Speedup = 3600
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	if code := call(t, h, "POST", "/v1/quote",
+		map[string]any{"nodes": 1, "exec_seconds": 60}, nil); code != http.StatusOK {
+		t.Fatalf("quote: %d", code)
+	}
+	watched := []string{"qosd_wal_records_total", "qosd_virtual_time_seconds"}
+	before := scrapeMetrics(t, srv.URL)
+	for _, name := range watched {
+		if _, ok := before[name]; !ok {
+			t.Fatalf("/metrics lacks %s", name)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	resp, err := http.Get(srv.URL + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/snapshot: code %d", resp.StatusCode)
+	}
+	time.Sleep(20 * time.Millisecond)
+	after := scrapeMetrics(t, srv.URL)
+	for _, name := range watched {
+		if after[name] != before[name] {
+			t.Errorf("%s moved from %v to %v across scrapes", name, before[name], after[name])
+		}
+	}
+
+	var st stateResponse
+	if code := call(t, h, "GET", "/v1/state", nil, &st); code != http.StatusOK {
+		t.Fatalf("state: %d", code)
+	}
+	if float64(st.Now) <= before["qosd_virtual_time_seconds"] {
+		t.Errorf("request after 40ms at speedup %v left the clock at %v", cfg.Speedup, st.Now)
 	}
 }

@@ -244,18 +244,13 @@ func (s *Service) handleQuote(r *http.Request, sc *trace.Scope) (int, any, error
 		max = req.MaxQuotes
 	}
 
-	var resp quoteResponse
-	doErr := s.doTraced(sc, func() {
-		if err = s.tick(); err != nil {
-			return
-		}
+	return s.onLoop(sc, func() (int, any, error) {
 		qs := sc.Start("quote")
 		qs.Annotate("nodes", strconv.Itoa(req.Nodes))
 		quotes := s.eng.Quotes(req.Nodes, units.Duration(req.ExecSeconds), max)
 		qs.Annotate("offers", strconv.Itoa(len(quotes)))
 		qs.End()
-		resp.Now = s.eng.Now()
-		resp.Quotes = make([]wireQuote, len(quotes))
+		resp := quoteResponse{Now: s.eng.Now(), Quotes: make([]wireQuote, len(quotes))}
 		for i, q := range quotes {
 			resp.Quotes[i] = wireQuote{
 				Offer:    i + 1,
@@ -280,15 +275,8 @@ func (s *Service) handleQuote(r *http.Request, sc *trace.Scope) (int, any, error
 			s.reg.Counter("qosd_quotes_issued_total", "individual offers extended", nil).
 				Add(float64(len(quotes)))
 		}
-		s.updateGauges()
+		return http.StatusOK, resp, nil
 	})
-	if doErr != nil {
-		return errCode(doErr), nil, doErr
-	}
-	if err != nil {
-		return http.StatusInternalServerError, nil, err
-	}
-	return http.StatusOK, resp, nil
 }
 
 func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, error) {
@@ -304,22 +292,12 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		return http.StatusBadRequest, nil, errors.New("session_id is required")
 	}
 
-	var (
-		resp acceptResponse
-		code int
-	)
-	doErr := s.doTraced(sc, func() {
-		if err = s.tick(); err != nil {
-			code = errCode(err)
-			return
-		}
-		defer s.updateGauges()
+	return s.onLoop(sc, func() (int, any, error) {
 		// An accept creates a promise, which must hit stable storage before
 		// it is made. While the log is down, refuse up front.
 		if s.degraded != nil {
 			s.countAccept("degraded")
-			code, err = http.StatusServiceUnavailable, errDegraded
-			return
+			return http.StatusServiceUnavailable, nil, errDegraded
 		}
 		expiredBefore := s.book.Expired()
 		ts := sc.Start("book.take")
@@ -334,9 +312,8 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 				s.logOp(walOp{Kind: opTake, SessionID: req.SessionID})
 			}
 			s.countAccept("expired")
-			code, err = http.StatusNotFound,
+			return http.StatusNotFound, nil,
 				fmt.Errorf("session %q unknown or expired; request a fresh quote", req.SessionID)
-			return
 		}
 		// From here on the session is consumed, a state change that must be
 		// journaled; on a log failure put it back and refuse, as if the
@@ -344,24 +321,20 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		if req.Offer < 1 || req.Offer > len(sess.Quotes) {
 			if lerr := s.logOp(walOp{Kind: opTake, SessionID: sess.ID}); lerr != nil {
 				s.book.Insert(sess)
-				code, err = http.StatusServiceUnavailable, lerr
-				return
+				return http.StatusServiceUnavailable, nil, lerr
 			}
 			s.countAccept("rejected")
-			code, err = http.StatusBadRequest,
+			return http.StatusBadRequest, nil,
 				fmt.Errorf("offer %d outside 1..%d", req.Offer, len(sess.Quotes))
-			return
 		}
 		if s.cfg.MaxOutstanding > 0 && s.eng.Stats().Outstanding() >= s.cfg.MaxOutstanding {
 			if lerr := s.logOp(walOp{Kind: opTake, SessionID: sess.ID}); lerr != nil {
 				s.book.Insert(sess)
-				code, err = http.StatusServiceUnavailable, lerr
-				return
+				return http.StatusServiceUnavailable, nil, lerr
 			}
 			s.countAccept("rejected")
-			code, err = http.StatusServiceUnavailable,
+			return http.StatusServiceUnavailable, nil,
 				fmt.Errorf("admission limit reached (%d outstanding jobs); retry later", s.cfg.MaxOutstanding)
-			return
 		}
 		quote := sess.Quotes[req.Offer-1]
 		job := workload.Job{
@@ -376,8 +349,7 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		op := walOp{Kind: opAdmit, SessionID: sess.ID, Job: &job, Quote: &quote, Offers: req.Offer}
 		if lerr := s.logOp(op); lerr != nil {
 			s.book.Insert(sess)
-			code, err = http.StatusServiceUnavailable, lerr
-			return
+			return http.StatusServiceUnavailable, nil, lerr
 		}
 		as := sc.Start("admit")
 		as.Annotate("job", strconv.Itoa(job.ID))
@@ -389,25 +361,16 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 			// protocol's answer, so this is a conflict, not a server error.
 			// Replay re-enacts the same rejection from the journaled record.
 			s.countAccept("conflict")
-			code, err = http.StatusConflict, fmt.Errorf("quote no longer holds: %w", admitErr)
-			return
+			return http.StatusConflict, nil, fmt.Errorf("quote no longer holds: %w", admitErr)
 		}
 		s.countAccept("accepted")
-		resp = acceptResponse{
+		return http.StatusOK, acceptResponse{
 			JobID:    job.ID,
 			Start:    quote.Candidate.Start,
 			Deadline: quote.Deadline,
 			Promised: quote.Success,
-		}
-		code = http.StatusOK
+		}, nil
 	})
-	if doErr != nil {
-		return errCode(doErr), nil, doErr
-	}
-	if err != nil {
-		return code, nil, err
-	}
-	return code, resp, nil
 }
 
 func (s *Service) handleJob(r *http.Request, sc *trace.Scope) (int, any, error) {
@@ -415,54 +378,26 @@ func (s *Service) handleJob(r *http.Request, sc *trace.Scope) (int, any, error) 
 	if err != nil {
 		return http.StatusBadRequest, nil, fmt.Errorf("job id %q is not an integer", r.PathValue("id"))
 	}
-	var (
-		status sim.JobStatus
-		ok     bool
-	)
-	doErr := s.doTraced(sc, func() {
-		if err = s.tick(); err != nil {
-			return
+	return s.onLoop(sc, func() (int, any, error) {
+		status, ok := s.eng.Job(id)
+		if !ok {
+			return http.StatusNotFound, nil, fmt.Errorf("no job %d", id)
 		}
-		status, ok = s.eng.Job(id)
-		s.updateGauges()
+		return http.StatusOK, status, nil
 	})
-	if doErr != nil {
-		return errCode(doErr), nil, doErr
-	}
-	if err != nil {
-		return http.StatusInternalServerError, nil, err
-	}
-	if !ok {
-		return http.StatusNotFound, nil, fmt.Errorf("no job %d", id)
-	}
-	return http.StatusOK, status, nil
 }
 
 func (s *Service) handleJobs(r *http.Request, sc *trace.Scope) (int, any, error) {
-	var (
-		list []sim.JobStatus
-		err  error
-	)
-	doErr := s.doTraced(sc, func() {
-		if err = s.tick(); err != nil {
-			return
-		}
+	return s.onLoop(sc, func() (int, any, error) {
 		ids := s.eng.JobIDs()
-		list = make([]sim.JobStatus, 0, len(ids))
+		list := make([]sim.JobStatus, 0, len(ids))
 		for _, id := range ids {
 			if st, ok := s.eng.Job(id); ok {
 				list = append(list, st)
 			}
 		}
-		s.updateGauges()
+		return http.StatusOK, list, nil
 	})
-	if doErr != nil {
-		return errCode(doErr), nil, doErr
-	}
-	if err != nil {
-		return http.StatusInternalServerError, nil, err
-	}
-	return http.StatusOK, list, nil
 }
 
 func (s *Service) handleFault(r *http.Request, sc *trace.Scope) (int, any, error) {
@@ -481,23 +416,14 @@ func (s *Service) handleFault(r *http.Request, sc *trace.Scope) (int, any, error
 		return http.StatusBadRequest, nil, errors.New("fault instant must be non-negative")
 	}
 
-	var (
-		at   units.Time
-		code int
-	)
-	doErr := s.doTraced(sc, func() {
-		if err = s.tick(); err != nil {
-			code = errCode(err)
-			return
-		}
+	return s.onLoop(sc, func() (int, any, error) {
 		// Validate before journaling so the log holds no junk records; the
 		// at-clamp below makes the engine's own checks unreachable.
 		if req.Node < 0 || req.Node >= s.cfg.Nodes {
-			code, err = http.StatusBadRequest,
+			return http.StatusBadRequest, nil,
 				fmt.Errorf("node %d outside [0,%d)", req.Node, s.cfg.Nodes)
-			return
 		}
-		at = req.At
+		at := req.At
 		if req.AfterSeconds > 0 {
 			at = s.eng.Now().Add(units.Duration(req.AfterSeconds))
 		}
@@ -506,24 +432,14 @@ func (s *Service) handleFault(r *http.Request, sc *trace.Scope) (int, any, error
 		}
 		op := walOp{Kind: opFault, Node: req.Node, At: at}
 		if lerr := s.logOp(op); lerr != nil {
-			code, err = http.StatusServiceUnavailable, lerr
-			return
+			return http.StatusServiceUnavailable, nil, lerr
 		}
 		if injErr := s.applyFault(op); injErr != nil {
-			code, err = http.StatusBadRequest, injErr
-			return
+			return http.StatusBadRequest, nil, injErr
 		}
 		s.reg.Counter("qosd_faults_injected_total", "failures injected via the API", nil).Inc()
-		s.updateGauges()
-		code = http.StatusAccepted
+		return http.StatusAccepted, map[string]any{"node": req.Node, "at": at}, nil
 	})
-	if doErr != nil {
-		return errCode(doErr), nil, doErr
-	}
-	if err != nil {
-		return code, nil, err
-	}
-	return code, map[string]any{"node": req.Node, "at": at}, nil
 }
 
 func (s *Service) handleAdvance(r *http.Request, sc *trace.Scope) (int, any, error) {
@@ -542,51 +458,26 @@ func (s *Service) handleAdvance(r *http.Request, sc *trace.Scope) (int, any, err
 		return http.StatusBadRequest, nil, errors.New("cannot advance the clock backwards")
 	}
 
-	var now units.Time
-	doErr := s.doTraced(sc, func() {
-		if err = s.tick(); err != nil {
-			return
-		}
+	return s.onLoop(sc, func() (int, any, error) {
 		target := req.To
 		if req.BySeconds > 0 {
 			target = s.eng.Now().Add(units.Duration(req.BySeconds))
 		}
-		if err = s.advanceTo(target); err != nil {
-			return
+		if err := s.advanceTo(target); err != nil {
+			return errCode(err), nil, err
 		}
-		now = s.eng.Now()
-		s.updateGauges()
+		return http.StatusOK, map[string]units.Time{"now": s.eng.Now()}, nil
 	})
-	if doErr != nil {
-		return errCode(doErr), nil, doErr
-	}
-	if err != nil {
-		return errCode(err), nil, err
-	}
-	return http.StatusOK, map[string]units.Time{"now": now}, nil
 }
 
 func (s *Service) handleState(r *http.Request, sc *trace.Scope) (int, any, error) {
-	var (
-		resp stateResponse
-		err  error
-	)
-	doErr := s.doTraced(sc, func() {
-		if err = s.tick(); err != nil {
-			return
-		}
-		resp.Stats = s.eng.Stats()
-		resp.OpenSessions = s.book.Len()
-		resp.ExpiredSessions = s.book.Expired()
-		s.updateGauges()
+	return s.onLoop(sc, func() (int, any, error) {
+		return http.StatusOK, stateResponse{
+			Stats:           s.eng.Stats(),
+			OpenSessions:    s.book.Len(),
+			ExpiredSessions: s.book.Expired(),
+		}, nil
 	})
-	if doErr != nil {
-		return errCode(doErr), nil, doErr
-	}
-	if err != nil {
-		return http.StatusInternalServerError, nil, err
-	}
-	return http.StatusOK, resp, nil
 }
 
 // defaultConformanceTail bounds the ledger rows echoed by /qos/conformance
@@ -602,25 +493,12 @@ func (s *Service) handleConformance(r *http.Request, sc *trace.Scope) (int, any,
 		}
 		tail = n
 	}
-	var (
-		resp conformanceResponse
-		err  error
-	)
-	doErr := s.doTraced(sc, func() {
-		if err = s.tick(); err != nil {
-			return
-		}
-		resp.ConformanceStats = s.ledger.Stats()
-		resp.Entries = s.ledger.Entries(tail)
-		s.updateGauges()
+	return s.onLoop(sc, func() (int, any, error) {
+		return http.StatusOK, conformanceResponse{
+			ConformanceStats: s.ledger.Stats(),
+			Entries:          s.ledger.Entries(tail),
+		}, nil
 	})
-	if doErr != nil {
-		return errCode(doErr), nil, doErr
-	}
-	if err != nil {
-		return http.StatusInternalServerError, nil, err
-	}
-	return http.StatusOK, resp, nil
 }
 
 // handleTrace streams the retained spans as Chrome trace_event JSON. It

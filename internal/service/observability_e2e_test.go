@@ -100,6 +100,25 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		}
 	}()
 
+	// A scraper races the dialogs, so -race sees every gauge read the
+	// scrape hook makes against the state machine's writes.
+	stopScrape := make(chan struct{})
+	scrapeDone := make(chan struct{})
+	go func() {
+		defer close(scrapeDone)
+		for {
+			select {
+			case <-stopScrape:
+				return
+			default:
+			}
+			if resp, err := http.Get(base + "/metrics"); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}
+	}()
+
 	// Each dialog mints one trace ID and reuses it for every quote/accept
 	// attempt, exactly as qosctl does across retries.
 	type promise struct {
@@ -162,6 +181,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	wg.Wait()
 	<-chaosDone
+	close(stopScrape)
+	<-scrapeDone
 	if t.Failed() {
 		return
 	}

@@ -12,6 +12,9 @@
 // scheduler core — which is single-threaded by design — stays data-race
 // free by construction. The instrumentation registry (internal/obs) is the
 // only state touched from handler goroutines, and it is concurrency-safe.
+// The cluster and promise gauges are computed when /metrics or /snapshot
+// is scraped: the scrape hook hops onto the state-machine goroutine to read
+// them, and does not tick, so a scrape never moves the clock or journals.
 package service
 
 import (
@@ -130,12 +133,6 @@ type Service struct {
 	tracer   *trace.Tracer
 	curScope *trace.Scope
 
-	// ledgerVersion is the last ledger version published to the gauges,
-	// so the quote fast path skips recomputing unchanged conformance
-	// stats. Touched only on the loop goroutine.
-	ledgerVersion uint64
-	ledgerSynced  bool
-
 	// Durability (nil store when no DataDir is configured). digest
 	// fingerprints the config for the snapshot; info records what startup
 	// recovered.
@@ -211,14 +208,18 @@ func New(cfg Config) (*Service, error) {
 	s.clockBase = s.eng.Now()
 	s.clockMark = time.Now()
 	s.obsSrv = obs.NewServer(s.reg, nil)
-	s.obsSrv.SetOnScrape(func() { obs.CaptureRuntime(s.reg) })
+	s.obsSrv.SetOnScrape(func() {
+		obs.CaptureRuntime(s.reg)
+		// After Close the loop is gone; the scrape still answers with the
+		// counters, and the gauges keep their last values.
+		s.do(s.publishGauges)
+	})
 	s.obsSrv.SetHealth(func() (string, map[string]any) {
 		if msg, _ := s.degradedMsg.Load().(string); msg != "" {
 			return "degraded", map[string]any{"wal_error": msg}
 		}
 		return "", nil
 	})
-	s.updateGauges()
 	go s.loop()
 	return s, nil
 }
@@ -308,17 +309,31 @@ func (s *Service) advanceTo(t units.Time) error {
 	return nil
 }
 
-// doTraced runs fn on the state-machine goroutine with the request's
-// trace scope installed as curScope, so loop-side spans (WAL appends,
-// snapshots, engine advances) land in the request's trace. The scope
-// handoff is safe without locks: do's channel operations order every
-// access between the handler and the loop goroutine.
-func (s *Service) doTraced(sc *trace.Scope, fn func()) error {
-	return s.do(func() {
+// onLoop runs one request's state-touching section on the state-machine
+// goroutine: it installs the request's trace scope as curScope, so
+// loop-side spans (WAL appends, snapshots, engine advances) land in the
+// request's trace, ticks the clock, then runs fn for the response. Shutdown
+// and tick failures answer with errCode. The scope handoff is safe without
+// locks: do's channel operations order every access between the handler
+// and the loop goroutine.
+func (s *Service) onLoop(sc *trace.Scope, fn func() (int, any, error)) (int, any, error) {
+	var (
+		code int
+		body any
+		err  error
+	)
+	if doErr := s.do(func() {
 		s.curScope = sc
-		fn()
+		if err = s.tick(); err != nil {
+			code = errCode(err)
+		} else {
+			code, body, err = fn()
+		}
 		s.curScope = nil
-	})
+	}); doErr != nil {
+		return errCode(doErr), nil, doErr
+	}
+	return code, body, err
 }
 
 // Start binds addr (e.g. "127.0.0.1:0") and serves the API in a background
@@ -395,9 +410,11 @@ func (s *Service) countAccept(outcome string) {
 		obs.Labels{"outcome": outcome}).Inc()
 }
 
-// updateGauges refreshes the cluster-state gauges from the engine. Runs on
-// the loop goroutine after every state-touching request.
-func (s *Service) updateGauges() {
+// publishGauges sets the cluster-state and promise-ledger gauges from the
+// engine, the session book and the ledger. It is the only writer of those
+// gauges and runs only from the scrape hook, on the loop goroutine. It does
+// not tick, so the gauges show the state as of the last request.
+func (s *Service) publishGauges() {
 	st := s.eng.Stats()
 	s.reg.Gauge("qosd_virtual_time_seconds", "virtual clock, seconds since trace start", nil).
 		Set(float64(st.Now))
@@ -415,24 +432,11 @@ func (s *Service) updateGauges() {
 		s.reg.Gauge("qosd_jobs", "admitted jobs by lifecycle state",
 			obs.Labels{"state": state}).Set(float64(n))
 	}
-	s.updateConformanceGauges()
 	if s.tracer.Enabled() {
 		s.reg.Gauge("qosd_trace_spans_dropped_total",
 			"spans overwritten in the trace ring before export", nil).
 			Set(float64(s.tracer.Dropped()))
 	}
-}
-
-// updateConformanceGauges publishes the promise ledger's streaming stats,
-// skipping the recomputation when nothing settled or was admitted since
-// the last publish (the common case on the quote fast path).
-func (s *Service) updateConformanceGauges() {
-	v := s.ledger.Version()
-	if s.ledgerSynced && v == s.ledgerVersion {
-		return
-	}
-	s.ledgerVersion = v
-	s.ledgerSynced = true
 	cs := s.ledger.Stats()
 	for outcome, n := range map[string]int{
 		"pending": cs.Open,

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"probqos/internal/failure"
 	"probqos/internal/units"
@@ -230,6 +231,29 @@ func TestMetricsExposed(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/healthz: code %d", rec.Code)
+	}
+
+	// After Close the scrape hook cannot reach the state machine; the
+	// scrape must still answer promptly with the counters.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scraped := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		scraped <- rec
+	}()
+	select {
+	case rec = <-scraped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("/metrics after Close did not answer within 5s")
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics after Close: code %d", rec.Code)
+	}
+	if !strings.Contains(rec.Body.String(), "qosd_requests_total") {
+		t.Error("/metrics after Close lacks qosd_requests_total")
 	}
 }
 

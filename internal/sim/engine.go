@@ -246,8 +246,9 @@ type Stats struct {
 // open (neither completed nor missed).
 func (st Stats) Outstanding() int { return st.Queued + st.Running }
 
-// Stats snapshots the engine. It walks the jobs map, so it is meant for
-// request-rate use, not the event hot path (the Probe serves that).
+// Stats snapshots the engine. It walks the jobs map, so it is meant for a
+// metrics scrape or a state query (qosd's /v1/state), not a per-request
+// path or the event hot path (the Probe serves that).
 func (s *Engine) Stats() Stats {
 	st := Stats{
 		Now:             s.now,

@@ -34,6 +34,3 @@ func (c *WeightedChoice) Sample(s *Source) int {
 	}
 	return i
 }
-
-// N returns the number of categories.
-func (c *WeightedChoice) N() int { return len(c.cumulative) }

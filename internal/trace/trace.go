@@ -119,14 +119,6 @@ type Scope struct {
 	spans   []Span
 }
 
-// TraceID returns the scope's trace ID ("" on a nil scope).
-func (sc *Scope) TraceID() string {
-	if sc == nil {
-		return ""
-	}
-	return sc.traceID
-}
-
 // SpanHandle refers to one in-flight span of a scope. The zero handle
 // (from a nil scope) is inert.
 type SpanHandle struct {
