@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"probqos/internal/failure"
@@ -62,5 +63,29 @@ func BenchmarkReserveRelease(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.Release(1000000 + i)
+	}
+}
+
+// BenchmarkEarliestCandidateSlipped is the odd-node worst case: every third
+// reservation of the backlog slips by 30 minutes over its successors, so
+// most nodes' interval ends fall out of order and the query must ask them
+// directly at every start it steps through.
+func BenchmarkEarliestCandidateSlipped(b *testing.B) {
+	s := benchScheduler(b, 300)
+	for job := 3; job <= 300; job += 3 {
+		r, _ := s.Reservation(job)
+		if err := s.Slip(job, r.Start.Add(30*units.Minute)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, size := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := s.EarliestCandidate(0, size, 3600); !ok {
+					b.Fatal("no candidate")
+				}
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"probqos/internal/units"
@@ -31,10 +32,88 @@ type interval struct {
 // intervals because failures are not known in advance).
 type profile struct {
 	nodes [][]interval
+	// odd[n] is set while node n's interval ends are not nondecreasing in
+	// list (start) order. Only then is freeDuring inexact (see
+	// searchEndAfter), so the earliest-start query asks odd nodes directly
+	// and derives everyone else's free windows from the sorted list. Every
+	// mutation keeps the flag current.
+	odd []bool
+	// ends holds every interval end in the profile, so that the query
+	// finds the next distinct end, an end's distinct rank, and the last end
+	// with a binary search instead of a pass over every interval.
+	ends endSet
 }
 
 func newProfile(n int) *profile {
-	return &profile{nodes: make([][]interval, n)}
+	return &profile{nodes: make([][]interval, n), odd: make([]bool, n)}
+}
+
+// endSet is a multiset of instants: its distinct values ascending, each
+// with the number of intervals that end there.
+type endSet struct {
+	at    []units.Time
+	count []int32
+}
+
+// search returns the first position whose value is at least t.
+func (e *endSet) search(t units.Time) int {
+	lo, hi := 0, len(e.at)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if e.at[mid] < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// after returns the first position whose value is strictly after t.
+func (e *endSet) after(t units.Time) int { return e.search(t + 1) }
+
+// add counts one more interval ending at t.
+func (e *endSet) add(t units.Time) {
+	i := e.search(t)
+	if i < len(e.at) && e.at[i] == t {
+		e.count[i]++
+		return
+	}
+	e.at = slices.Insert(e.at, i, t)
+	e.count = slices.Insert(e.count, i, 1)
+}
+
+// remove uncounts one interval ending at t, which must be counted.
+func (e *endSet) remove(t units.Time) {
+	i := e.search(t)
+	if e.count[i]--; e.count[i] == 0 {
+		e.at = slices.Delete(e.at, i, i+1)
+		e.count = slices.Delete(e.count, i, i+1)
+	}
+}
+
+// dropThrough removes every value at or before t.
+func (e *endSet) dropThrough(t units.Time) {
+	i := e.after(t)
+	e.at = slices.Delete(e.at, 0, i)
+	e.count = slices.Delete(e.count, 0, i)
+}
+
+// endsNondecreasing reports whether the list's interval ends never fall in
+// list order: the condition under which freeDuring is exact.
+func endsNondecreasing(list []interval) bool {
+	for i := 1; i < len(list); i++ {
+		if list[i].end < list[i-1].end {
+			return false
+		}
+	}
+	return true
+}
+
+// recheck recomputes the node's odd flag. Removing intervals never breaks
+// nondecreasing ends, so removals only need it while the node is odd.
+func (p *profile) recheck(node int) {
+	p.odd[node] = !endsNondecreasing(p.nodes[node])
 }
 
 // insert adds a busy interval to a node, keeping the list sorted by start.
@@ -48,6 +127,10 @@ func (p *profile) insert(node int, iv interval) {
 	copy(list[i+1:], list[i:])
 	list[i] = iv
 	p.nodes[node] = list
+	p.ends.add(iv.end)
+	if (i > 0 && list[i-1].end > iv.end) || (i+1 < len(list) && iv.end > list[i+1].end) {
+		p.odd[node] = true
+	}
 }
 
 // searchStartAfter returns the first position whose interval starts strictly
@@ -128,9 +211,14 @@ func (p *profile) removeOwner(node, owner int) {
 	for _, iv := range p.nodes[node] {
 		if iv.owner != owner {
 			list = append(list, iv)
+		} else {
+			p.ends.remove(iv.end)
 		}
 	}
 	p.nodes[node] = list
+	if p.odd[node] {
+		p.recheck(node)
+	}
 }
 
 // truncateOwner cuts the owner's intervals on the node so that nothing
@@ -140,15 +228,19 @@ func (p *profile) truncateOwner(node, owner int, at units.Time) {
 	for _, iv := range p.nodes[node] {
 		if iv.owner == owner {
 			if iv.start >= at {
+				p.ends.remove(iv.end)
 				continue
 			}
 			if iv.end > at {
+				p.ends.remove(iv.end)
+				p.ends.add(at)
 				iv.end = at
 			}
 		}
 		list = append(list, iv)
 	}
 	p.nodes[node] = list
+	p.recheck(node)
 }
 
 // shiftOwner moves the owner's interval on the node to start at newStart,
@@ -158,6 +250,7 @@ func (p *profile) shiftOwner(node, owner int, newStart units.Time) {
 	list := p.nodes[node][:0]
 	for _, iv := range p.nodes[node] {
 		if iv.owner == owner {
+			p.ends.remove(iv.end)
 			length := iv.end.Sub(iv.start)
 			moved = append(moved, interval{start: newStart, end: newStart.Add(length), owner: owner})
 			continue
@@ -165,6 +258,9 @@ func (p *profile) shiftOwner(node, owner int, newStart units.Time) {
 		list = append(list, iv)
 	}
 	p.nodes[node] = list
+	if p.odd[node] {
+		p.recheck(node)
+	}
 	for _, iv := range moved {
 		p.insert(node, iv)
 	}
@@ -172,6 +268,7 @@ func (p *profile) shiftOwner(node, owner int, newStart units.Time) {
 
 // gc drops intervals that ended at or before now.
 func (p *profile) gc(now units.Time) {
+	p.ends.dropThrough(now)
 	for n := range p.nodes {
 		list := p.nodes[n][:0]
 		for _, iv := range p.nodes[n] {
@@ -180,160 +277,19 @@ func (p *profile) gc(now units.Time) {
 			}
 		}
 		p.nodes[n] = list
+		if p.odd[n] {
+			p.recheck(n)
+		}
 	}
 }
 
-// candidateTimes lazily enumerates, in ascending de-duplicated order, the
-// instants after from at which node availability can change: every profile
-// interval end strictly after from. A feasible start for any request always
-// lies in {from} ∪ this set.
-//
-// Most candidate walks stop after one or two starts, so the iterator does no
-// up-front work at all: each of the first few pops is a direct min-scan over
-// the profile (one sequential O(E) pass). A walk that keeps going past
-// ctScanCutoff pops switches to a binary min-heap built in one pass, which
-// bounds a long walk at O(E + k·log E) where the old eager path paid a full
-// O(E·log E) sort every walk. The heap buffer is reused across walks, so a
-// warm walk allocates nothing.
-type candidateTimes struct {
-	p      *profile
-	from   units.Time
-	last   units.Time // most recent value returned, for de-duplication
-	some   bool       // whether any value has been returned yet
-	max    units.Time // largest end in the profile; from when there are none
-	scans  int        // direct min-scans done since collect
-	inHeap bool       // the walk graduated to the heap
-	heap   []units.Time
-}
-
-// ctScanCutoff is how many direct min-scans a walk gets before the iterator
-// builds the heap. Scans beat the heap while the walk is short; past a few
-// pops the one-time heapify amortizes better.
-const ctScanCutoff = 4
-
-// collectCandidateTimes points ct at the profile for a walk starting at
-// from. All real work is deferred to next; a walk whose first candidate is
-// accepted never pays anything.
-func (p *profile) collectCandidateTimes(ct *candidateTimes, from units.Time) {
-	ct.p = p
-	ct.from = from
-	ct.some = false
-	ct.max = from
-	ct.scans = 0
-	ct.inHeap = false
-	ct.heap = ct.heap[:0]
-}
-
-// next returns the smallest not-yet-returned instant, skipping duplicates.
-// The second return is false when the set is exhausted.
-func (ct *candidateTimes) next() (units.Time, bool) {
-	if ct.inHeap {
-		return ct.popHeap()
+// lastEnd returns the latest interval end in the profile, or from when
+// nothing ends later. Every node is free from that instant on.
+func (p *profile) lastEnd(from units.Time) units.Time {
+	if n := len(p.ends.at); n > 0 && p.ends.at[n-1] > from {
+		return p.ends.at[n-1]
 	}
-	if ct.scans >= ctScanCutoff {
-		ct.buildHeap()
-		return ct.popHeap()
-	}
-	threshold := ct.from
-	if ct.some {
-		threshold = ct.last
-	}
-	first := ct.scans == 0
-	ct.scans++
-	var best units.Time
-	found := false
-	for _, list := range ct.p.nodes {
-		for _, iv := range list {
-			if iv.end > threshold && (!found || iv.end < best) {
-				best = iv.end
-				found = true
-			}
-			if first && iv.end > ct.max {
-				ct.max = iv.end
-			}
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	ct.some, ct.last = true, best
-	return best, true
-}
-
-// buildHeap loads every end beyond the walk's position into a min-heap in
-// one pass, for walks long enough that repeated scans would lose.
-func (ct *candidateTimes) buildHeap() {
-	threshold := ct.from
-	if ct.some {
-		threshold = ct.last
-	}
-	h := ct.heap[:0]
-	for _, list := range ct.p.nodes {
-		for _, iv := range list {
-			if iv.end > threshold {
-				h = append(h, iv.end)
-			}
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		timeSiftDown(h, i)
-	}
-	ct.heap = h
-	ct.inHeap = true
-}
-
-// popHeap pops the smallest remaining instant off the heap, skipping
-// duplicates.
-func (ct *candidateTimes) popHeap() (units.Time, bool) {
-	for len(ct.heap) > 0 {
-		t := ct.heap[0]
-		n := len(ct.heap) - 1
-		ct.heap[0] = ct.heap[n]
-		ct.heap = ct.heap[:n]
-		if n > 0 {
-			timeSiftDown(ct.heap, 0)
-		}
-		if ct.some && t == ct.last {
-			continue
-		}
-		ct.some, ct.last = true, t
-		return t, true
-	}
-	return 0, false
-}
-
-// timeSiftDown restores the min-heap property below index i.
-func timeSiftDown(h []units.Time, i int) {
-	for {
-		smallest := i
-		if l := 2*i + 1; l < len(h) && h[l] < h[smallest] {
-			smallest = l
-		}
-		if r := 2*i + 2; r < len(h) && h[r] < h[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-}
-
-// appendCandidateTimes drains a full walk into buf: from itself plus every
-// de-duplicated end after from, ascending. Tests use it to pin the sequence
-// the lazy iterator yields; the scheduler consumes candidateTimes directly.
-func (p *profile) appendCandidateTimes(buf []units.Time, from units.Time) []units.Time {
-	buf = append(buf, from)
-	var ct candidateTimes
-	p.collectCandidateTimes(&ct, from)
-	for {
-		t, ok := ct.next()
-		if !ok {
-			return buf
-		}
-		buf = append(buf, t)
-	}
+	return from
 }
 
 // validate is a debugging aid: it returns an error if any node's job-owned

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -156,6 +157,25 @@ func TestFreeDuringConsistentWithBusyUntilProperty(t *testing.T) {
 		return free == (busyUntil == probe)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestKthSmallestMatchesSort(t *testing.T) {
+	f := func(raw []uint8, pick uint8) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		keys := make([]units.Time, len(raw))
+		for i, r := range raw {
+			keys[i] = units.Time(r % 16) // many repeats
+		}
+		sorted := slices.Clone(keys)
+		slices.Sort(sorted)
+		k := 1 + int(pick)%len(keys)
+		return kthSmallest(keys, k) == sorted[k-1]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

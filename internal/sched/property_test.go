@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"probqos/internal/failure"
@@ -89,8 +91,8 @@ func TestRandomOperationSequencesKeepProfileConsistent(t *testing.T) {
 	}
 }
 
-// TestEveryCandidateIsReservable pins the feasibility claim Candidates
-// makes — including the budget-exhausted fallback's "after the last known
+// TestEveryCandidateIsReservable pins the feasibility claim the reference
+// walk Candidates makes, and that EarliestCandidate is its first yield — including the budget-exhausted fallback's "after the last known
 // busy interval the whole machine is free, so that instant is always
 // feasible". Random profiles (reservations, outages, and start slips that
 // overlap both) are hammered with walks under a tiny candidate budget so the
@@ -142,7 +144,13 @@ func TestEveryCandidateIsReservable(t *testing.T) {
 			size := 1 + src.Intn(nodes)
 			dur := units.Duration(60 + src.Intn(4000))
 			probeID := 1_000_000 + step
+			earliest, ok := s.EarliestCandidate(now, size, dur)
+			first := true
 			s.Candidates(now, size, dur, func(c Candidate) bool {
+				if first && (!ok || !sameCandidate(earliest, c)) {
+					t.Fatalf("seed %d step %d: EarliestCandidate = %+v, %v; walk's first yield %+v", seed, step, earliest, ok, c)
+				}
+				first = false
 				if len(c.Nodes) != size {
 					t.Fatalf("seed %d step %d: candidate has %d nodes, want %d", seed, step, len(c.Nodes), size)
 				}
@@ -179,5 +187,150 @@ func TestRandomReservationsNeverOverlap(t *testing.T) {
 			}
 			s.GC(now)
 		}
+	}
+}
+
+// TestEarliestCandidateMatchesWalk is the differential test of the gap-cursor
+// query against the reference walk (Candidates): random profiles, built only
+// through Scheduler operations, are queried after every step, and the
+// answer must equal the walk's first yield bit for bit — start, node set,
+// and PFail — across candidate budgets from 1 to 512, the null and a trace
+// predictor, first fit, and quote slack zero and positive. Slips and
+// outages nested in reservations make nodes odd constantly, so both the
+// cursor path and the odd-node path are exercised, and every step also
+// checks that the profile's odd flags and end multiset are current.
+func TestEarliestCandidateMatchesWalk(t *testing.T) {
+	tr, err := failure.GenerateTrace(failure.RawConfig{Seed: 11}, failure.FilterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracePred, err := predict.NewTrace(tr, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets := []int{1, 2, 3, 5, 8, 17, 64, 512}
+	for seed := int64(0); seed < 210; seed++ {
+		src := stats.NewSource(seed)
+		nodes := 2 + src.Intn(31)
+		var pred predict.Predictor = predict.Null{}
+		if seed%2 == 1 {
+			pred = tracePred
+		}
+		var slack units.Duration
+		if seed%3 != 0 {
+			slack = units.Duration(1 + src.Intn(900))
+		}
+		// A coarse grain makes interval ends coincide, so the walk's
+		// de-duplication and the budget's distinct rank both matter.
+		grain := units.Duration(1)
+		if seed%4 == 0 {
+			grain = 300
+		}
+		s := New(nodes, pred,
+			WithMaxCandidates(budgets[seed%int64(len(budgets))]),
+			WithQuoteSlack(slack),
+			WithFaultAware(seed%5 != 4),
+		)
+		dur := func(lo, span int) units.Duration {
+			return grain * units.Duration(1+(lo+src.Intn(span))/int(grain))
+		}
+		var live []int
+		nextID := 1
+		now := units.Time(0)
+		for step := 0; step < 300; step++ {
+			now = now.Add(units.Duration(src.Intn(400)))
+			switch op := src.Intn(12); {
+			case op < 5: // reserve
+				size := 1 + src.Intn(nodes)
+				d := dur(60, 5000)
+				c, ok := s.EarliestCandidate(now.Add(units.Duration(src.Intn(2000))), size, d)
+				if !ok {
+					t.Fatalf("seed %d step %d: no candidate", seed, step)
+				}
+				if _, err := s.Reserve(nextID, c, d); err != nil {
+					t.Fatalf("seed %d step %d: reserve: %v", seed, step, err)
+				}
+				live = append(live, nextID)
+				nextID++
+			case op < 6 && len(live) > 0: // complete early
+				k := src.Intn(len(live))
+				r, _ := s.Reservation(live[k])
+				s.CompleteEarly(live[k], r.Start.Add(units.Duration(src.Intn(int(r.Duration)+1))))
+				live = append(live[:k], live[k+1:]...)
+			case op < 7 && len(live) > 0: // release
+				k := src.Intn(len(live))
+				s.Release(live[k])
+				live = append(live[:k], live[k+1:]...)
+			case op < 9 && len(live) > 0: // slip, overlapping whatever is there
+				id := live[src.Intn(len(live))]
+				r, _ := s.Reservation(id)
+				if err := s.Slip(id, r.Start.Add(dur(1, 3000))); err != nil {
+					t.Fatalf("seed %d step %d: slip: %v", seed, step, err)
+				}
+			case op < 11: // an outage, often nested inside a reservation
+				at := now.Add(units.Duration(src.Intn(3000)))
+				s.AddDowntime(src.Intn(nodes), at, at.Add(dur(30, 1500)))
+			default:
+				s.GC(now)
+			}
+
+			var ends endSet
+			for n, list := range s.profile.nodes {
+				if want := !endsNondecreasing(list); s.profile.odd[n] != want {
+					t.Fatalf("seed %d step %d: odd[%d] = %v, want %v", seed, step, n, s.profile.odd[n], want)
+				}
+				for _, iv := range list {
+					ends.add(iv.end)
+				}
+			}
+			if !slices.Equal(ends.at, s.profile.ends.at) || !slices.Equal(ends.count, s.profile.ends.count) {
+				t.Fatalf("seed %d step %d: ends = %v×%v, want %v×%v", seed, step,
+					s.profile.ends.at, s.profile.ends.count, ends.at, ends.count)
+			}
+			from := now.Add(units.Duration(src.Intn(1500)))
+			size := 1 + src.Intn(nodes)
+			d := dur(30, 4000)
+			got, ok := s.EarliestCandidate(from, size, d)
+			var want Candidate
+			s.Candidates(from, size, d, func(c Candidate) bool {
+				want = c
+				return false
+			})
+			if !ok || !sameCandidate(got, want) {
+				t.Fatalf("seed %d step %d: EarliestCandidate(%v, %d, %v) = %+v, %v; walk yields %+v",
+					seed, step, from, size, d, got, ok, want)
+			}
+		}
+	}
+}
+
+// sameCandidate compares two candidates bit for bit.
+func sameCandidate(a, b Candidate) bool {
+	return a.Start == b.Start && slices.Equal(a.Nodes, b.Nodes) &&
+		math.Float64bits(a.PFail) == math.Float64bits(b.PFail)
+}
+
+// TestFreeDuringNestedIntervalDefect pins a known defect, not a wanted
+// behaviour: freeDuring binary-searches interval ends as if they were
+// sorted, so an outage nested inside a longer reservation hides the
+// reservation from queries after the outage ends, and the scheduler
+// double-books the node. The fix makes the query exact (the second
+// reservation then fails and the candidate moves to 1000); it flips every
+// assertion below.
+func TestFreeDuringNestedIntervalDefect(t *testing.T) {
+	s := New(1, nil)
+	if _, err := s.Reserve(1, Candidate{Start: 0, Nodes: []int{0}}, 1000); err != nil {
+		t.Fatal(err)
+	}
+	s.AddDowntime(0, 200, 300)
+	c, ok := s.EarliestCandidate(400, 1, 100)
+	if !ok || c.Start != 400 {
+		t.Fatalf("candidate = %+v, %v; the defect answers start 400", c, ok)
+	}
+	if _, err := s.Reserve(2, c, 100); err != nil {
+		t.Fatalf("Reserve = %v; the defect accepts the double booking", err)
+	}
+	if err := s.ValidateProfile(); err == nil {
+		t.Fatal("ValidateProfile found no overlap; the defect leaves jobs 1 and 2 overlapping")
 	}
 }

@@ -45,7 +45,8 @@ func WithFaultAware(enabled bool) Option {
 }
 
 // WithMaxCandidates bounds how many candidate start times a single
-// Candidates walk examines before giving up. Defaults to 512.
+// EarliestCandidate query considers before falling back to the last
+// interval end. Defaults to 512.
 func WithMaxCandidates(n int) Option {
 	return optionFunc(func(s *Scheduler) { s.maxCandidates = n })
 }
@@ -74,14 +75,14 @@ type Scheduler struct {
 	maxCandidates int
 	quoteSlack    units.Duration
 
-	// Scratch buffers reused across Candidates walks. The scheduler is
-	// single-threaded by design (the simulator and qosd both serialize
-	// access), so per-call allocation here is pure overhead: a quote walk
-	// visits up to maxCandidates starts and scores every free node at each.
+	// Scratch buffers reused across EarliestCandidate queries. The
+	// scheduler is single-threaded by design (the simulator and qosd both
+	// serialize access), so per-call allocation here is pure overhead: a
+	// quote runs once per arrival and scores every free node.
 	freeScratch   []int
 	scoredScratch []scoredNode
 	riskScratch   []float64
-	timesScratch  candidateTimes
+	gaps          gapCursors
 	singleton     [1]int
 
 	// resFree recycles Reservation records (and their node slices) released
@@ -139,93 +140,42 @@ func (s *Scheduler) pfailNode(node int, from, to units.Time) float64 {
 	return s.predictor.PFail(s.singleton[:], from, to)
 }
 
-// Candidates walks schedulable options for a job of the given size and
-// duration, earliest first, calling yield for each until yield returns
-// false or the candidate budget is exhausted. Every yielded candidate is
-// feasible: its nodes are free for [Start, Start+duration) in the current
-// profile. The node set of each candidate is the risk-minimizing choice at
-// that start time (or first-fit when fault-awareness is off).
+// EarliestCandidate returns the first schedulable option at or after from:
+// the earliest start in {from} ∪ {profile interval ends after from} at which
+// size nodes are free for duration, with the risk-minimizing node set there
+// (first fit when fault-awareness is off). Only the first maxCandidates of
+// those starts are considered; past that budget the answer is the last
+// interval end, after which the whole machine is free. The second return is
+// false only for invalid requests.
 //
-// The walk reuses scheduler-owned scratch buffers, so yield must not call
-// back into Candidates or EarliestCandidate on the same Scheduler.
-//
-// Candidates returns the number of options yielded.
-func (s *Scheduler) Candidates(from units.Time, size int, duration units.Duration, yield func(Candidate) bool) int {
-	if size <= 0 || size > s.n || duration <= 0 {
-		return 0
-	}
-	yielded := 0
-	emit := func(start units.Time) bool {
-		nodes := s.pickNodes(start, size, duration)
-		if nodes == nil {
-			return true // infeasible here, keep walking
-		}
-		pf := s.predictor.PFail(nodes, start.Add(-s.quoteSlack), start.Add(duration))
-		yielded++
-		return yield(Candidate{Start: start, Nodes: nodes, PFail: pf})
-	}
-
-	// Fast path: the request may fit right now.
-	if !emit(from) {
-		return yielded
-	}
-	examined := 1
-	ct := &s.timesScratch
-	s.profile.collectCandidateTimes(ct, from)
-	for {
-		t, ok := ct.next()
-		if !ok {
-			break
-		}
-		if examined >= s.maxCandidates {
-			break
-		}
-		examined++
-		if !emit(t) {
-			return yielded
-		}
-	}
-	// Fallback when the candidate budget ran out: after the last known busy
-	// interval the whole machine is free, so that instant is always
-	// feasible. (If the loop visited every time, this was already covered.)
-	if examined >= s.maxCandidates && ct.max > from {
-		emit(ct.max)
-	}
-	return yielded
-}
-
-// EarliestCandidate returns the first schedulable option at or after from.
-// The second return is false only for invalid requests.
+// The query reuses scheduler-owned scratch buffers and is not reentrant.
 func (s *Scheduler) EarliestCandidate(from units.Time, size int, duration units.Duration) (Candidate, bool) {
-	var (
-		out   Candidate
-		found bool
-	)
-	s.Candidates(from, size, duration, func(c Candidate) bool {
-		out, found = c, true
-		return false
-	})
-	return out, found
-}
-
-// pickNodes selects size nodes free during [start, start+duration), or nil
-// if fewer than size are free. With fault-awareness on, nodes with no
-// predicted failure in the window come first, then nodes whose first
-// detectable failure has the smallest reported probability; ties break on
-// node ID for determinism.
-func (s *Scheduler) pickNodes(start units.Time, size int, duration units.Duration) []int {
-	end := start.Add(duration)
-	riskFrom := start.Add(-s.quoteSlack)
-	free := s.freeScratch[:0]
-	for n := 0; n < s.n; n++ {
-		if s.profile.freeDuring(n, start, end) {
+	if size <= 0 || size > s.n || duration <= 0 {
+		return Candidate{}, false
+	}
+	start, free := s.earliestFit(from, size, duration)
+	if free == nil {
+		// Past the budget: every node is free after the last interval end.
+		start = s.profile.lastEnd(from)
+		free = s.freeScratch[:0]
+		for n := 0; n < s.n; n++ {
 			free = append(free, n)
 		}
+		s.freeScratch = free
 	}
-	s.freeScratch = free
-	if len(free) < size {
-		return nil
-	}
+	nodes := s.selectNodes(free, start, size, duration)
+	pf := s.predictor.PFail(nodes, start.Add(-s.quoteSlack), start.Add(duration))
+	return Candidate{Start: start, Nodes: nodes, PFail: pf}, true
+}
+
+// selectNodes chooses size of the free nodes (ascending IDs, at least size
+// of them) for [start, start+duration). With fault-awareness on, nodes with
+// no predicted failure in the window come first, then nodes whose first
+// detectable failure has the smallest reported probability; ties break on
+// node ID for determinism.
+func (s *Scheduler) selectNodes(free []int, start units.Time, size int, duration units.Duration) []int {
+	end := start.Add(duration)
+	riskFrom := start.Add(-s.quoteSlack)
 	if !s.faultAware {
 		return append([]int(nil), free[:size]...)
 	}

@@ -53,6 +53,9 @@ func TestCandidatesRejectsBadRequests(t *testing.T) {
 			if got := s.Candidates(0, tt.size, tt.dur, func(Candidate) bool { return true }); got != 0 {
 				t.Errorf("Candidates yielded %d options", got)
 			}
+			if c, ok := s.EarliestCandidate(0, tt.size, tt.dur); ok {
+				t.Errorf("EarliestCandidate = %+v, want a rejection", c)
+			}
 		})
 	}
 }

@@ -77,6 +77,13 @@ go test -run '^$' -bench 'TraceScan' -benchtime "$benchtime" -count "$count" ./i
 echo "== scheduler micro-benchmarks"
 go test -run '^$' -bench 'EarliestCandidate|ReserveRelease' -benchtime "$benchtime" -count "$count" ./internal/sched | tee -a "$tmp"
 
+# The slipped-backlog query is the odd-node worst case of EarliestCandidate
+# (see internal/sched/bench_test.go): it must stay in the trajectory.
+if ! grep -q "^BenchmarkEarliestCandidateSlipped" "$tmp"; then
+    echo "FAIL: BenchmarkEarliestCandidateSlipped missing from benchmark output" >&2
+    exit 1
+fi
+
 echo "== simulator benchmarks"
 go test -run '^$' -bench 'BenchmarkRun(SDSC|NASA|SDSCInstrumented)$' -benchtime "$benchtime" -count "$count" ./internal/sim | tee -a "$tmp"
 
