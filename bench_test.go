@@ -29,8 +29,8 @@ func benchJobs() int {
 	return defaultBenchJobs
 }
 
-// benchExperiment runs one experiment per iteration on a fresh environment
-// (no memoized points), logging its tables once.
+// benchExperiment runs one experiment per iteration through RunAll on a
+// fresh environment (no memoized points), logging its tables once.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	exp, ok := experiment.ByID(id)
@@ -41,13 +41,13 @@ func benchExperiment(b *testing.B, id string) {
 	for i := 0; i < b.N; i++ {
 		env := experiment.NewEnv()
 		env.JobCount = benchJobs()
-		tables, err := exp.Run(env)
-		if err != nil {
-			b.Fatal(err)
+		res := experiment.RunAll(env, []experiment.Experiment{exp})[0]
+		if res.Err != nil {
+			b.Fatal(res.Err)
 		}
 		if i == 0 {
 			b.Logf("%s — paper: %s", exp.Title, exp.Paper)
-			for _, t := range tables {
+			for _, t := range res.Tables {
 				b.Logf("\n%s", t.String())
 			}
 		}

@@ -12,7 +12,7 @@
 // with the same shapes.
 //
 // -serve exposes the sweep live over HTTP while it runs: /metrics carries
-// Prometheus gauges for points done/queued, elapsed seconds, and an ETA, so
+// Prometheus gauges for points done/total, elapsed seconds, and an ETA, so
 // multi-hour sweeps can be watched from a browser or scraped.
 package main
 
@@ -87,28 +87,27 @@ func run(out io.Writer, args []string) error {
 		defer srv.Close()
 		fmt.Fprintf(out, "serving sweep metrics on http://%s/metrics\n", addr)
 		var (
-			gQueued  = reg.Gauge("probqos_sweep_points_total", "Simulation points queued so far (grows as experiments prefetch).", nil)
+			gTotal   = reg.Gauge("probqos_sweep_points_total", "Distinct simulation points the selected experiments declare.", nil)
 			gDone    = reg.Gauge("probqos_sweep_points_done", "Simulation points computed so far.", nil)
 			gElapsed = reg.Gauge("probqos_sweep_elapsed_seconds", "Wall-clock seconds since the sweep started.", nil)
-			gETA     = reg.Gauge("probqos_sweep_eta_seconds", "Estimated seconds to finish the points queued so far.", nil)
+			gETA     = reg.Gauge("probqos_sweep_eta_seconds", "Estimated seconds to finish the remaining points.", nil)
 			start    = time.Now()
 		)
-		env.Progress = func(done, queued int) {
+		env.Progress = func(done, total int) {
 			elapsed := time.Since(start).Seconds()
 			gDone.Set(float64(done))
-			gQueued.Set(float64(queued))
+			gTotal.Set(float64(total))
 			gElapsed.Set(elapsed)
 			if done > 0 {
-				gETA.Set(elapsed / float64(done) * float64(queued-done))
+				gETA.Set(elapsed / float64(done) * float64(total-done))
 			}
 		}
 	}
 
-	// Experiments run concurrently over the shared Env (each one also
-	// parallelizes its own points; the Env's simulation semaphore bounds the
-	// stack), then render in input order — byte-identical to a serial loop,
-	// including stopping at the first failed experiment.
-	results := experiment.RunAll(env, selected, *workers)
+	// RunAll computes every declared point on one pool, then runs the
+	// experiments in input order; rendering stops at the first failed
+	// experiment, as a serial loop would.
+	results := experiment.RunAll(env, selected)
 	for i, res := range results {
 		exp := res.Exp
 		if i > 0 {

@@ -55,13 +55,6 @@ func (*Writer) Sample(sim.State) {}
 // Phase implements sim.Probe; the journal holds no wall-clock timings.
 func (*Writer) Phase(sim.Phase, time.Duration) {}
 
-// Err returns the first write error, if any.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
 // Close flushes buffered notes and returns the first error seen.
 func (w *Writer) Close() error {
 	w.mu.Lock()

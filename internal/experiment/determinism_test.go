@@ -2,11 +2,8 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
-
-	"probqos/internal/table"
 )
 
 // TestGoldenScenarioByteIdenticalAcrossRuns is the runtime backstop behind
@@ -31,25 +28,15 @@ func TestGoldenScenarioByteIdenticalAcrossRuns(t *testing.T) {
 		e := NewEnv()
 		e.JobCount = goldenJobCount
 		e.Seed = goldenSeed
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
+		var exps []Experiment
 		for _, id := range goldenExperiments {
 			exp, ok := byID[id]
 			if !ok {
 				t.Fatalf("golden experiment %q is not registered", id)
 			}
-			tables, err := exp.Run(e)
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-			if err := enc.Encode(struct {
-				ID     string         `json:"id"`
-				Tables []*table.Table `json:"tables"`
-			}{id, tables}); err != nil {
-				t.Fatal(err)
-			}
+			exps = append(exps, exp)
 		}
-		return buf.Bytes()
+		return renderResults(t, RunAll(e, exps))
 	}
 	first := runAll()
 	second := runAll()

@@ -3,6 +3,8 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"probqos/internal/table"
 )
 
 // testEnv is scaled down so the whole suite stays fast while still
@@ -45,13 +47,22 @@ func TestByID(t *testing.T) {
 	}
 }
 
-func TestTable1SmallScale(t *testing.T) {
-	e := testEnv()
-	exp, _ := ByID("table1")
-	tables, err := exp.Run(e)
-	if err != nil {
-		t.Fatal(err)
+// runOne runs one experiment through RunAll on a fresh test Env.
+func runOne(t *testing.T, id string) []*table.Table {
+	t.Helper()
+	exp, ok := ByID(id)
+	if !ok {
+		t.Fatalf("experiment %q is not registered", id)
 	}
+	res := RunAll(testEnv(), []Experiment{exp})[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	return res.Tables
+}
+
+func TestTable1SmallScale(t *testing.T) {
+	tables := runOne(t, "table1")
 	if len(tables) != 1 || len(tables[0].Rows) != 2 {
 		t.Fatalf("table1 output: %+v", tables)
 	}
@@ -62,12 +73,7 @@ func TestTable1SmallScale(t *testing.T) {
 }
 
 func TestTable2MatchesPaperConstants(t *testing.T) {
-	e := testEnv()
-	exp, _ := ByID("table2")
-	tables, err := exp.Run(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := runOne(t, "table2")
 	out := tables[0].String()
 	for _, want := range []string{"128", "720", "3600", "120"} {
 		if !strings.Contains(out, want) {
@@ -94,51 +100,16 @@ func TestPointMemoization(t *testing.T) {
 	}
 }
 
-func TestPrefetchParallelMatchesSerial(t *testing.T) {
-	serial := testEnv()
-	serial.Workers = 1
-	parallel := testEnv()
-	parallel.Workers = 4
-	specs := []PointSpec{
-		{Log: "NASA", A: 0, U: 0.5},
-		{Log: "NASA", A: 1, U: 0.5},
-		{Log: "NASA", A: 0.5, U: 0.9},
-		{Log: "NASA", A: 0.5, U: 0.9}, // duplicate on purpose
-	}
-	if err := serial.Prefetch(specs); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.Prefetch(specs); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range specs {
-		a, err := serial.Point(s.Log, s.A, s.U, s.Variant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := parallel.Point(s.Log, s.A, s.U, s.Variant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Errorf("parallel point %+v differs from serial", s)
-		}
-	}
-}
-
 func TestEveryExperimentRunsSmallScale(t *testing.T) {
 	// Execute every experiment definition end to end at small scale; the
 	// full-scale versions are exercised by cmd/qossweep and the benchmark
-	// harness. The shared env memoizes points across experiments exactly
-	// as the CLI does.
-	e := testEnv()
-	for _, exp := range All() {
-		exp := exp
-		t.Run(exp.ID, func(t *testing.T) {
-			tables, err := exp.Run(e)
-			if err != nil {
-				t.Fatal(err)
+	// harness. One RunAll over a shared env, exactly as the CLI does.
+	for _, res := range RunAll(testEnv(), All()) {
+		t.Run(res.Exp.ID, func(t *testing.T) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
 			}
+			tables := res.Tables
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
 			}

@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"probqos/internal/checkpoint"
-	"probqos/internal/failure"
 	"probqos/internal/metrics"
-	"probqos/internal/sim"
 	"probqos/internal/table"
 	"probqos/internal/units"
-	"probqos/internal/workload"
 )
 
 // Experiment regenerates one table or figure of the paper (or one ablation
@@ -23,6 +20,10 @@ type Experiment struct {
 	// Paper states what the paper reports for this artifact, for
 	// side-by-side comparison in EXPERIMENTS.md.
 	Paper string
+	// Points are the simulation points Run reads. RunAll computes the
+	// points of all its experiments in parallel before calling any Run, so
+	// a point Run reads without declaring it here runs serially.
+	Points []PointSpec
 	// Run produces the output tables.
 	Run func(e *Env) ([]*table.Table, error)
 }
@@ -148,28 +149,26 @@ func table2Exp() Experiment {
 // accuracyFigure builds a "metric vs a" figure with curves for U = 0.1,
 // 0.5, 0.9 (Figures 1-6).
 func accuracyFigure(id, title, log, paper string, cell func(metrics.Report) string) Experiment {
+	var points []PointSpec
+	for _, a := range sweep {
+		for _, u := range figureUs {
+			points = append(points, PointSpec{Log: log, A: a, U: u})
+		}
+	}
 	return Experiment{
-		ID:    id,
-		Title: title + ", U=0.1/0.5/0.9",
-		Paper: paper,
+		ID:     id,
+		Title:  title + ", U=0.1/0.5/0.9",
+		Paper:  paper,
+		Points: points,
 		Run: func(e *Env) ([]*table.Table, error) {
-			var specs []PointSpec
-			for _, a := range sweep {
-				for _, u := range figureUs {
-					specs = append(specs, PointSpec{Log: log, A: a, U: u})
-				}
-			}
-			if err := e.Prefetch(specs); err != nil {
+			rs, err := e.reports(points)
+			if err != nil {
 				return nil, err
 			}
 			t := table.New(title, "Accuracy (a)", "U=0.1", "U=0.5", "U=0.9")
-			for _, a := range sweep {
+			for i, a := range sweep {
 				row := []string{table.Float(a, 1)}
-				for _, u := range figureUs {
-					r, err := e.Point(log, a, u, "")
-					if err != nil {
-						return nil, err
-					}
+				for _, r := range rs[i*len(figureUs) : (i+1)*len(figureUs)] {
 					row = append(row, cell(r))
 				}
 				t.Add(row...)
@@ -181,52 +180,52 @@ func accuracyFigure(id, title, log, paper string, cell func(metrics.Report) stri
 
 // userFigure builds a "metric vs U" figure at a = 1 (Figures 9-12).
 func userFigure(id, title, log, paper string, cell func(metrics.Report) string) Experiment {
+	points := userSweep(log, 1)
 	return Experiment{
-		ID:    id,
-		Title: title,
-		Paper: paper,
+		ID:     id,
+		Title:  title,
+		Paper:  paper,
+		Points: points,
 		Run: func(e *Env) ([]*table.Table, error) {
-			var specs []PointSpec
-			for _, u := range sweep {
-				specs = append(specs, PointSpec{Log: log, A: 1, U: u})
-			}
-			if err := e.Prefetch(specs); err != nil {
+			rs, err := e.reports(points)
+			if err != nil {
 				return nil, err
 			}
 			t := table.New(title, "User Parameter (U)", "value")
-			for _, u := range sweep {
-				r, err := e.Point(log, 1, u, "")
-				if err != nil {
-					return nil, err
-				}
-				t.Add(table.Float(u, 1), cell(r))
+			for i, u := range sweep {
+				t.Add(table.Float(u, 1), cell(rs[i]))
 			}
 			return []*table.Table{t}, nil
 		},
 	}
 }
 
+// userSweep is the full-system points of one log at accuracy a, one per U
+// in sweep.
+func userSweep(log string, a float64) []PointSpec {
+	points := make([]PointSpec, len(sweep))
+	for i, u := range sweep {
+		points[i] = PointSpec{Log: log, A: a, U: u}
+	}
+	return points
+}
+
 func fig7Exp() Experiment {
+	points := userSweep("SDSC", 0.5)
 	return Experiment{
-		ID:    "fig7",
-		Title: "Figure 7: QoS vs. user behavior, SDSC log, a=0.5",
-		Paper: "QoS varies with U only below the point where the accuracy cap binds, then is flat",
+		ID:     "fig7",
+		Title:  "Figure 7: QoS vs. user behavior, SDSC log, a=0.5",
+		Paper:  "QoS varies with U only below the point where the accuracy cap binds, then is flat",
+		Points: points,
 		Run: func(e *Env) ([]*table.Table, error) {
-			var specs []PointSpec
-			for _, u := range sweep {
-				specs = append(specs, PointSpec{Log: "SDSC", A: 0.5, U: u})
-			}
-			if err := e.Prefetch(specs); err != nil {
+			rs, err := e.reports(points)
+			if err != nil {
 				return nil, err
 			}
 			t := table.New("Figure 7: QoS vs. user behavior, SDSC log, a=0.5",
 				"User Parameter (U)", "QoS")
-			for _, u := range sweep {
-				r, err := e.Point("SDSC", 0.5, u, "")
-				if err != nil {
-					return nil, err
-				}
-				t.Add(table.Float(u, 1), table.Float(r.QoS, 4))
+			for i, u := range sweep {
+				t.Add(table.Float(u, 1), table.Float(rs[i].QoS, 4))
 			}
 			return []*table.Table{t}, nil
 		},
@@ -234,32 +233,24 @@ func fig7Exp() Experiment {
 }
 
 func fig8Exp() Experiment {
+	var points []PointSpec
+	for _, u := range sweep {
+		points = append(points, PointSpec{Log: "SDSC", A: 1, U: u}, PointSpec{Log: "NASA", A: 1, U: u})
+	}
 	return Experiment{
-		ID:    "fig8",
-		Title: "Figure 8: QoS vs. user behavior, both logs, a=1",
-		Paper: "QoS increases with U for both logs, reaching ~0.99-1.0 at U=1",
+		ID:     "fig8",
+		Title:  "Figure 8: QoS vs. user behavior, both logs, a=1",
+		Paper:  "QoS increases with U for both logs, reaching ~0.99-1.0 at U=1",
+		Points: points,
 		Run: func(e *Env) ([]*table.Table, error) {
-			var specs []PointSpec
-			for _, u := range sweep {
-				specs = append(specs,
-					PointSpec{Log: "SDSC", A: 1, U: u},
-					PointSpec{Log: "NASA", A: 1, U: u})
-			}
-			if err := e.Prefetch(specs); err != nil {
+			rs, err := e.reports(points)
+			if err != nil {
 				return nil, err
 			}
 			t := table.New("Figure 8: QoS vs. user behavior, flat cluster, a=1",
 				"User Parameter (U)", "SDSC", "NASA")
-			for _, u := range sweep {
-				sdsc, err := e.Point("SDSC", 1, u, "")
-				if err != nil {
-					return nil, err
-				}
-				nasa, err := e.Point("NASA", 1, u, "")
-				if err != nil {
-					return nil, err
-				}
-				t.Add(table.Float(u, 1), table.Float(sdsc.QoS, 4), table.Float(nasa.QoS, 4))
+			for i, u := range sweep {
+				t.Add(table.Float(u, 1), table.Float(rs[2*i].QoS, 4), table.Float(rs[2*i+1].QoS, 4))
 			}
 			return []*table.Table{t}, nil
 		},
@@ -268,46 +259,24 @@ func fig8Exp() Experiment {
 
 func headlineExp() Experiment {
 	return Experiment{
-		ID:    "headline",
-		Title: "Headline improvements vs. the no-forecasting baseline",
-		Paper: "QoS/utilization up by as much as 6% (accuracy sweep) and 4%/3% (user sweep); lost work reduced ~9x (89%)",
+		ID:     "headline",
+		Title:  "Headline improvements vs. the no-forecasting baseline",
+		Paper:  "QoS/utilization up by as much as 6% (accuracy sweep) and 4%/3% (user sweep); lost work reduced ~9x (89%)",
+		Points: append(headlinePoints("NASA"), headlinePoints("SDSC")...),
 		Run: func(e *Env) ([]*table.Table, error) {
-			var specs []PointSpec
-			for _, log := range []string{"NASA", "SDSC"} {
-				for _, u := range []float64{0, 0.9, 1} {
-					specs = append(specs,
-						PointSpec{Log: log, A: 0, U: u},
-						PointSpec{Log: log, A: 1, U: u})
-				}
-			}
-			if err := e.Prefetch(specs); err != nil {
-				return nil, err
-			}
 			t := table.New("Headline: a=0 (no forecasting) vs a=1 (perfect prediction), and U=0 vs U=1 at a=1",
 				"Log", "Comparison", "QoS delta", "Util delta", "Lost work ratio", "Paper")
 			for _, log := range []string{"NASA", "SDSC"} {
-				base, err := e.Point(log, 0, 0.9, "")
+				rs, err := e.reports(headlinePoints(log))
 				if err != nil {
 					return nil, err
 				}
-				best, err := e.Point(log, 1, 0.9, "")
-				if err != nil {
-					return nil, err
-				}
+				base, best, loose, strict := rs[0], rs[1], rs[2], rs[3]
 				t.Add(log, "a: 0 -> 1 (U=0.9)",
 					"+"+table.Float(100*(best.QoS-base.QoS), 1)+"%",
 					"+"+table.Float(100*(best.Utilization-base.Utilization), 1)+"%",
 					lostRatio(base.LostWork, best.LostWork),
 					"+6% QoS/util, /9 lost work")
-
-				loose, err := e.Point(log, 1, 0, "")
-				if err != nil {
-					return nil, err
-				}
-				strict, err := e.Point(log, 1, 1, "")
-				if err != nil {
-					return nil, err
-				}
 				t.Add(log, "U: 0 -> 1 (a=1)",
 					"+"+table.Float(100*(strict.QoS-loose.QoS), 1)+"%",
 					"+"+table.Float(100*(strict.Utilization-loose.Utilization), 1)+"%",
@@ -316,6 +285,17 @@ func headlineExp() Experiment {
 			}
 			return []*table.Table{t}, nil
 		},
+	}
+}
+
+// headlinePoints are one log's points the headline compares, at a=0 and
+// a=1 with U=0.9, and at U=0 and U=1 with a=1.
+func headlinePoints(log string) []PointSpec {
+	return []PointSpec{
+		{Log: log, A: 0, U: 0.9},
+		{Log: log, A: 1, U: 0.9},
+		{Log: log, A: 1, U: 0},
+		{Log: log, A: 1, U: 1},
 	}
 }
 
@@ -332,45 +312,37 @@ func lostRatio(base, best units.Work) string {
 // ablation builds a full-system vs variant comparison at representative
 // operating points.
 func ablation(id, title, paper, variant string) Experiment {
+	// Each operating point, under the full system and then the variant.
+	var points []PointSpec
+	for _, p := range []PointSpec{
+		{Log: "SDSC", A: 0.5, U: 0.5},
+		{Log: "SDSC", A: 1, U: 0.9},
+		{Log: "NASA", A: 0.5, U: 0.5},
+	} {
+		alt := p
+		alt.Variant = variant
+		points = append(points, p, alt)
+	}
 	return Experiment{
-		ID:    id,
-		Title: title,
-		Paper: paper,
+		ID:     id,
+		Title:  title,
+		Paper:  paper,
+		Points: points,
 		Run: func(e *Env) ([]*table.Table, error) {
-			points := []struct {
-				log  string
-				a, u float64
-			}{
-				{log: "SDSC", a: 0.5, u: 0.5},
-				{log: "SDSC", a: 1, u: 0.9},
-				{log: "NASA", a: 0.5, u: 0.5},
-			}
-			var specs []PointSpec
-			for _, p := range points {
-				specs = append(specs,
-					PointSpec{Log: p.log, A: p.a, U: p.u},
-					PointSpec{Log: p.log, A: p.a, U: p.u, Variant: variant})
-			}
-			if err := e.Prefetch(specs); err != nil {
+			rs, err := e.reports(points)
+			if err != nil {
 				return nil, err
 			}
 			t := table.New(title,
 				"Log", "a", "U", "System", "QoS", "Utilization", "Lost work")
-			for _, p := range points {
-				full, err := e.Point(p.log, p.a, p.u, "")
-				if err != nil {
-					return nil, err
+			for i, p := range points {
+				system := "full"
+				if p.Variant != "" {
+					system = p.Variant
 				}
-				alt, err := e.Point(p.log, p.a, p.u, variant)
-				if err != nil {
-					return nil, err
-				}
-				t.Add(p.log, table.Float(p.a, 1), table.Float(p.u, 1), "full",
-					table.Float(full.QoS, 4), table.Float(full.Utilization, 4),
-					table.Sci(full.LostWork.NodeSeconds()))
-				t.Add(p.log, table.Float(p.a, 1), table.Float(p.u, 1), variant,
-					table.Float(alt.QoS, 4), table.Float(alt.Utilization, 4),
-					table.Sci(alt.LostWork.NodeSeconds()))
+				t.Add(p.Log, table.Float(p.A, 1), table.Float(p.U, 1), system,
+					table.Float(rs[i].QoS, 4), table.Float(rs[i].Utilization, 4),
+					table.Sci(rs[i].LostWork.NodeSeconds()))
 			}
 			return []*table.Table{t}, nil
 		},
@@ -385,26 +357,24 @@ func ablationNodeSelection() Experiment {
 }
 
 func ablationCheckpointPolicy() Experiment {
+	var points []PointSpec
+	for _, v := range []string{"", "periodic", "no-checkpoint"} {
+		points = append(points, PointSpec{Log: "SDSC", A: 0.5, U: 0.5, Variant: v})
+	}
 	return Experiment{
-		ID:    "ablation-checkpoint",
-		Title: "Ablation: risk-based vs periodic vs no checkpointing",
-		Paper: "risk-based cooperative checkpointing performs only the checkpoints that matter",
+		ID:     "ablation-checkpoint",
+		Title:  "Ablation: risk-based vs periodic vs no checkpointing",
+		Paper:  "risk-based cooperative checkpointing performs only the checkpoints that matter",
+		Points: points,
 		Run: func(e *Env) ([]*table.Table, error) {
-			var specs []PointSpec
-			for _, v := range []string{"", "periodic", "no-checkpoint"} {
-				specs = append(specs, PointSpec{Log: "SDSC", A: 0.5, U: 0.5, Variant: v})
-			}
-			if err := e.Prefetch(specs); err != nil {
+			rs, err := e.reports(points)
+			if err != nil {
 				return nil, err
 			}
 			t := table.New("Ablation: checkpoint policy, SDSC log, a=0.5, U=0.5",
 				"Policy", "QoS", "Utilization", "Lost work", "Checkpoints done", "Skipped")
-			for _, v := range []string{"", "periodic", "no-checkpoint"} {
-				r, err := e.Point("SDSC", 0.5, 0.5, v)
-				if err != nil {
-					return nil, err
-				}
-				name := v
+			for i, r := range rs {
+				name := points[i].Variant
 				if name == "" {
 					name = "risk-based"
 				}
@@ -439,90 +409,58 @@ func ablationBaseRate() Experiment {
 }
 
 func ablationHorizon() Experiment {
+	horizons := map[string]string{
+		"":            "static (paper)",
+		"horizon-48h": "48h half-life",
+		"horizon-6h":  "6h half-life",
+	}
+	var points []PointSpec
+	for _, v := range []string{"", "horizon-48h", "horizon-6h"} {
+		points = append(points,
+			PointSpec{Log: "SDSC", A: 1, U: 0.9, Variant: v},
+			PointSpec{Log: "SDSC", A: 0.5, U: 0.5, Variant: v})
+	}
 	return Experiment{
-		ID:    "ablation-horizon",
-		Title: "Ablation: prediction horizon (accuracy decays with forecast distance)",
-		Paper: "§3.3: in practice, predictions are less accurate as they stretch further into the future; the paper's simulator idealizes this away",
+		ID:     "ablation-horizon",
+		Title:  "Ablation: prediction horizon (accuracy decays with forecast distance)",
+		Paper:  "§3.3: in practice, predictions are less accurate as they stretch further into the future; the paper's simulator idealizes this away",
+		Points: points,
 		Run: func(e *Env) ([]*table.Table, error) {
-			horizons := []struct{ variant, label string }{
-				{variant: "", label: "static (paper)"},
-				{variant: "horizon-48h", label: "48h half-life"},
-				{variant: "horizon-6h", label: "6h half-life"},
-			}
-			var specs []PointSpec
-			for _, h := range horizons {
-				specs = append(specs,
-					PointSpec{Log: "SDSC", A: 1, U: 0.9, Variant: h.variant},
-					PointSpec{Log: "SDSC", A: 0.5, U: 0.5, Variant: h.variant})
-			}
-			if err := e.Prefetch(specs); err != nil {
+			rs, err := e.reports(points)
+			if err != nil {
 				return nil, err
 			}
 			t := table.New("Ablation: prediction horizon, SDSC log",
 				"Horizon", "a", "U", "QoS", "Utilization", "Lost work")
-			for _, h := range horizons {
-				for _, p := range []struct{ a, u float64 }{{1, 0.9}, {0.5, 0.5}} {
-					r, err := e.Point("SDSC", p.a, p.u, h.variant)
-					if err != nil {
-						return nil, err
-					}
-					t.Add(h.label, table.Float(p.a, 1), table.Float(p.u, 1),
-						table.Float(r.QoS, 4), table.Float(r.Utilization, 4),
-						table.Sci(r.LostWork.NodeSeconds()))
-				}
+			for i, p := range points {
+				t.Add(horizons[p.Variant], table.Float(p.A, 1), table.Float(p.U, 1),
+					table.Float(rs[i].QoS, 4), table.Float(rs[i].Utilization, 4),
+					table.Sci(rs[i].LostWork.NodeSeconds()))
 			}
 			return []*table.Table{t}, nil
 		},
 	}
 }
 
-// runCustom executes one simulation outside the (a, U, variant) point cache
-// for experiments that vary other configuration dimensions.
-func runCustom(e *Env, logName string, a, u float64, mutate func(*sim.Config)) (metrics.Report, error) {
-	log, err := e.Log(logName)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	tr, err := e.Trace()
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	cfg := sim.DefaultConfig(log, tr)
-	cfg.Accuracy = a
-	cfg.UserRisk = u
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	release := e.acquireSim()
-	res, err := simRun(cfg)
-	release()
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	return metrics.Compute(res), nil
-}
-
 func sweepCheckpointParams() Experiment {
+	points := make([]PointSpec, len(checkpointGrid))
+	for i, p := range checkpointGrid {
+		points[i] = PointSpec{Log: "SDSC", A: 0.5, U: 0.5, Variant: checkpointVariant(p)}
+	}
 	return Experiment{
-		ID:    "sweep-checkpoint",
-		Title: "Sweep: checkpoint interval I and overhead C around the Table 2 point",
-		Paper: "Table 2 fixes I=3600 s, C=720 s; the companion periodic-checkpointing study (Oliner et al., IPDPS 2005 workshop) motivates the sensitivity question",
+		ID:     "sweep-checkpoint",
+		Title:  "Sweep: checkpoint interval I and overhead C around the Table 2 point",
+		Paper:  "Table 2 fixes I=3600 s, C=720 s; the companion periodic-checkpointing study (Oliner et al., IPDPS 2005 workshop) motivates the sensitivity question",
+		Points: points,
 		Run: func(e *Env) ([]*table.Table, error) {
+			rs, err := e.reports(points)
+			if err != nil {
+				return nil, err
+			}
 			t := table.New("Sweep: checkpoint parameters, SDSC log, a=0.5, U=0.5",
 				"I (s)", "C (s)", "QoS", "Utilization", "Lost work", "Ckpts done")
-			for _, params := range []checkpoint.Params{
-				{Interval: 1800, Overhead: 720},
-				{Interval: 3600, Overhead: 360},
-				{Interval: 3600, Overhead: 720}, // Table 2
-				{Interval: 3600, Overhead: 1440},
-				{Interval: 7200, Overhead: 720},
-				{Interval: 14400, Overhead: 720},
-			} {
-				params := params
-				r, err := runCustom(e, "SDSC", 0.5, 0.5, func(c *sim.Config) { c.Checkpoint = params })
-				if err != nil {
-					return nil, err
-				}
+			for i, params := range checkpointGrid {
+				r := rs[i]
 				t.Add(
 					fmt.Sprintf("%d", int64(params.Interval)),
 					fmt.Sprintf("%d", int64(params.Overhead)),
@@ -536,38 +474,28 @@ func sweepCheckpointParams() Experiment {
 }
 
 func sweepClusterSize() Experiment {
+	points := make([]PointSpec, len(clusterSizes))
+	for i, n := range clusterSizes {
+		points[i] = PointSpec{Log: "SDSC", A: 0.7, U: 0.5, Variant: clusterVariant(n)}
+	}
 	return Experiment{
-		ID:    "sweep-clustersize",
-		Title: "Sweep: cluster size N with proportional workload and failure rate",
-		Paper: "beyond the paper (capacity planning): the paper fixes N=128",
+		ID:     "sweep-clustersize",
+		Title:  "Sweep: cluster size N with proportional workload and failure rate",
+		Paper:  "beyond the paper (capacity planning): the paper fixes N=128",
+		Points: points,
 		Run: func(e *Env) ([]*table.Table, error) {
+			rs, err := e.reports(points)
+			if err != nil {
+				return nil, err
+			}
 			t := table.New("Sweep: cluster size, SDSC-regime workload, a=0.7, U=0.5",
 				"N (nodes)", "Failures", "QoS", "Utilization", "Lost work")
-			jobs := e.JobCount
-			if jobs == 0 {
-				jobs = 10000
-			}
-			for _, n := range []int{64, 128, 256} {
-				log := workload.GenerateSDSC(workload.GenConfig{
-					Jobs: jobs, Seed: e.Seed, ClusterNodes: n,
-				})
-				// Hold the per-node failure rate constant: episodes scale
-				// with the node count.
-				tr, err := failure.GenerateTrace(failure.RawConfig{
-					Nodes: n, Seed: e.Seed, Episodes: 1021 * n / 128,
-				}, failure.FilterConfig{Seed: e.Seed})
+			for i, n := range clusterSizes {
+				tr, err := e.clusterTrace(n)
 				if err != nil {
 					return nil, err
 				}
-				cfg := sim.DefaultConfig(log, tr)
-				cfg.Nodes = n
-				cfg.Accuracy = 0.7
-				cfg.UserRisk = 0.5
-				res, err := sim.Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				r := metrics.Compute(res)
+				r := rs[i]
 				t.Add(fmt.Sprintf("%d", n), fmt.Sprintf("%d", tr.Len()),
 					table.Float(r.QoS, 4), table.Float(r.Utilization, 4),
 					table.Sci(r.LostWork.NodeSeconds()))
@@ -585,34 +513,26 @@ func ablationEstimates() Experiment {
 }
 
 func ablationMonitor() Experiment {
+	labels := []string{"oracle a=0.7", "health monitor", "no forecasting"}
+	points := []PointSpec{
+		{Log: "SDSC", A: 0.7, U: 0.5},
+		{Log: "SDSC", A: 0, U: 0.5, Variant: "monitor-predictor"},
+		{Log: "SDSC", A: 0, U: 0.5},
+	}
 	return Experiment{
-		ID:    "ablation-monitor",
-		Title: "Ablation: idealized trace predictor vs working health monitor",
-		Paper: "§3.1/§3.2 describe the real mechanism (time-series + event-correlation models, ~70% detection, negligible false positives); the paper's sweeps idealize it as the px<=a oracle",
+		ID:     "ablation-monitor",
+		Title:  "Ablation: idealized trace predictor vs working health monitor",
+		Paper:  "§3.1/§3.2 describe the real mechanism (time-series + event-correlation models, ~70% detection, negligible false positives); the paper's sweeps idealize it as the px<=a oracle",
+		Points: points,
 		Run: func(e *Env) ([]*table.Table, error) {
-			predictors := []struct {
-				variant, label string
-				a              float64
-			}{
-				{variant: "", label: "oracle a=0.7", a: 0.7},
-				{variant: "monitor-predictor", label: "health monitor", a: 0},
-				{variant: "", label: "no forecasting", a: 0},
-			}
-			var specs []PointSpec
-			for _, p := range predictors {
-				specs = append(specs, PointSpec{Log: "SDSC", A: p.a, U: 0.5, Variant: p.variant})
-			}
-			if err := e.Prefetch(specs); err != nil {
+			rs, err := e.reports(points)
+			if err != nil {
 				return nil, err
 			}
 			t := table.New("Ablation: predictor realism, SDSC log, U=0.5",
 				"Predictor", "QoS", "Utilization", "Lost work", "Job failures")
-			for _, p := range predictors {
-				r, err := e.Point("SDSC", p.a, 0.5, p.variant)
-				if err != nil {
-					return nil, err
-				}
-				t.Add(p.label, table.Float(r.QoS, 4), table.Float(r.Utilization, 4),
+			for i, r := range rs {
+				t.Add(labels[i], table.Float(r.QoS, 4), table.Float(r.Utilization, 4),
 					table.Sci(r.LostWork.NodeSeconds()), fmt.Sprintf("%d", r.JobFailures))
 			}
 			return []*table.Table{t}, nil
@@ -621,37 +541,34 @@ func ablationMonitor() Experiment {
 }
 
 func ablationFailureModel() Experiment {
+	models := map[string]string{
+		"":                 "trace-driven",
+		"weibull-failures": "weibull model",
+		"poisson-failures": "poisson model",
+	}
+	var points []PointSpec
+	for _, v := range []string{"", "weibull-failures", "poisson-failures"} {
+		for _, a := range []float64{0, 0.5, 1} {
+			points = append(points, PointSpec{Log: "SDSC", A: a, U: 0.5, Variant: v})
+		}
+	}
 	return Experiment{
-		ID:    "ablation-failuremodel",
-		Title: "Ablation: trace-driven failures vs stochastic models (Poisson, Weibull)",
-		Paper: "§5.1: typical statistical failure models are poor indicators of actual system behavior; a stochastic model is suggested follow-up work",
+		ID:     "ablation-failuremodel",
+		Title:  "Ablation: trace-driven failures vs stochastic models (Poisson, Weibull)",
+		Paper:  "§5.1: typical statistical failure models are poor indicators of actual system behavior; a stochastic model is suggested follow-up work",
+		Points: points,
 		Run: func(e *Env) ([]*table.Table, error) {
-			models := []struct{ variant, label string }{
-				{variant: "", label: "trace-driven"},
-				{variant: "weibull-failures", label: "weibull model"},
-				{variant: "poisson-failures", label: "poisson model"},
-			}
-			var specs []PointSpec
-			for _, m := range models {
-				for _, a := range []float64{0, 0.5, 1} {
-					specs = append(specs, PointSpec{Log: "SDSC", A: a, U: 0.5, Variant: m.variant})
-				}
-			}
-			if err := e.Prefetch(specs); err != nil {
+			rs, err := e.reports(points)
+			if err != nil {
 				return nil, err
 			}
 			t := table.New("Ablation: failure model, SDSC log, U=0.5 (equal mean failure rate)",
 				"Failure model", "a", "QoS", "Utilization", "Lost work", "Job failures")
-			for _, m := range models {
-				for _, a := range []float64{0, 0.5, 1} {
-					r, err := e.Point("SDSC", a, 0.5, m.variant)
-					if err != nil {
-						return nil, err
-					}
-					t.Add(m.label, table.Float(a, 1),
-						table.Float(r.QoS, 4), table.Float(r.Utilization, 4),
-						table.Sci(r.LostWork.NodeSeconds()), fmt.Sprintf("%d", r.JobFailures))
-				}
+			for i, p := range points {
+				r := rs[i]
+				t.Add(models[p.Variant], table.Float(p.A, 1),
+					table.Float(r.QoS, 4), table.Float(r.Utilization, 4),
+					table.Sci(r.LostWork.NodeSeconds()), fmt.Sprintf("%d", r.JobFailures))
 			}
 			return []*table.Table{t}, nil
 		},

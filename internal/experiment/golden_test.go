@@ -58,17 +58,21 @@ func TestGoldenCorpus(t *testing.T) {
 	for _, exp := range All() {
 		byID[exp.ID] = exp
 	}
+	var exps []Experiment
 	for _, id := range goldenExperiments {
 		exp, ok := byID[id]
 		if !ok {
 			t.Fatalf("golden experiment %q is not registered", id)
 		}
+		exps = append(exps, exp)
+	}
+	for _, res := range RunAll(e, exps) {
+		id := res.Exp.ID
 		t.Run(id, func(t *testing.T) {
-			tables, err := exp.Run(e)
-			if err != nil {
-				t.Fatal(err)
+			if res.Err != nil {
+				t.Fatal(res.Err)
 			}
-			got := goldenFile{ID: id, JobCount: goldenJobCount, Seed: goldenSeed, Tables: tables}
+			got := goldenFile{ID: id, JobCount: goldenJobCount, Seed: goldenSeed, Tables: res.Tables}
 			path := filepath.Join("testdata", "golden", id+".json")
 			if *updateGolden {
 				writeGolden(t, path, got)

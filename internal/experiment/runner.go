@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"sync"
-
 	"probqos/internal/table"
 )
 
@@ -13,48 +11,34 @@ type RunResult struct {
 	Err    error
 }
 
-// RunAll executes the experiments across a pool of workers sharing one Env
-// and returns their results indexed like the input. Experiments overlap
-// freely: the Env memoizes and single-flights every simulation point, so
-// shared (log, a, U) points are still computed exactly once, and the Env's
-// simulation semaphore bounds the machine-wide concurrency even though each
-// experiment also parallelizes internally (Prefetch).
+// RunAll computes the distinct points the experiments declare, once each,
+// on one pool of env.Workers goroutines, then runs every experiment in
+// input order over the warm cache and returns their results indexed like
+// the input.
 //
 // Determinism: every table is a pure function of memoized point results,
-// which are themselves deterministic per point key, so the returned tables
-// are identical whatever the worker count or completion order — rendering
-// results in input order reproduces the serial output byte for byte.
+// which are themselves deterministic per point, so the returned tables are
+// identical whatever the worker count or completion order.
 //
 // An experiment's error does not stop the others (their points are often
 // shared, and results report per-experiment); callers that want serial
 // error semantics stop at the first Err in input order.
-func RunAll(env *Env, exps []Experiment, workers int) []RunResult {
-	if workers <= 0 {
-		workers = env.workers()
-	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	results := make([]RunResult, len(exps))
-	if len(exps) == 0 {
-		return results
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				tables, err := exps[i].Run(env)
-				results[i] = RunResult{Exp: exps[i], Tables: tables, Err: err}
+func RunAll(env *Env, exps []Experiment) []RunResult {
+	seen := make(map[PointSpec]bool)
+	var specs []PointSpec
+	for _, exp := range exps {
+		for _, p := range exp.Points {
+			if !seen[p] {
+				seen[p] = true
+				specs = append(specs, p)
 			}
-		}()
+		}
 	}
-	for i := range exps {
-		idx <- i
+	env.computeAll(specs)
+	results := make([]RunResult, len(exps))
+	for i, exp := range exps {
+		tables, err := exp.Run(env)
+		results[i] = RunResult{Exp: exp, Tables: tables, Err: err}
 	}
-	close(idx)
-	wg.Wait()
 	return results
 }

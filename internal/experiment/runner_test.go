@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"probqos/internal/metrics"
 	"probqos/internal/table"
 )
 
@@ -34,8 +37,8 @@ func renderResults(t *testing.T, results []RunResult) []byte {
 // TestRunAllByteIdenticalToSerial is the tentpole determinism gate: the same
 // experiments through RunAll at one worker and at NumCPU workers (each from a
 // fresh Env, so every memo is rebuilt under a different interleaving) must
-// render byte-identically. Run it under -race to also exercise the worker
-// pool, the Env singleflight, and the simulation semaphore for data races.
+// render byte-identically. Run it under -race to also exercise the point
+// pool and the Env's memo cells for data races.
 func TestRunAllByteIdenticalToSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden scenario recomputation is not short")
@@ -60,7 +63,7 @@ func TestRunAllByteIdenticalToSerial(t *testing.T) {
 		e.JobCount = goldenJobCount
 		e.Seed = goldenSeed
 		e.Workers = workers
-		return renderResults(t, RunAll(e, exps, workers))
+		return renderResults(t, RunAll(e, exps))
 	}
 	serial := run(1)
 	parallel := run(max(4, runtime.NumCPU()))
@@ -86,7 +89,7 @@ func TestRunAllOrderAndErrors(t *testing.T) {
 		mk("failing", nil, boom),
 		mk("last", okTable, nil),
 	}
-	results := RunAll(NewEnv(), exps, 3)
+	results := RunAll(NewEnv(), exps)
 	if len(results) != len(exps) {
 		t.Fatalf("got %d results, want %d", len(results), len(exps))
 	}
@@ -106,9 +109,76 @@ func TestRunAllOrderAndErrors(t *testing.T) {
 	}
 }
 
+// TestRunAllComputesEachDeclaredPointOnce runs overlapping experiments: the
+// simulator runs once per distinct declared point, and Progress reports the
+// total from its first call and ends at total/total without going back.
+func TestRunAllComputesEachDeclaredPointOnce(t *testing.T) {
+	var calls atomic.Int32
+	stubSimRun(t, &calls, time.Millisecond)
+	shared := PointSpec{Log: "NASA", A: 0.5, U: 0.5}
+	mk := func(id string, points ...PointSpec) Experiment {
+		return Experiment{ID: id, Points: points, Run: func(e *Env) ([]*table.Table, error) {
+			_, err := e.reports(points)
+			return nil, err
+		}}
+	}
+	exps := []Experiment{
+		mk("a", shared, PointSpec{Log: "NASA", A: 1, U: 0.5}),
+		mk("b", shared, shared, PointSpec{Log: "NASA", A: 0.5, U: 0.5, Variant: "no-skip"}),
+		mk("c", shared),
+	}
+	e := testEnv()
+	e.Workers = 3
+	var progress [][2]int
+	e.Progress = func(done, total int) { progress = append(progress, [2]int{done, total}) }
+	for _, res := range RunAll(e, exps) {
+		if res.Err != nil {
+			t.Fatalf("%s: %v", res.Exp.ID, res.Err)
+		}
+	}
+	if n := calls.Load(); n != 3 {
+		t.Errorf("sim ran %d times for 3 distinct declared points, want 3", n)
+	}
+	if len(progress) != 4 {
+		t.Fatalf("Progress called %d times, want 4 (start + one per point): %v", len(progress), progress)
+	}
+	for i, p := range progress {
+		if p != [2]int{i, 3} {
+			t.Errorf("Progress call %d = %v, want [%d 3]", i, p, i)
+		}
+	}
+}
+
+// TestRunDeclaresEveryPoint runs each registered experiment alone through
+// RunAll with the simulator stubbed: once the parallel phase is over, Run
+// must not trigger a single further simulation. A point Run reads without
+// declaring it would otherwise run serially and silently slow the sweep.
+func TestRunDeclaresEveryPoint(t *testing.T) {
+	var calls atomic.Int32
+	stubSimRun(t, &calls, 0)
+	e := testEnv()
+	for _, exp := range All() {
+		// Only the points start empty for each experiment; the generated
+		// logs and traces are shared.
+		e.points = make(map[PointSpec]*memo[metrics.Report])
+		run := exp.Run
+		exp.Run = func(e *Env) ([]*table.Table, error) {
+			before := calls.Load()
+			tables, err := run(e)
+			if n := calls.Load() - before; n != 0 {
+				t.Errorf("%s: Run simulated %d undeclared points", exp.ID, n)
+			}
+			return tables, err
+		}
+		if res := RunAll(e, []Experiment{exp})[0]; res.Err != nil {
+			t.Errorf("%s: %v", exp.ID, res.Err)
+		}
+	}
+}
+
 // TestRunAllEmpty pins the edge: no experiments, no goroutines, no panic.
 func TestRunAllEmpty(t *testing.T) {
-	if got := RunAll(NewEnv(), nil, 0); len(got) != 0 {
+	if got := RunAll(NewEnv(), nil); len(got) != 0 {
 		t.Fatalf("RunAll(nil) = %v, want empty", got)
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // stubSimRun replaces the simulator with a counter that holds every call
-// long enough that concurrent requests for the same point overlap unless a
-// singleflight layer dedupes them.
+// long enough that concurrent requests for the same point overlap unless
+// the point's memo cell dedupes them.
 func stubSimRun(t *testing.T, calls *atomic.Int32, hold time.Duration) {
 	t.Helper()
 	old := simRun
@@ -24,10 +24,9 @@ func stubSimRun(t *testing.T, calls *atomic.Int32, hold time.Duration) {
 	t.Cleanup(func() { simRun = old })
 }
 
-// TestConcurrentPointsRunSimulationOnce pins the singleflight contract:
-// many concurrent Point calls for one key run the simulation once, everyone
-// gets the shared result, and the progress tally counts the point once —
-// not once per caller.
+// TestConcurrentPointsRunSimulationOnce pins the memo-cell contract: many
+// concurrent Point calls for one key run the simulation once, and everyone
+// gets the shared result.
 func TestConcurrentPointsRunSimulationOnce(t *testing.T) {
 	var calls atomic.Int32
 	stubSimRun(t, &calls, 50*time.Millisecond)
@@ -54,48 +53,6 @@ func TestConcurrentPointsRunSimulationOnce(t *testing.T) {
 	}
 	if n := calls.Load(); n != 1 {
 		t.Errorf("sim ran %d times for one point under %d concurrent callers, want 1", n, callers)
-	}
-	e.mu.Lock()
-	doneN, queued := e.progressDone, e.progressQueued
-	e.mu.Unlock()
-	if doneN != 1 || queued != 1 {
-		t.Errorf("progress done=%d queued=%d, want 1/1 (the shared point counted once)", doneN, queued)
-	}
-}
-
-// TestPointJoinsPrefetchInFlight overlaps Point and Prefetch requests for
-// the same grid: each distinct key must be simulated exactly once no matter
-// which caller gets there first.
-func TestPointJoinsPrefetchInFlight(t *testing.T) {
-	var calls atomic.Int32
-	stubSimRun(t, &calls, 50*time.Millisecond)
-	e := testEnv()
-	e.Workers = 2
-
-	specs := []PointSpec{
-		{Log: "SDSC", A: 0.3, U: 0.5},
-		{Log: "SDSC", A: 0.7, U: 0.5},
-	}
-	var wg sync.WaitGroup
-	wg.Add(3)
-	errs := make([]error, 3)
-	go func() { defer wg.Done(); errs[0] = e.Prefetch(specs) }()
-	go func() { defer wg.Done(); errs[1] = e.Prefetch(specs) }()
-	go func() { defer wg.Done(); _, errs[2] = e.Point("SDSC", 0.3, 0.5, "") }()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-	}
-	if n := calls.Load(); n != 2 {
-		t.Errorf("sim ran %d times for two distinct points, want 2", n)
-	}
-	e.mu.Lock()
-	doneN, queued := e.progressDone, e.progressQueued
-	e.mu.Unlock()
-	if doneN != 2 || queued != 2 {
-		t.Errorf("progress done=%d queued=%d, want 2/2", doneN, queued)
 	}
 }
 

@@ -45,6 +45,3 @@ func (s *Store) Get(obj types.Object, ns string) (any, bool) {
 	f, ok := s.m[obj][ns]
 	return f, ok
 }
-
-// Len reports the number of objects carrying at least one fact.
-func (s *Store) Len() int { return len(s.m) }

@@ -40,8 +40,8 @@ func TestSetReplaces(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("Get = %v, want 2", got)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if len(s.m) != 1 {
+		t.Fatalf("store holds %d objects, want 1", len(s.m))
 	}
 }
 

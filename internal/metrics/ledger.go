@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 
+	"probqos/internal/sim"
 	"probqos/internal/stats"
 	"probqos/internal/units"
 )
@@ -126,11 +127,25 @@ func (l *Ledger) Admit(jobID int, sessionID string, promised float64, deadline, 
 	l.open = append(l.open, len(l.entries)-1)
 }
 
-// Settle scans the open promises in admit order and asks judge for each
+// Settle settles every open promise whose job reached a terminal state in
+// eng, at eng's clock. JobCompleted is a kept promise; any other terminal
+// state — JobMissed is sticky from the instant the deadline passes unmet —
+// is a broken one. The engine already knows every outcome; the ledger only
+// records them.
+func (l *Ledger) Settle(eng *sim.Engine) {
+	l.settleBy(eng.Now(), func(jobID int) (kept, terminal bool) {
+		st, ok := eng.Job(jobID)
+		if !ok {
+			return false, false
+		}
+		return st.State == sim.JobCompleted, st.State.Terminal()
+	})
+}
+
+// settleBy scans the open promises in admit order and asks judge for each
 // job's disposition; terminal ones are settled at the given virtual
-// instant. The judge runs against the engine, which already knows every
-// outcome — the ledger only records them.
-func (l *Ledger) Settle(now units.Time, judge func(jobID int) (kept, terminal bool)) {
+// instant.
+func (l *Ledger) settleBy(now units.Time, judge func(jobID int) (kept, terminal bool)) {
 	still := l.open[:0]
 	for _, idx := range l.open {
 		kept, terminal := judge(l.entries[idx].JobID)

@@ -12,7 +12,7 @@ import (
 // settleAll marks every open promise terminal with the given outcomes by
 // job ID (absent IDs stay open).
 func settleAll(l *Ledger, now units.Time, kept map[int]bool) {
-	l.Settle(now, func(jobID int) (bool, bool) {
+	l.settleBy(now, func(jobID int) (bool, bool) {
 		k, terminal := kept[jobID]
 		return k, terminal
 	})

@@ -105,7 +105,7 @@ func (r *Runner) Step() error {
 		if err := r.eng.Drain(); err != nil {
 			return fmt.Errorf("scenario %s: drain: %w", r.scn.Name, err)
 		}
-		r.settle()
+		r.ledger.Settle(r.eng)
 		return nil
 	}
 	ev := r.scn.Events[i]
@@ -115,7 +115,7 @@ func (r *Runner) Step() error {
 	if err := r.eng.AdvanceTo(at); err != nil {
 		return fmt.Errorf("scenario %s: events[%d]: %w", r.scn.Name, i, err)
 	}
-	r.settle()
+	r.ledger.Settle(r.eng)
 	switch ev.Action {
 	case ActionArrivalBurst:
 		if err := r.burst(i, ev); err != nil {
@@ -148,7 +148,7 @@ func (r *Runner) Step() error {
 		if err := r.eng.Drain(); err != nil {
 			return fmt.Errorf("scenario %s: events[%d]: drain: %w", r.scn.Name, i, err)
 		}
-		r.settle()
+		r.ledger.Settle(r.eng)
 	}
 	return nil
 }
@@ -178,7 +178,7 @@ func (r *Runner) burst(i int, ev Event) error {
 		if err := r.eng.AdvanceTo(arriveAt.Max(r.eng.Now())); err != nil {
 			return fmt.Errorf("scenario %s: events[%d] job %d: %w", r.scn.Name, i, k, err)
 		}
-		r.settle()
+		r.ledger.Settle(r.eng)
 		r.submitted++
 		quotes := r.eng.Quotes(nodes, exec, maxQuoteOffers)
 		admitted := false
@@ -200,18 +200,6 @@ func (r *Runner) burst(i int, ev Event) error {
 		}
 	}
 	return nil
-}
-
-// settle resolves every open promise whose job reached a terminal state.
-func (r *Runner) settle() {
-	now := r.eng.Now()
-	r.ledger.Settle(now, func(jobID int) (kept, terminal bool) {
-		js, ok := r.eng.Job(jobID)
-		if !ok {
-			return false, false
-		}
-		return js.State == sim.JobCompleted, js.State.Terminal()
-	})
 }
 
 // Run executes every remaining step and returns the final report.

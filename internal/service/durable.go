@@ -116,21 +116,8 @@ func (m *machine) applyAdvance(to units.Time) error {
 		return err
 	}
 	m.book.Sweep(m.eng.Now())
-	m.settlePromises()
+	m.ledger.Settle(m.eng)
 	return nil
-}
-
-// settlePromises asks the engine for the disposition of every open ledger
-// entry. JobCompleted is a kept promise; JobMissed — sticky from the
-// instant the deadline passes unmet — is a broken one.
-func (m *machine) settlePromises() {
-	m.ledger.Settle(m.eng.Now(), func(jobID int) (kept, terminal bool) {
-		st, ok := m.eng.Job(jobID)
-		if !ok {
-			return false, false
-		}
-		return st.State == sim.JobCompleted, st.State.Terminal()
-	})
 }
 
 // applyAdmit consumes the session (if any still exists), burns the job ID,

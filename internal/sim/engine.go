@@ -73,14 +73,7 @@ func (s *Engine) Admit(job workload.Job, q negotiate.Quote, offers int) error {
 	}
 	js := &jobState{job: job}
 	s.jobs[job.ID] = js
-	js.deadline = q.Deadline
-	js.promised = q.Success
-	js.rec.Quotes = offers
-	s.queueDepth++
-	s.promiseSum += q.Success
-	s.promisedJobs++
-	s.push(event{time: q.Candidate.Start, kind: KindStart, jobID: job.ID, epoch: js.epoch})
-	s.decide(Decision{Kind: DecisionReserve, JobID: job.ID, Deadline: q.Deadline, Promise: q.Success})
+	s.commit(js, q, offers)
 	jc, qc := job, q
 	s.record(Op{Kind: OpAdmit, Job: &jc, Quote: &qc, Offers: offers})
 	return nil

@@ -344,15 +344,23 @@ func (s *Engine) onArrival(ev *event) error {
 	if err != nil {
 		return fmt.Errorf("sim: job %d: %w", js.job.ID, err)
 	}
-	s.decide(Decision{Kind: DecisionReserve, JobID: js.job.ID, Deadline: quote.Deadline, Promise: quote.Success})
-	js.deadline = quote.Deadline
-	js.promised = quote.Success
+	s.commit(js, quote, offers)
+	return nil
+}
+
+// commit files the promise of a reserved quote on its job — the one path
+// for workload arrivals and admitted jobs alike: the deadline and promised
+// probability, the dialog length, the queue and promise counters, the
+// start event, and the Reserve decision.
+func (s *Engine) commit(js *jobState, q negotiate.Quote, offers int) {
+	js.deadline = q.Deadline
+	js.promised = q.Success
 	js.rec.Quotes = offers
 	s.queueDepth++
-	s.promiseSum += quote.Success
+	s.promiseSum += q.Success
 	s.promisedJobs++
-	s.push(event{time: quote.Candidate.Start, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
-	return nil
+	s.push(event{time: q.Candidate.Start, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
+	s.decide(Decision{Kind: DecisionReserve, JobID: js.job.ID, Deadline: q.Deadline, Promise: q.Success})
 }
 
 func (s *Engine) onStart(ev *event) error {
