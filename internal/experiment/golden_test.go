@@ -17,17 +17,22 @@ import (
 var updateGolden = flag.Bool("update", false, "regenerate the golden corpus under testdata/golden")
 
 // goldenJobCount and goldenSeed pin the corpus scale: large enough that
-// the headline effects show, small enough that regenerating all four
-// snapshots stays in test-suite territory.
+// the headline effects show, small enough that regenerating every
+// snapshot stays in test-suite territory.
 const (
 	goldenJobCount = 400
 	goldenSeed     = 11
 )
 
 // goldenExperiments names the snapshots: the headline claim, both paper
-// tables, and one ablation, all sharing a single Env so the workload and
-// trace caches are reused across them.
-var goldenExperiments = []string{"headline", "table1", "table2", "ablation-checkpoint"}
+// tables, and the ablations that pin each predictor path (the checkpoint
+// rule, the health monitor, the decaying forecast horizon, and the
+// base-rate floor switched off), all sharing a single Env so the workload
+// and trace caches are reused across them.
+var goldenExperiments = []string{
+	"headline", "table1", "table2", "ablation-checkpoint",
+	"ablation-monitor", "ablation-horizon", "ablation-baserate",
+}
 
 // goldenFile is the on-disk snapshot of one experiment's output.
 type goldenFile struct {
