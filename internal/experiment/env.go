@@ -42,7 +42,7 @@ type Env struct {
 	Progress func(done, total int)
 
 	mu      sync.Mutex
-	logs    map[string]*memo[*workload.Log]
+	logs    map[logKey]*memo[*workload.Log]
 	traces  map[string]*memo[*failure.Trace]
 	monitor memo[*health.Monitor]
 	points  map[PointSpec]*memo[metrics.Report]
@@ -89,7 +89,7 @@ func memoOf[K comparable, T any](e *Env, m map[K]*memo[T], key K) *memo[T] {
 // NewEnv returns an Env at the paper's full scale.
 func NewEnv() *Env {
 	return &Env{
-		logs:   make(map[string]*memo[*workload.Log]),
+		logs:   make(map[logKey]*memo[*workload.Log]),
 		traces: make(map[string]*memo[*failure.Trace]),
 		points: make(map[PointSpec]*memo[metrics.Report]),
 	}
@@ -104,14 +104,26 @@ func (e *Env) workers() int {
 
 // Log returns the named synthetic workload, generating it on first use.
 func (e *Env) Log(name string) (*workload.Log, error) {
-	return e.genLog(name, name, workload.GenConfig{})
+	return e.genLog(name, workload.GenConfig{})
 }
 
-// genLog returns the memoized workload under key: the named log generated
-// at the Env's scale and seed with cfg's remaining fields.
-func (e *Env) genLog(key, name string, cfg workload.GenConfig) (*workload.Log, error) {
-	return memoOf(e, e.logs, key).get(func() (*workload.Log, error) {
-		cfg.Jobs, cfg.Seed = e.JobCount, e.Seed
+// logKey is a workload generator's full input, as workload.Resolve
+// returns it.
+type logKey struct {
+	name string
+	cfg  workload.GenConfig
+}
+
+// genLog returns the named log generated at the Env's scale and seed with
+// cfg's remaining fields. Logs are memoized by the resolved generator input,
+// so requests that differ only in spelling out a default share one log.
+func (e *Env) genLog(name string, cfg workload.GenConfig) (*workload.Log, error) {
+	cfg.Jobs, cfg.Seed = e.JobCount, e.Seed
+	name, cfg, err := workload.Resolve(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return memoOf(e, e.logs, logKey{name, cfg}).get(func() (*workload.Log, error) {
 		return workload.Generate(name, cfg)
 	})
 }
@@ -140,7 +152,7 @@ func (e *Env) Monitor() (*health.Monitor, error) {
 
 // inflatedLog returns the memoized estimate-inflated twin of a workload.
 func (e *Env) inflatedLog(name string) (*workload.Log, error) {
-	return e.genLog("inflated/"+name, name, workload.GenConfig{EstimateInflation: 0.8})
+	return e.genLog(name, workload.GenConfig{EstimateInflation: 0.8})
 }
 
 // stochasticTrace returns the memoized statistical-model trace for a
@@ -333,7 +345,7 @@ func (e *Env) inputs(p PointSpec) (*workload.Log, *failure.Trace, error) {
 	for _, n := range clusterSizes {
 		if p.Variant == clusterVariant(n) {
 			log = func() (*workload.Log, error) {
-				return e.genLog(p.Variant+"/"+p.Log, p.Log, workload.GenConfig{ClusterNodes: n})
+				return e.genLog(p.Log, workload.GenConfig{ClusterNodes: n})
 			}
 			trace = func() (*failure.Trace, error) { return e.clusterTrace(n) }
 		}

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"probqos/internal/metrics"
+	"probqos/internal/sim"
 	"probqos/internal/table"
+	"probqos/internal/workload"
 )
 
 // renderResults encodes RunAll output the way a caller would consume it:
@@ -146,6 +149,50 @@ func TestRunAllComputesEachDeclaredPointOnce(t *testing.T) {
 		if p != [2]int{i, 3} {
 			t.Errorf("Progress call %d = %v, want [%d 3]", i, p, i)
 		}
+	}
+}
+
+// TestDefaultClusterSizeSharesTheDefaultLog pins the log memo's key: the
+// nodes-128 cluster-size variant asks the generator for its default cluster
+// size, so it must replay the very SDSC log the full-system point replays
+// instead of generating the same workload a second time.
+func TestDefaultClusterSizeSharesTheDefaultLog(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		logs []*workload.Log // the log each simulation replayed
+	)
+	old := simRun
+	simRun = func(cfg sim.Config) (*sim.Result, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, cfg.Workload)
+		return &sim.Result{}, nil
+	}
+	t.Cleanup(func() { simRun = old })
+
+	def := PointSpec{Log: "SDSC", A: 0.5, U: 0.5}
+	exps := []Experiment{
+		{ID: "default-sdsc", Points: []PointSpec{def}, Run: func(e *Env) ([]*table.Table, error) {
+			_, err := e.reports([]PointSpec{def})
+			return nil, err
+		}},
+		sweepClusterSize(),
+	}
+	for _, res := range RunAll(testEnv(), exps) {
+		if res.Err != nil {
+			t.Fatalf("%s: %v", res.Exp.ID, res.Err)
+		}
+	}
+	if len(logs) != 1+len(clusterSizes) {
+		t.Fatalf("%d simulations, want %d", len(logs), 1+len(clusterSizes))
+	}
+	distinct := make(map[*workload.Log]bool)
+	for _, l := range logs {
+		distinct[l] = true
+	}
+	if len(distinct) != len(clusterSizes) {
+		t.Errorf("%d distinct logs generated for the default point and %d cluster sizes, want %d (the default size shared)",
+			len(distinct), len(clusterSizes), len(clusterSizes))
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 
 // Trace is a filtered failure trace over a fixed-size cluster: the input the
 // simulator and the predictor consume. Events are sorted by time; a node may
-// fail repeatedly.
+// fail repeatedly. A query about a node outside the cluster sees no
+// failures.
 type Trace struct {
 	events  []Event
 	nodes   int
@@ -146,31 +147,30 @@ func (t *Trace) Events() []Event {
 // At returns the i-th failure in time order.
 func (t *Trace) At(i int) Event { return t.events[i] }
 
+// noFailures is the index every query sees for a node outside the trace:
+// a node the trace does not cover has no recorded failures.
+var noFailures nodeIndex
+
+// index returns the query index of one node.
+func (t *Trace) index(node int) *nodeIndex {
+	if uint(node) >= uint(len(t.perNode)) {
+		return &noFailures
+	}
+	return &t.perNode[node]
+}
+
 // ScanNode calls fn for each failure of one node with Time in [from, to), in
 // ascending time order, stopping early if fn returns false. It is the
 // allocation-free single-node fast path under Scan: one binary search into
 // the per-node index, then a linear walk that needs no cursor slice and no
 // tournament merge.
 func (t *Trace) ScanNode(node int, from, to units.Time, fn func(Event) bool) {
-	ix := &t.perNode[node]
+	ix := t.index(node)
 	for i := ix.searchTime(from); i < len(ix.times) && ix.times[i] < to; i++ {
 		if !fn(t.events[ix.pos[i]]) {
 			return
 		}
 	}
-}
-
-// FirstDetectableOnNode returns the earliest failure of one node with Time
-// in [from, to) and Detectability <= maxDet. It answers from the per-node
-// segment tree in O(log k) without visiting the skipped events — the
-// scheduler's node-scoring query, which a linear walk pays for once per
-// undetectable event in the window.
-func (t *Trace) FirstDetectableOnNode(node int, from, to units.Time, maxDet float64) (Event, bool) {
-	i := t.firstDetectablePos(node, from, to, maxDet)
-	if i < 0 {
-		return Event{}, false
-	}
-	return t.events[i], true
 }
 
 // firstDetectablePos returns the trace index (position in t.events) of the
@@ -179,7 +179,7 @@ func (t *Trace) FirstDetectableOnNode(node int, from, to units.Time, maxDet floa
 // refines time order, so positions compare exactly like (time, insertion)
 // pairs — the property the batched queries below lean on.
 func (t *Trace) firstDetectablePos(node int, from, to units.Time, maxDet float64) int {
-	ix := &t.perNode[node]
+	ix := t.index(node)
 	lo := ix.searchTime(from)
 	if lo == len(ix.times) || ix.times[lo] >= to {
 		return -1 // empty window: the overwhelmingly common case
@@ -220,7 +220,7 @@ func (t *Trace) FirstDetectableOnNodes(nodes []int, from, to units.Time, maxDet 
 // (0 when the node has none) and returns the extended slice. It is the
 // scheduler's batched scoring query: all candidate nodes answered in one
 // call over the trace index, each through its O(log k) segment-tree
-// descent, instead of one FirstDetectableOnNode interface call per node.
+// descent, instead of one predictor call per node.
 func (t *Trace) AppendPFailBatch(dst []float64, nodes []int, from, to units.Time, maxDet float64) []float64 {
 	for _, n := range nodes {
 		var px float64
@@ -258,13 +258,13 @@ func (t *Trace) Scan(nodes []int, from, to units.Time, fn func(Event) bool) {
 	// cursor[i] is the next per-node index not yet yielded for nodes[i].
 	cursors := make([]int, len(nodes))
 	for i, n := range nodes {
-		cursors[i] = t.perNode[n].searchTime(from)
+		cursors[i] = t.index(n).searchTime(from)
 	}
 	for {
 		best := -1
 		var bestEvent Event
 		for i, n := range nodes {
-			idx := t.perNode[n].pos
+			idx := t.index(n).pos
 			if cursors[i] >= len(idx) {
 				continue
 			}
@@ -282,7 +282,7 @@ func (t *Trace) Scan(nodes []int, from, to units.Time, fn func(Event) bool) {
 			return
 		}
 		for i, n := range nodes {
-			pos := t.perNode[n].pos
+			pos := t.index(n).pos
 			if c := cursors[i]; c < len(pos) && pos[c] == best {
 				cursors[i]++
 			}

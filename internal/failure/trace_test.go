@@ -322,7 +322,8 @@ func TestFirstDetectableOnNodesMatchesScanProperty(t *testing.T) {
 
 // TestAppendPFailBatchMatchesPerNodeProperty pins the batched scoring query
 // to its serial definition: one AppendPFailBatch call must reproduce, per
-// node and in order, what FirstDetectableOnNode reports for that node alone.
+// node and in order, the detectability of the first event a ScanNode walk
+// of that node alone delivers under the same cut.
 func TestAppendPFailBatchMatchesPerNodeProperty(t *testing.T) {
 	f := func(raw []uint16, fromRaw, toRaw uint8, detRaw uint8) bool {
 		const nodes = 6
@@ -341,9 +342,13 @@ func TestAppendPFailBatchMatchesPerNodeProperty(t *testing.T) {
 		}
 		for i, n := range queried {
 			var want float64
-			if e, ok := tr.FirstDetectableOnNode(n, from, to, maxDet); ok {
-				want = e.Detectability
-			}
+			tr.ScanNode(n, from, to, func(e Event) bool {
+				if e.Detectability <= maxDet {
+					want = e.Detectability
+					return false
+				}
+				return true
+			})
 			if got[i] != want {
 				t.Logf("node %d: got %v want %v (from=%v to=%v maxDet=%v)", n, got[i], want, from, to, maxDet)
 				return false
@@ -353,6 +358,37 @@ func TestAppendPFailBatchMatchesPerNodeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNodeOutsideTraceHasNoFailures pins how every query treats a node the
+// trace does not cover: it has no failures, and it does not hide the
+// failures of the covered nodes queried with it.
+func TestNodeOutsideTraceHasNoFailures(t *testing.T) {
+	tr, err := NewTrace(4, []Event{
+		{Time: 10, Node: 0, Detectability: 0.2},
+		{Time: 20, Node: 3, Detectability: 0.4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{-1, 4, 100} {
+		tr.ScanNode(n, 0, 100, func(e Event) bool {
+			t.Errorf("ScanNode(%d) delivered %+v", n, e)
+			return true
+		})
+		if got := tr.Window([]int{n, 3}, 0, 100); len(got) != 1 || got[0].Node != 3 {
+			t.Errorf("Window(%d, 3) = %+v, want node 3's failure alone", n, got)
+		}
+		if e, ok := tr.FirstDetectableOnNodes([]int{n}, 0, 100, 1); ok {
+			t.Errorf("FirstDetectableOnNodes(%d) = %+v", n, e)
+		}
+		if e, ok := tr.FirstDetectableOnNodes([]int{n, 0}, 0, 100, 1); !ok || e.Node != 0 {
+			t.Errorf("FirstDetectableOnNodes(%d, 0) = %+v, %v; want node 0's failure", n, e, ok)
+		}
+		if got := tr.AppendPFailBatch(nil, []int{0, n}, 0, 100, 1); got[0] != 0.2 || got[1] != 0 {
+			t.Errorf("AppendPFailBatch(0, %d) = %v, want [0.2 0]", n, got)
+		}
 	}
 }
 

@@ -153,17 +153,18 @@ func (m *Monitor) PFail(nodes []int, from, to units.Time) float64 {
 	return m.decayRisk(1-survive, from, to)
 }
 
-// PFailNode implements predict.NodePredictor: the single-node estimate the
-// scheduler's scoring loop asks for, without the partition loop.
-func (m *Monitor) PFailNode(node int, from, to units.Time) float64 {
-	if to <= from {
-		return 0
+// AppendPFailNodes implements predict.Predictor: each node's single-node
+// estimate, what PFail returns for that node alone, without the partition
+// loop. A node outside the telemetry is risk-free.
+func (m *Monitor) AppendPFailNodes(dst []float64, nodes []int, from, to units.Time) []float64 {
+	for _, n := range nodes {
+		survive := 1.0
+		if to > from && n >= 0 && n < m.telemetry.Nodes() {
+			survive = 1 - m.nodeRisk(n, from)
+		}
+		dst = append(dst, m.decayRisk(1-survive, from, to))
 	}
-	survive := 1.0
-	if node >= 0 && node < m.telemetry.Nodes() {
-		survive = 1 - m.nodeRisk(node, from)
-	}
-	return m.decayRisk(1-survive, from, to)
+	return dst
 }
 
 // nodeRisk converts one node's hazard score into a capped probability.

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"math"
 
-	"probqos/internal/failure"
+	"probqos/internal/predict"
 	"probqos/internal/sched"
 	"probqos/internal/units"
 )
@@ -43,55 +43,29 @@ type Quote struct {
 	Success float64 `json:"success"`
 }
 
-// failureLocator is the optional predictor capability the negotiator uses
-// to propose the next deadline: "which failure made this quote risky?".
-// predict.Trace implements it; for predictors that do not, the negotiator
-// falls back to exponential deferral.
-type failureLocator interface {
-	FirstDetectable(nodes []int, from, to units.Time) (failure.Event, bool)
-}
-
-// Option configures a Negotiator.
-type Option interface{ apply(*Negotiator) }
-
-type optionFunc func(*Negotiator)
-
-func (f optionFunc) apply(n *Negotiator) { f(n) }
-
-// WithLocator provides the failure-locating predictor used to advance past
-// predicted failures when proposing later deadlines.
-func WithLocator(l interface {
-	FirstDetectable(nodes []int, from, to units.Time) (failure.Event, bool)
-}) Option {
-	return optionFunc(func(neg *Negotiator) { neg.locator = l })
-}
-
-// WithFailureSlack sets the slack added when stepping past a located
-// failure: the next proposed start is failure time + slack + 1, so the
-// restarting node is back up before the job begins. Wire it to the node
-// downtime (the scheduler's quote slack should match). Defaults to 0.
-func WithFailureSlack(d units.Duration) Option {
-	return optionFunc(func(neg *Negotiator) { neg.slack = d })
-}
-
 // maxQuotes bounds how many located-failure steps one quote walk takes
 // before switching to exponential deferral.
 const maxQuotes = 128
 
 // Negotiator runs the system side of the dialog against a scheduler.
 type Negotiator struct {
-	sched   *sched.Scheduler
-	locator failureLocator
-	slack   units.Duration
+	sched *sched.Scheduler
+	// locator is the scheduler's predictor when it locates failures, else
+	// nil: the walk then defers exponentially.
+	locator predict.Locator
+	// slack is the scheduler's quote slack (the node downtime in the
+	// simulator). Stepping past a located failure proposes the start
+	// failure time + slack + 1, so the restarting node is back up before
+	// the job begins, and the next quote's risk window starts past it.
+	slack units.Duration
 }
 
-// New creates a Negotiator over the scheduler.
-func New(s *sched.Scheduler, opts ...Option) *Negotiator {
-	n := &Negotiator{sched: s}
-	for _, o := range opts {
-		o.apply(n)
-	}
-	return n
+// New creates a Negotiator over the scheduler. It asks the scheduler's own
+// predictor where failures lie and steps past them by the scheduler's
+// quote slack, so the quotes and the walk share one forecast.
+func New(s *sched.Scheduler) *Negotiator {
+	l, _ := s.Predictor().(predict.Locator)
+	return &Negotiator{sched: s, locator: l, slack: s.QuoteSlack()}
 }
 
 // walk enumerates quotes for a request, earliest first, until yield returns

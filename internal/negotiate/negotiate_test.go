@@ -11,7 +11,7 @@ import (
 	"probqos/internal/units"
 )
 
-func newScheduler(t *testing.T, a float64, events ...failure.Event) (*sched.Scheduler, *predict.Trace) {
+func newScheduler(t *testing.T, a float64, events ...failure.Event) *sched.Scheduler {
 	t.Helper()
 	tr, err := failure.NewTrace(8, events)
 	if err != nil {
@@ -21,7 +21,7 @@ func newScheduler(t *testing.T, a float64, events ...failure.Event) (*sched.Sche
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sched.New(8, p), p
+	return sched.New(8, p)
 }
 
 func TestNewUserValidation(t *testing.T) {
@@ -43,8 +43,8 @@ func TestNewUserValidation(t *testing.T) {
 }
 
 func TestNegotiateFirstQuoteOnCleanCluster(t *testing.T) {
-	s, p := newScheduler(t, 1)
-	n := New(s, WithLocator(p))
+	s := newScheduler(t, 1)
+	n := New(s)
 	q, offers, err := n.Negotiate(100, 4, 500, User{U: 0.9})
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +64,8 @@ func TestNegotiateExtendsDeadlinePastPredictedFailure(t *testing.T) {
 	for node := 0; node < 8; node++ {
 		events = append(events, failure.Event{Time: 250, Node: node, Detectability: 0.5})
 	}
-	s, p := newScheduler(t, 1, events...)
-	n := New(s, WithLocator(p))
+	s := newScheduler(t, 1, events...)
+	n := New(s)
 
 	easy, offers, err := n.Negotiate(0, 8, 500, User{U: 0.1})
 	if err != nil {
@@ -102,8 +102,8 @@ func TestNegotiateLaterDeadlineHigherSuccessMonotonicity(t *testing.T) {
 	for node := 0; node < 8; node++ {
 		events = append(events, failure.Event{Time: 300, Node: node, Detectability: 0.7})
 	}
-	s, p := newScheduler(t, 1, events...)
-	n := New(s, WithLocator(p))
+	s := newScheduler(t, 1, events...)
+	n := New(s)
 	quotes := n.Quotes(0, 8, 600, 5)
 	if len(quotes) < 2 {
 		t.Fatalf("expected several quotes, got %d", len(quotes))
@@ -132,8 +132,8 @@ func TestNegotiateExponentialDeferral(t *testing.T) {
 			})
 		}
 	}
-	s, p := newScheduler(t, 1, events...)
-	n := New(s, WithLocator(p))
+	s := newScheduler(t, 1, events...)
+	n := New(s)
 	q, offered, err := n.Negotiate(0, 8, units.Duration(2*units.Day), User{U: 0.95})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestNegotiateExponentialDeferral(t *testing.T) {
 }
 
 func TestNegotiateInvalidRequest(t *testing.T) {
-	s, _ := newScheduler(t, 1)
+	s := newScheduler(t, 1)
 	n := New(s)
 	if _, _, err := n.Negotiate(0, 100, 500, User{U: 0}); err == nil {
 		t.Error("expected error for oversized job")
@@ -164,8 +164,8 @@ func TestInsensitivityWhenAccuracyBelowThreshold(t *testing.T) {
 	for node := 0; node < 8; node++ {
 		events = append(events, failure.Event{Time: 100, Node: node, Detectability: 0.45})
 	}
-	s, p := newScheduler(t, 0.5, events...)
-	n := New(s, WithLocator(p))
+	s := newScheduler(t, 0.5, events...)
+	n := New(s)
 	for _, u := range []float64{0, 0.2, 0.5} {
 		_, offers, err := n.Negotiate(0, 8, 400, User{U: u})
 		if err != nil {
@@ -198,7 +198,7 @@ func TestAcceptedPromiseAlwaysMeetsUProperty(t *testing.T) {
 			return false
 		}
 		s := sched.New(8, p)
-		n := New(s, WithLocator(p))
+		n := New(s)
 		sz := int(size)%8 + 1
 		dur := units.Duration(durRaw)/4 + 1
 		q, _, err := n.Negotiate(0, sz, dur, User{U: u})
@@ -214,8 +214,9 @@ func TestAcceptedPromiseAlwaysMeetsUProperty(t *testing.T) {
 
 func TestFailureSlackOption(t *testing.T) {
 	// A failure 60 s before the scheduler-offered start: without slack the
-	// quote ignores it; with slack, the negotiator steps past it for a
-	// strict user and the quoted window clears the restart.
+	// quote ignores it; with the scheduler's quote slack, the negotiator
+	// steps past it by the same slack for a strict user and the quoted
+	// window clears the restart.
 	events := []failure.Event{{Time: 940, Node: 0, Detectability: 0.5}}
 	tr, err := failure.NewTrace(1, events)
 	if err != nil {
@@ -226,7 +227,7 @@ func TestFailureSlackOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sched.New(1, p, sched.WithQuoteSlack(120))
-	n := New(s, WithLocator(p), WithFailureSlack(120))
+	n := New(s)
 	q, _, err := n.Negotiate(1000, 1, 500, User{U: 0.9})
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +240,10 @@ func TestFailureSlackOption(t *testing.T) {
 	}
 }
 
+// nonLocating hides its predictor's Locator: only the Predictor methods
+// are promoted from the embedded interface.
+type nonLocating struct{ predict.Predictor }
+
 func TestWalkWithoutLocatorFallsBackToDeferral(t *testing.T) {
 	// No locator: after the first risky quote the walk must still converge
 	// via exponential deferral.
@@ -246,8 +251,15 @@ func TestWalkWithoutLocatorFallsBackToDeferral(t *testing.T) {
 	for n := 0; n < 8; n++ {
 		events = append(events, failure.Event{Time: 250, Node: n, Detectability: 0.5})
 	}
-	s, _ := newScheduler(t, 1, events...)
-	n := New(s) // deliberately no locator
+	tr, err := failure.NewTrace(8, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := predict.NewTrace(tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(sched.New(8, nonLocating{p}))
 	q, offers, err := n.Negotiate(0, 8, 500, User{U: 0.9})
 	if err != nil {
 		t.Fatal(err)

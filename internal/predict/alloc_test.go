@@ -18,10 +18,10 @@ func testTrace(t *testing.T) *failure.Trace {
 }
 
 // TestSingleNodePFailAllocationFree pins the hot-loop contract: the
-// single-node risk query — both through PFailNode and through PFail with a
-// caller-owned one-element slice — must not allocate. The scheduler issues
-// it once per free node per candidate start, so one allocation here is
-// millions per sweep.
+// single-node risk query through PFail with a caller-owned one-element
+// slice, and the batched scoring query appending into a reused scratch
+// slice, must not allocate. The scheduler scores every free node at every
+// candidate start, so one allocation here is millions per sweep.
 func TestSingleNodePFailAllocationFree(t *testing.T) {
 	tr := testTrace(t)
 	base, err := NewBaseRate(45 * units.Day)
@@ -36,51 +36,54 @@ func TestSingleNodePFailAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	max, err := NewMax(tracePred, base)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	preds := []struct {
 		name string
-		p    NodePredictor
+		p    Predictor
 	}{
 		{"Trace", tracePred},
 		{"Decaying", decaying},
-		{"BaseRate", base},
-		{"Max", max},
 		{"Null", Null{}},
 	}
+	node := make([]int, 1)
+	free := make([]int, 128)
+	for i := range free {
+		free[i] = i
+	}
+	scratch := make([]float64, 0, len(free))
 	for _, tc := range preds {
 		i := 0
 		avg := testing.AllocsPerRun(500, func() {
+			node[0] = i % 128
 			from := units.Time(i%1000) * 3600
-			tc.p.PFailNode(i%128, from, from.Add(6*units.Hour))
+			tc.p.PFail(node, from, from.Add(6*units.Hour))
 			i++
 		})
 		if avg != 0 {
-			t.Errorf("%s.PFailNode allocates %.1f/op, want 0", tc.name, avg)
+			t.Errorf("%s.PFail(single node) allocates %.1f/op, want 0", tc.name, avg)
+		}
+		avg = testing.AllocsPerRun(100, func() {
+			from := units.Time(i%1000) * 3600
+			scratch = tc.p.AppendPFailNodes(scratch[:0], free, from, from.Add(6*units.Hour))
+			i++
+		})
+		if avg != 0 {
+			t.Errorf("%s.AppendPFailNodes allocates %.1f/op, want 0", tc.name, avg)
 		}
 	}
 
-	// The general interface with a reused single-element slice must take
-	// the same allocation-free path.
-	nodes := make([]int, 1)
-	i := 0
+	// The base-rate floor prices every checkpoint decision.
 	avg := testing.AllocsPerRun(500, func() {
-		nodes[0] = i % 128
-		from := units.Time(i%1000) * 3600
-		tracePred.PFail(nodes, from, from.Add(6*units.Hour))
-		i++
+		base.PFail(free[:16], 0, units.Time(2*units.Hour))
 	})
 	if avg != 0 {
-		t.Errorf("Trace.PFail(single node) allocates %.1f/op, want 0", avg)
+		t.Errorf("BaseRate.PFail allocates %.1f/op, want 0", avg)
 	}
 }
 
-// TestPFailNodeMatchesScanPath cross-checks the index-backed fast path
-// against the generic multi-node scan on every (node, window) pair of a
-// real trace: the fast path is an optimization, never a different answer.
+// TestPFailNodeMatchesScanPath cross-checks the index-backed single-node
+// PFail against the generic multi-node scan on every (node, window) pair of
+// a real trace: the index is an optimization, never a different answer.
 func TestPFailNodeMatchesScanPath(t *testing.T) {
 	tr := testTrace(t)
 	for _, a := range []float64{0, 0.3, 0.7, 1} {
@@ -102,7 +105,7 @@ func TestPFailNodeMatchesScanPath(t *testing.T) {
 					}
 					return true
 				})
-				if got := p.PFailNode(node, from, to); got != want {
+				if got := p.PFail([]int{node}, from, to); got != want {
 					t.Fatalf("a=%v node=%d [%v,%v): fast path %v, scan %v",
 						a, node, from, to, got, want)
 				}

@@ -53,9 +53,11 @@ func Run(p Predictor, tr *failure.Trace, window units.Duration) Audit {
 	events := tr.Events()
 	audit.Failures = len(events)
 	var confSum float64
+	node := make([]int, 1) // every probe asks about one node
 	for _, e := range events {
 		from := e.Time.Add(-window / 2)
-		pf := PFailNode(p, e.Node, from, from.Add(window))
+		node[0] = e.Node
+		pf := p.PFail(node, from, from.Add(window))
 		if pf > 0 {
 			audit.Detected++
 			confSum += pf
@@ -69,12 +71,13 @@ func Run(p Predictor, tr *failure.Trace, window units.Duration) Audit {
 		return audit
 	}
 	start, end := events[0].Time, events[len(events)-1].Time
-	for node := 0; node < tr.Nodes(); node++ {
+	for n := 0; n < tr.Nodes(); n++ {
+		node[0] = n
 		for from := start; from < end; from = from.Add(window) {
 			to := from.Add(window)
 			audit.Windows++
-			pf := PFailNode(p, node, from, to)
-			if pf > 0 && len(tr.Window([]int{node}, from, to)) == 0 {
+			pf := p.PFail(node, from, to)
+			if pf > 0 && len(tr.Window(node, from, to)) == 0 {
 				audit.FalsePositives++
 			}
 		}

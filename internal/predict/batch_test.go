@@ -5,15 +5,16 @@ import (
 	"testing/quick"
 
 	"probqos/internal/failure"
+	"probqos/internal/health"
 	"probqos/internal/units"
 )
 
 // TestBatchMatchesPerNodeAllImplementations is the differential gate for the
-// batched scoring path: every BatchNodePredictor in the package must append,
-// node for node, exactly what its own PFailNode returns — and PFailNode must
-// in turn agree with the general PFail on a singleton set. The scheduler
-// leans on the first identity to batch its quote loop; NodePredictor's
-// contract is the second.
+// Predictor contract: every shipped predictor must append, node for node,
+// exactly what PFail returns for that node alone. The scheduler scores free
+// nodes through AppendPFailNodes and quotes the chosen partition through
+// PFail, so the two must never disagree. The nodes include ones outside the
+// cluster and the windows include empty ones (to <= from).
 func TestBatchMatchesPerNodeAllImplementations(t *testing.T) {
 	tr := newTestTrace(t, []failure.Event{
 		{Time: 100, Node: 1, Detectability: 0.9},
@@ -27,68 +28,75 @@ func TestBatchMatchesPerNodeAllImplementations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, err := NewBaseRate(30 * units.Day)
+	dec, err := NewDecaying(tr, 0.5, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mx, err := NewMax(tp, br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewDecaying(tr, 0.5, 24*units.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mon, monTrace := testMonitor(t)
+
 	preds := []struct {
-		name string
-		p    Predictor
+		name  string
+		p     Predictor
+		tr    *failure.Trace // windows are placed around its failures
+		scale units.Duration // one unit of window offset
 	}{
-		{"Null", Null{}},
-		{"Trace", tp},
-		{"BaseRate", br},
-		{"Max", mx},
-		{"Decaying", dec},
+		{"Null", Null{}, tr, 1},
+		{"Trace", tp, tr, 1},
+		{"Decaying", dec, tr, 1},
+		{"Monitor", mon, monTrace, units.Minute},
 	}
 	for _, tc := range preds {
 		t.Run(tc.name, func(t *testing.T) {
-			bp, ok := tc.p.(BatchNodePredictor)
-			if !ok {
-				t.Fatalf("%T does not implement BatchNodePredictor", tc.p)
-			}
-			np := tc.p.(NodePredictor)
-			f := func(fromRaw, spanRaw uint16, pick [4]uint8) bool {
-				from := units.Time(fromRaw)
-				to := from + units.Time(spanRaw)
+			n := tc.tr.Nodes()
+			f := func(anchor uint16, fromRaw, spanRaw uint16, pick [4]uint8) bool {
+				at := tc.tr.At(int(anchor) % tc.tr.Len()).Time
+				from := at.Add(units.Duration(int(fromRaw%600)-300) * tc.scale)
+				to := from.Add(units.Duration(int(spanRaw%900)-100) * tc.scale)
 				nodes := make([]int, len(pick))
 				for i, r := range pick {
-					nodes[i] = int(r) % 16
+					nodes[i] = int(r)%(n+4) - 2 // two out of range on each side
 				}
-				got := bp.AppendPFailNodes(nil, nodes, from, to)
+				got := tc.p.AppendPFailNodes(nil, nodes, from, to)
 				if len(got) != len(nodes) {
 					return false
 				}
-				for i, n := range nodes {
-					single := np.PFailNode(n, from, to)
-					if got[i] != single {
-						t.Logf("node %d in %v [%v,%v): batch %v, PFailNode %v", n, nodes, from, to, got[i], single)
-						return false
-					}
-					if general := tc.p.PFail([]int{n}, from, to); single != general {
-						t.Logf("node %d [%v,%v): PFailNode %v, PFail %v", n, from, to, single, general)
+				for i, node := range nodes {
+					if want := tc.p.PFail([]int{node}, from, to); got[i] != want {
+						t.Logf("node %d in %v [%v,%v): AppendPFailNodes %v, PFail %v", node, nodes, from, to, got[i], want)
 						return false
 					}
 				}
 				return true
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 				t.Error(err)
 			}
 		})
 	}
 }
 
+// testMonitor builds a health monitor over a small synthetic cluster and
+// returns it with the failure trace its telemetry foreshadows.
+func testMonitor(t *testing.T) (*health.Monitor, *failure.Trace) {
+	t.Helper()
+	raw := failure.GenerateRawLog(failure.RawConfig{Nodes: 16, Span: 20 * units.Day, Episodes: 40, Seed: 3})
+	tr, err := failure.Filter(raw, 16, failure.FilterConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	telemetry, err := health.Generate(health.TelemetryConfig{Nodes: 16, Span: 20 * units.Day, Seed: 3}, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := health.NewMonitor(telemetry, raw, health.MonitorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, tr
+}
+
 // TestBatchAppendsToDst pins the append contract shared by every
-// implementation the scheduler might resolve: dst's existing contents are
+// implementation the scheduler might hold: dst's existing contents are
 // preserved and spare capacity is reused, so a scratch slice truly makes the
 // quote loop allocation-free.
 func TestBatchAppendsToDst(t *testing.T) {

@@ -53,6 +53,28 @@ func BenchmarkTracePFailSingleNode(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceAppendPFailNodes measures the scoring query fault-aware
+// node selection makes at every candidate start: all 128 nodes priced in
+// one call, appended into a reused scratch slice.
+func BenchmarkTraceAppendPFailNodes(b *testing.B) {
+	tr := benchTrace(b)
+	p, err := NewTrace(tr, 0.7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := make([]int, 128)
+	for i := range nodes {
+		nodes[i] = i
+	}
+	scratch := make([]float64, 0, len(nodes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := units.Time(i%1000) * 3600
+		scratch = p.AppendPFailNodes(scratch[:0], nodes, from, from.Add(6*units.Hour))
+	}
+}
+
 // BenchmarkTracePFailSingleNodeTracingDisabled is the single-node quote
 // query with the tracing layer compiled into the binary but disabled at
 // runtime: the nil-tracer scope/span calls around the hot loop must cost

@@ -50,27 +50,27 @@ func (p *Decaying) effective(from units.Time, t units.Time) float64 {
 	return p.accuracy * math.Exp2(-t.Sub(from).Seconds()/p.halfLife.Seconds())
 }
 
-// PFail implements Predictor: the first failure in the window detectable
-// at its horizon-degraded accuracy wins.
+// PFail implements Predictor: the detectability of the first failure in
+// the window detectable at its horizon-degraded accuracy.
 func (p *Decaying) PFail(nodes []int, from, to units.Time) float64 {
-	if len(nodes) == 1 {
-		return p.PFailNode(nodes[0], from, to)
-	}
-	var px float64
-	p.trace.Scan(nodes, from, to, func(e failure.Event) bool {
-		if e.Detectability <= p.effective(from, e.Time) {
-			px = e.Detectability
-			return false
-		}
-		return true
-	})
-	return px
+	e, _ := p.FirstDetectable(nodes, from, to)
+	return e.Detectability
 }
 
-// PFailNode implements NodePredictor. The detection threshold decays with
-// each event's distance from the window start, so there is no fixed cutoff
-// to binary-search; the fast path is the allocation-free per-node walk.
-func (p *Decaying) PFailNode(node int, from, to units.Time) float64 {
+// AppendPFailNodes implements Predictor. The decayed threshold rules out a
+// segment-tree descent (there is no fixed detectability cutoff), but the
+// batch still answers every node in one call through allocation-free
+// per-node walks.
+func (p *Decaying) AppendPFailNodes(dst []float64, nodes []int, from, to units.Time) []float64 {
+	for _, n := range nodes {
+		dst = append(dst, p.pfailNode(n, from, to))
+	}
+	return dst
+}
+
+// pfailNode is PFail for one node: the walk over the node's own index,
+// which needs no node slice and no multi-node merge.
+func (p *Decaying) pfailNode(node int, from, to units.Time) float64 {
 	var px float64
 	p.trace.ScanNode(node, from, to, func(e failure.Event) bool {
 		if e.Detectability <= p.effective(from, e.Time) {
@@ -82,19 +82,8 @@ func (p *Decaying) PFailNode(node int, from, to units.Time) float64 {
 	return px
 }
 
-// AppendPFailNodes implements BatchNodePredictor. The decayed threshold
-// rules out a segment-tree descent (there is no fixed detectability
-// cutoff), but the batch still answers every node in one call through the
-// allocation-free per-node walks.
-func (p *Decaying) AppendPFailNodes(dst []float64, nodes []int, from, to units.Time) []float64 {
-	for _, n := range nodes {
-		dst = append(dst, p.PFailNode(n, from, to))
-	}
-	return dst
-}
-
-// FirstDetectable mirrors Trace.FirstDetectable under the decayed rule, so
-// the negotiator can still step past located failures.
+// FirstDetectable implements Locator under the decayed rule, so the
+// negotiator can still step past located failures.
 func (p *Decaying) FirstDetectable(nodes []int, from, to units.Time) (failure.Event, bool) {
 	var (
 		hit   failure.Event

@@ -170,24 +170,6 @@ func TestBaseRateFromTrace(t *testing.T) {
 	}
 }
 
-func TestMax(t *testing.T) {
-	if _, err := NewMax(); err == nil {
-		t.Error("expected error for no predictors")
-	}
-	br, err := NewBaseRate(10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMax(Null{}, br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := br.PFail([]int{0}, 0, 100)
-	if got := m.PFail([]int{0}, 0, 100); got != want {
-		t.Errorf("Max.PFail = %v, want %v", got, want)
-	}
-}
-
 func TestAuditTracePredictor(t *testing.T) {
 	tr, err := failure.GenerateTrace(failure.RawConfig{Episodes: 500, Seed: 6}, failure.FilterConfig{})
 	if err != nil {

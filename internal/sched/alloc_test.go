@@ -40,21 +40,3 @@ func TestEarliestCandidateAllocationBounds(t *testing.T) {
 		}
 	}
 }
-
-// TestPFailNodeFastPathAllocationFree pins that the scheduler's per-node
-// risk query never falls back to building a fresh []int per call when the
-// predictor implements NodePredictor.
-func TestPFailNodeFastPathAllocationFree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a failure trace")
-	}
-	s := benchScheduler(t, 0)
-	i := 0
-	avg := testing.AllocsPerRun(500, func() {
-		s.pfailNode(i%128, 0, 3600)
-		i++
-	})
-	if avg != 0 {
-		t.Errorf("pfailNode allocates %.1f/op, want 0", avg)
-	}
-}

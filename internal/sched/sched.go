@@ -68,8 +68,6 @@ type Scheduler struct {
 	n             int
 	profile       *profile
 	predictor     predict.Predictor
-	nodePred      predict.NodePredictor      // predictor's single-node fast path, nil without one
-	batchPred     predict.BatchNodePredictor // predictor's batched scoring path, nil without one
 	reservations  map[int]*Reservation
 	faultAware    bool
 	maxCandidates int
@@ -83,7 +81,6 @@ type Scheduler struct {
 	scoredScratch []scoredNode
 	riskScratch   []float64
 	gaps          gapCursors
-	singleton     [1]int
 
 	// resFree recycles Reservation records (and their node slices) released
 	// by Release/CompleteEarly. Reservations churn once per admit and once
@@ -117,28 +114,18 @@ func New(n int, p predict.Predictor, opts ...Option) *Scheduler {
 		faultAware:    true,
 		maxCandidates: 512,
 	}
-	if np, ok := p.(predict.NodePredictor); ok {
-		s.nodePred = np
-	}
-	if bp, ok := p.(predict.BatchNodePredictor); ok {
-		s.batchPred = bp
-	}
 	for _, o := range opts {
 		o.apply(s)
 	}
 	return s
 }
 
-// pfailNode scores one node over a window through the predictor's fast path
-// when it has one; the fallback reuses a persistent one-element slice so the
-// hot loop stays allocation-free either way.
-func (s *Scheduler) pfailNode(node int, from, to units.Time) float64 {
-	if s.nodePred != nil {
-		return s.nodePred.PFailNode(node, from, to)
-	}
-	s.singleton[0] = node
-	return s.predictor.PFail(s.singleton[:], from, to)
-}
+// Predictor returns the predictor that prices the scheduler's candidates.
+func (s *Scheduler) Predictor() predict.Predictor { return s.predictor }
+
+// QuoteSlack returns how far before a candidate's start its risk window
+// opens (see WithQuoteSlack).
+func (s *Scheduler) QuoteSlack() units.Duration { return s.quoteSlack }
 
 // EarliestCandidate returns the first schedulable option at or after from:
 // the earliest start in {from} ∪ {profile interval ends after from} at which
@@ -180,26 +167,16 @@ func (s *Scheduler) selectNodes(free []int, start units.Time, size int, duration
 		return append([]int(nil), free[:size]...)
 	}
 	// Batched scoring: one predictor call prices every free node over the
-	// window (one pass over the trace index) instead of one interface call
-	// per node. The fallback keeps the per-node fast path.
-	var risks []float64
-	if s.batchPred != nil {
-		risks = s.batchPred.AppendPFailNodes(s.riskScratch[:0], free, riskFrom, end)
-		s.riskScratch = risks
-	}
+	// window (one pass over the trace index) instead of one call per node.
+	risks := s.predictor.AppendPFailNodes(s.riskScratch[:0], free, riskFrom, end)
+	s.riskScratch = risks
 	// Partial selection: only the size lowest-risk nodes are wanted, so a
 	// bounded max-heap (O(free · log size)) replaces sorting every free
 	// node. (risk, node) is a total order, so the selected set — and hence
 	// the returned candidate — is identical to what the full sort chose.
 	heap := s.scoredScratch[:0]
 	for i, n := range free {
-		var risk float64
-		if risks != nil {
-			risk = risks[i]
-		} else {
-			risk = s.pfailNode(n, riskFrom, end)
-		}
-		cand := scoredNode{node: n, risk: risk}
+		cand := scoredNode{node: n, risk: risks[i]}
 		if len(heap) < size {
 			heap = append(heap, cand)
 			heapSiftUp(heap, len(heap)-1)

@@ -327,7 +327,10 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 			return http.StatusBadRequest, nil,
 				fmt.Errorf("offer %d outside 1..%d", req.Offer, len(sess.Quotes))
 		}
-		if s.cfg.MaxOutstanding > 0 && s.eng.Stats().Outstanding() >= s.cfg.MaxOutstanding {
+		// Every clock move settles the ledger, so its open promises are
+		// exactly the queued and running jobs, counted without a walk over
+		// every job ever admitted.
+		if s.cfg.MaxOutstanding > 0 && s.ledger.Stats().Open >= s.cfg.MaxOutstanding {
 			if lerr := s.logOp(walOp{Kind: opTake, SessionID: sess.ID}); lerr != nil {
 				s.book.Insert(sess)
 				return http.StatusServiceUnavailable, nil, lerr

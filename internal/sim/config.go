@@ -46,9 +46,9 @@ type Config struct {
 	Negotiate bool
 	// Predictor, when non-nil, replaces the idealized trace predictor for
 	// quoting, node selection, and checkpoint decisions — e.g. the working
-	// health.Monitor. If it also locates failures (FirstDetectable), the
-	// negotiator uses that; otherwise deadline extension falls back to
-	// exponential deferral. Accuracy and PredictionHalfLife are ignored
+	// health.Monitor. If it is also a predict.Locator, the negotiator steps
+	// past the failures it locates; otherwise deadline extension falls back
+	// to exponential deferral. Accuracy and PredictionHalfLife are ignored
 	// when a Predictor is supplied.
 	Predictor predict.Predictor
 	// PredictionHalfLife, when positive, degrades prediction accuracy for

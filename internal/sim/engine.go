@@ -219,7 +219,7 @@ func (s *Engine) JobIDs() []int {
 	return ids
 }
 
-// Stats is a cluster-level snapshot for dashboards and admission control.
+// Stats is a cluster-level snapshot for dashboards and state queries.
 type Stats struct {
 	Now             units.Time `json:"now"`
 	Nodes           int        `json:"nodes"`
@@ -234,10 +234,6 @@ type Stats struct {
 	PendingEvents   int        `json:"pending_events"`
 	MeanPromise     float64    `json:"mean_promise"`
 }
-
-// Outstanding returns the number of admitted jobs whose promise is still
-// open (neither completed nor missed).
-func (st Stats) Outstanding() int { return st.Queued + st.Running }
 
 // Stats snapshots the engine. It walks the jobs map, so it is meant for a
 // metrics scrape or a state query (qosd's /v1/state), not a per-request

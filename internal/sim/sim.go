@@ -7,20 +7,12 @@ import (
 
 	"probqos/internal/checkpoint"
 	"probqos/internal/cluster"
-	"probqos/internal/failure"
 	"probqos/internal/negotiate"
 	"probqos/internal/predict"
 	"probqos/internal/sched"
 	"probqos/internal/units"
 	"probqos/internal/workload"
 )
-
-// forecaster is the predictor capability set the simulator wires together:
-// risk estimates plus failure location for the negotiator.
-type forecaster interface {
-	predict.Predictor
-	FirstDetectable(nodes []int, from, to units.Time) (failure.Event, bool)
-}
 
 // jobState tracks one job through negotiation, (re)scheduling, execution,
 // checkpointing, and failures.
@@ -77,10 +69,11 @@ type Engine struct {
 	cfg       Config
 	cluster   *cluster.Cluster
 	scheduler *sched.Scheduler
-	// quotePred prices reservations; ckptPred prices checkpoint decisions
-	// (the same trace predictor, optionally floored by the MTBF hazard).
-	quotePred  predict.Predictor
-	ckptPred   predict.Predictor
+	// pred prices reservations and checkpoint decisions; floor, when
+	// non-nil, is the MTBF hazard that checkpoint decisions never price
+	// below (Config.BaseRateFloor).
+	pred       predict.Predictor
+	floor      *predict.BaseRate
 	negotiator *negotiate.Negotiator
 	user       negotiate.User
 
@@ -163,67 +156,41 @@ func newEngineWithArena(cfg Config, arena *eventArena) (*Engine, error) {
 	if err := cfg.validate(false); err != nil {
 		return nil, err
 	}
-	var (
-		pred    predict.Predictor
-		locator interface {
-			FirstDetectable(nodes []int, from, to units.Time) (failure.Event, bool)
-		}
-	)
-	if cfg.Predictor != nil {
-		pred = cfg.Predictor
-		if l, ok := cfg.Predictor.(interface {
-			FirstDetectable(nodes []int, from, to units.Time) (failure.Event, bool)
-		}); ok {
-			locator = l
-		}
-	} else {
-		var (
-			tracePred forecaster
-			err       error
-		)
+	pred := cfg.Predictor
+	if pred == nil {
+		var err error
 		if cfg.PredictionHalfLife > 0 {
-			tracePred, err = predict.NewDecaying(cfg.Failures, cfg.Accuracy, cfg.PredictionHalfLife)
+			pred, err = predict.NewDecaying(cfg.Failures, cfg.Accuracy, cfg.PredictionHalfLife)
 		} else {
-			tracePred, err = predict.NewTrace(cfg.Failures, cfg.Accuracy)
+			pred, err = predict.NewTrace(cfg.Failures, cfg.Accuracy)
 		}
 		if err != nil {
 			return nil, err
 		}
-		pred = tracePred
-		locator = tracePred
 	}
 	jobCount := 0
 	if cfg.Workload != nil {
 		jobCount = len(cfg.Workload.Jobs)
 	}
 	s := &Engine{
-		cfg:       cfg,
-		cluster:   cluster.New(cfg.Nodes),
-		quotePred: pred,
-		ckptPred:  pred,
-		arena:     arena,
-		queue:     make(eventQueue, 0, jobCount+cfg.Failures.Len()),
-		jobs:      make(map[int]*jobState, jobCount),
-		probe:     cfg.Probe,
+		cfg:     cfg,
+		cluster: cluster.New(cfg.Nodes),
+		pred:    pred,
+		arena:   arena,
+		queue:   make(eventQueue, 0, jobCount+cfg.Failures.Len()),
+		jobs:    make(map[int]*jobState, jobCount),
+		probe:   cfg.Probe,
 	}
 	if cfg.BaseRateFloor {
-		if base, err := predict.NewBaseRateFromTrace(cfg.Failures); err == nil {
-			if s.ckptPred, err = predict.NewMax(pred, base); err != nil {
-				return nil, err
-			}
-		}
 		// An empty or degenerate trace has no estimable MTBF; the forecast
 		// alone is then the best available hazard.
+		s.floor, _ = predict.NewBaseRateFromTrace(cfg.Failures)
 	}
-	s.scheduler = sched.New(cfg.Nodes, s.quotePred,
+	s.scheduler = sched.New(cfg.Nodes, pred,
 		sched.WithFaultAware(cfg.FaultAware),
 		sched.WithQuoteSlack(cfg.Downtime),
 	)
-	negOpts := []negotiate.Option{negotiate.WithFailureSlack(cfg.Downtime)}
-	if locator != nil {
-		negOpts = append(negOpts, negotiate.WithLocator(locator))
-	}
-	s.negotiator = negotiate.New(s.scheduler, negOpts...)
+	s.negotiator = negotiate.New(s.scheduler)
 	s.user = negotiate.User{U: cfg.UserRisk}
 	if !cfg.Negotiate {
 		s.user = negotiate.User{U: 0} // every first quote accepted
@@ -465,9 +432,14 @@ func (s *Engine) onCheckpointRequest(ev *event) error {
 	estSkip := s.now.Add(plannedDuration(rem, p))
 	estPerform := estSkip.Add(p.Overhead)
 	t0 := s.phaseStart()
+	riskTo := s.now.Add(p.Interval + p.Overhead)
+	pf := s.pred.PFail(js.nodes, s.now, riskTo)
+	if s.floor != nil {
+		pf = max(pf, s.floor.PFail(js.nodes, s.now, riskTo))
+	}
 	req := checkpoint.Request{
 		Now:                s.now,
-		PFail:              s.ckptPred.PFail(js.nodes, s.now, s.now.Add(p.Interval+p.Overhead)),
+		PFail:              pf,
 		Params:             p,
 		AtRiskIntervals:    js.skippedSince + 1,
 		Deadline:           js.deadline,

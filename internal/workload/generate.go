@@ -141,13 +141,33 @@ func GenerateSDSC(cfg GenConfig) *Log { return generate(sdscShape, cfg) }
 
 // Generate returns the named synthetic log ("NASA" or "SDSC").
 func Generate(name string, cfg GenConfig) (*Log, error) {
+	shape, err := shapeOf(name)
+	if err != nil {
+		return nil, err
+	}
+	return generate(shape, cfg), nil
+}
+
+// Resolve returns the generator's full input for the named log: the
+// canonical log name and cfg with every default filled in. Equal resolved
+// inputs generate equal logs, so they can key a cache of generated logs.
+func Resolve(name string, cfg GenConfig) (string, GenConfig, error) {
+	shape, err := shapeOf(name)
+	if err != nil {
+		return "", GenConfig{}, err
+	}
+	return shape.name, cfg.withDefaults(shape.defaultLoad), nil
+}
+
+// shapeOf returns the shape of the named synthetic log.
+func shapeOf(name string) (logShape, error) {
 	switch name {
 	case "NASA", "nasa":
-		return GenerateNASA(cfg), nil
+		return nasaShape, nil
 	case "SDSC", "sdsc":
-		return GenerateSDSC(cfg), nil
+		return sdscShape, nil
 	}
-	return nil, fmt.Errorf("workload: unknown synthetic log %q (want NASA or SDSC)", name)
+	return logShape{}, fmt.Errorf("workload: unknown synthetic log %q (want NASA or SDSC)", name)
 }
 
 func generate(shape logShape, cfg GenConfig) *Log {

@@ -59,8 +59,10 @@ go test -run '^$' -bench 'PFail' -benchtime "$benchtime" -count "$count" ./inter
 
 # Allocation gate: the single-node quote-path query must stay at
 # 0 allocs/op — including the variant that compiles the tracing layer into
-# the binary and leaves it disabled, proving the nil-tracer path is free.
-for b in BenchmarkTracePFailSingleNode BenchmarkTracePFailSingleNodeTracingDisabled; do
+# the binary and leaves it disabled, proving the nil-tracer path is free —
+# and so must the batched scoring query node selection makes at every
+# candidate start.
+for b in BenchmarkTracePFailSingleNode BenchmarkTracePFailSingleNodeTracingDisabled BenchmarkTraceAppendPFailNodes; do
     if ! grep -q "^$b" "$tmp"; then
         echo "FAIL: $b missing from benchmark output" >&2
         exit 1
