@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -117,6 +118,30 @@ func TestGenerateByName(t *testing.T) {
 		}
 	}
 	if _, err := Generate("LLNL", GenConfig{}); err == nil {
+		t.Error("expected error for unknown log name")
+	}
+}
+
+// TestResolveIsTheFullInput pins what the experiment harness keys its log
+// cache by: a spelled-out default resolves like the omitted one, and the
+// resolved input generates the same log as the original.
+func TestResolveIsTheFullInput(t *testing.T) {
+	name, short, err := Resolve("sdsc", GenConfig{Jobs: 50, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, long, err := Resolve("SDSC", GenConfig{Jobs: 50, Seed: 3, ClusterNodes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name != "SDSC" || short != long {
+		t.Errorf("Resolve: %q %+v and %+v, want SDSC and equal configs", name, short, long)
+	}
+	a, b := GenerateSDSC(GenConfig{Jobs: 50, Seed: 3}), GenerateSDSC(short)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("the resolved input generates a different log")
+	}
+	if _, _, err := Resolve("LLNL", GenConfig{}); err == nil {
 		t.Error("expected error for unknown log name")
 	}
 }
