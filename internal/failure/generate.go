@@ -55,17 +55,53 @@ func (c RawConfig) withDefaults() RawConfig {
 	return c
 }
 
+// rawSeedMix decorrelates the raw generator's root stream from the seed.
+const rawSeedMix = 0x5fe7a31
+
 // GenerateRawLog produces an unfiltered RAS event log: benign background
 // noise, precursor warnings, fatal events, and redundant fatal duplicates
 // that share a root cause with a nearby fatal event.
 func GenerateRawLog(cfg RawConfig) []RawEvent {
 	cfg = cfg.withDefaults()
-	src := stats.NewSource(cfg.Seed ^ 0x5fe7a31)
+	src := stats.NewSource(cfg.Seed ^ rawSeedMix)
+	events := generateEpisodes(cfg, src, false)
+
+	// Benign background noise across all nodes, from a stream of its own:
+	// GenerateTrace skips it without disturbing the episodes.
+	noiseSrc := src.Split("noise")
+	days := cfg.Span.Seconds() / units.Day.Seconds()
+	noiseCount := noiseSrc.Poisson(cfg.NoisePerNodePerDay * float64(cfg.Nodes) * days)
+	for i := 0; i < noiseCount; i++ {
+		sev := Info
+		if noiseSrc.Bool(0.25) {
+			sev = Warning
+		}
+		events = append(events, RawEvent{
+			Time:      units.Time(noiseSrc.Int63n(int64(cfg.Span))),
+			Node:      noiseSrc.Intn(cfg.Nodes),
+			Severity:  sev,
+			Subsystem: Subsystems[noiseSrc.Intn(len(Subsystems))],
+		})
+	}
+
+	sortByTime(events)
+	return events
+}
+
+// generateEpisodes produces the root-cause fault episodes of the raw log,
+// in generation order, drawing from the episodes and nodes streams split
+// off src. With criticalOnly it keeps only the FATAL/FAILURE events; every
+// random draw is made either way, so the kept events are the same.
+func generateEpisodes(cfg RawConfig, src *stats.Source, criticalOnly bool) []RawEvent {
 	epSrc := src.Split("episodes")
 	nodeSrc := src.Split("nodes")
-	noiseSrc := src.Split("noise")
 
 	var events []RawEvent
+	emit := func(e RawEvent) {
+		if !criticalOnly || e.Severity >= Fatal {
+			events = append(events, e)
+		}
+	}
 
 	// Per-node flakiness skew: Zipf-ish weights so a handful of nodes
 	// account for a disproportionate share of failures, as observed in the
@@ -102,9 +138,7 @@ func GenerateRawLog(cfg RawConfig) []RawEvent {
 			if epSrc.Bool(0.4) {
 				sev = Error
 			}
-			events = append(events, RawEvent{
-				Time: at.Add(-lead), Node: node, Severity: sev, Subsystem: sub,
-			})
+			emit(RawEvent{Time: at.Add(-lead), Node: node, Severity: sev, Subsystem: sub})
 		}
 
 		// The fatal event itself.
@@ -112,45 +146,34 @@ func GenerateRawLog(cfg RawConfig) []RawEvent {
 		if epSrc.Bool(0.5) {
 			sev = Failure
 		}
-		events = append(events, RawEvent{Time: at, Node: node, Severity: sev, Subsystem: sub})
+		emit(RawEvent{Time: at, Node: node, Severity: sev, Subsystem: sub})
 
 		// Redundant fatals sharing the root cause: repeats on the same node
 		// within seconds, and with some probability a sympathetic fatal on
 		// another node (e.g. a shared switch). The filter must coalesce all
 		// of these into the one episode failure.
 		for k, n := 0, epSrc.Intn(3); k < n; k++ {
-			events = append(events, RawEvent{
+			emit(RawEvent{
 				Time: at.Add(units.Duration(1 + epSrc.Intn(90))), Node: node,
 				Severity: sev, Subsystem: sub,
 			})
 		}
 		if epSrc.Bool(0.25) {
 			other := nodePick.Sample(epSrc)
-			events = append(events, RawEvent{
+			emit(RawEvent{
 				Time: at.Add(units.Duration(1 + epSrc.Intn(60))), Node: other,
 				Severity: Fatal, Subsystem: sub,
 			})
 		}
 	}
 
-	// Benign background noise across all nodes.
-	days := cfg.Span.Seconds() / units.Day.Seconds()
-	noiseCount := noiseSrc.Poisson(cfg.NoisePerNodePerDay * float64(cfg.Nodes) * days)
-	for i := 0; i < noiseCount; i++ {
-		sev := Info
-		if noiseSrc.Bool(0.25) {
-			sev = Warning
-		}
-		events = append(events, RawEvent{
-			Time:      units.Time(noiseSrc.Int63n(int64(cfg.Span))),
-			Node:      noiseSrc.Intn(cfg.Nodes),
-			Severity:  sev,
-			Subsystem: Subsystems[noiseSrc.Intn(len(Subsystems))],
-		})
-	}
-
-	slices.SortStableFunc(events, func(a, b RawEvent) int { return cmp.Compare(a.Time, b.Time) })
 	return events
+}
+
+// sortByTime stable-sorts events by time, keeping generation order among
+// ties.
+func sortByTime(events []RawEvent) {
+	slices.SortStableFunc(events, func(a, b RawEvent) int { return cmp.Compare(a.Time, b.Time) })
 }
 
 // FilterConfig parameterizes the raw-log filtering pipeline.
@@ -184,14 +207,21 @@ func (c FilterConfig) withDefaults() FilterConfig {
 // uniformly from [0, 1), per §4.3. The result is a trace over a cluster of
 // nodes nodes.
 func Filter(raw []RawEvent, nodes int, cfg FilterConfig) (*Trace, error) {
-	cfg = cfg.withDefaults()
 	critical := make([]RawEvent, 0, len(raw)/4)
 	for _, e := range raw {
 		if e.Severity >= Fatal {
 			critical = append(critical, e)
 		}
 	}
-	slices.SortStableFunc(critical, func(a, b RawEvent) int { return cmp.Compare(a.Time, b.Time) })
+	return coalesce(critical, nodes, cfg)
+}
+
+// coalesce is Filter's second stage and detectability draw over events
+// already restricted to the critical severities. It stable-sorts them by
+// time first, so their order on entry matters only among equal times.
+func coalesce(critical []RawEvent, nodes int, cfg FilterConfig) (*Trace, error) {
+	cfg = cfg.withDefaults()
+	sortByTime(critical)
 
 	// lastKept[subsystem] is the time of the most recently kept failure in
 	// that subsystem; anything critical in the same subsystem within the
@@ -213,13 +243,18 @@ func Filter(raw []RawEvent, nodes int, cfg FilterConfig) (*Trace, error) {
 	return NewTrace(nodes, kept)
 }
 
-// GenerateTrace is the convenience path: generate a raw log and filter it.
-// It is what the simulator-facing callers use; cmd/tracefilter exposes the
-// two stages separately.
+// GenerateTrace is the convenience path: the trace Filter makes of
+// GenerateRawLog's log, built without the log. It is what the
+// simulator-facing callers use; cmd/tracefilter exposes the two stages
+// separately. The benign noise never survives Filter and has a stream of
+// its own, so it is not generated at all; the critical episode events are
+// selected as they are generated, and stable-sorting that selection gives
+// the order that stable-sorting the raw log and then selecting would.
 func GenerateTrace(cfg RawConfig, fcfg FilterConfig) (*Trace, error) {
 	cfg = cfg.withDefaults()
 	if fcfg.Seed == 0 {
 		fcfg.Seed = cfg.Seed
 	}
-	return Filter(GenerateRawLog(cfg), cfg.Nodes, fcfg)
+	critical := generateEpisodes(cfg, stats.NewSource(cfg.Seed^rawSeedMix), true)
+	return coalesce(critical, cfg.Nodes, fcfg)
 }

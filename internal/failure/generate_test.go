@@ -182,3 +182,48 @@ func TestGenerateDeterministicBySeed(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateTraceMatchesFilteredRawLog is GenerateTrace's differential
+// test: building the trace without the raw log's noise must give, event by
+// event, the trace Filter makes of the full raw log.
+func TestGenerateTraceMatchesFilteredRawLog(t *testing.T) {
+	configs := []struct {
+		name  string
+		raw   RawConfig
+		fcfg  FilterConfig
+		seeds int
+	}{
+		{"default", RawConfig{}, FilterConfig{}, 40},
+		{"custom", RawConfig{Nodes: 24, Episodes: 150, Span: 60 * units.Day, NoisePerNodePerDay: 9, BurstShape: 0.7},
+			FilterConfig{Window: 2 * units.Minute, Seed: 77}, 40},
+	}
+	for _, c := range configs {
+		for seed := int64(0); seed < int64(c.seeds); seed++ {
+			rc := c.raw
+			rc.Seed = seed
+			got, err := GenerateTrace(rc, c.fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// GenerateTrace's own defaults: the cluster size, and the
+			// detectability stream seeded from the raw seed.
+			fc := c.fcfg
+			if fc.Seed == 0 {
+				fc.Seed = seed
+			}
+			want, err := Filter(GenerateRawLog(rc), rc.withDefaults().Nodes, fc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Nodes() != want.Nodes() || got.Len() != want.Len() {
+				t.Fatalf("%s seed %d: %d nodes/%d failures, want %d/%d",
+					c.name, seed, got.Nodes(), got.Len(), want.Nodes(), want.Len())
+			}
+			for i := 0; i < want.Len(); i++ {
+				if got.At(i) != want.At(i) {
+					t.Fatalf("%s seed %d: failure %d = %+v, want %+v", c.name, seed, i, got.At(i), want.At(i))
+				}
+			}
+		}
+	}
+}

@@ -12,11 +12,11 @@ import (
 )
 
 // PoolEscape is a use-after-release checker for recycled objects: values
-// handed back to a sync.Pool, to the simulator's event arena, or to a
-// freelist slice. Once released, the object belongs to the pool and may be
-// handed to another caller and overwritten; reading it, storing it, or
-// releasing it again is the aliasing bug the event-arena tests can only
-// catch probabilistically.
+// handed back to a sync.Pool, to an arena, or to a freelist slice (the
+// scheduler recycles reservations this way). Once released, the object
+// belongs to the pool and may be handed to another caller and overwritten;
+// reading it, storing it, or releasing it again is the aliasing bug tests
+// can only catch probabilistically.
 //
 // A release is one of:
 //

@@ -182,6 +182,10 @@ func (l *Ledger) settle(idx int, kept bool, now units.Time) {
 	l.binPromised[b] += e.Promised
 }
 
+// Open returns the number of pending promises: Stats().Open without
+// building the reliability bins.
+func (l *Ledger) Open() int { return len(l.open) }
+
 // Stats summarizes the ledger.
 func (l *Ledger) Stats() ConformanceStats {
 	settled := l.kept + l.broken

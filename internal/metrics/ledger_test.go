@@ -28,11 +28,17 @@ func TestLedgerLifecycle(t *testing.T) {
 	if st.Promises != 3 || st.Open != 3 || st.Settled != 0 {
 		t.Fatalf("after admits: %+v", st)
 	}
+	if l.Open() != st.Open {
+		t.Fatalf("Open() = %d, Stats().Open = %d", l.Open(), st.Open)
+	}
 
 	settleAll(l, 150, map[int]bool{1: true, 2: false})
 	st = l.Stats()
 	if st.Settled != 2 || st.Kept != 1 || st.Broken != 1 || st.Open != 1 {
 		t.Fatalf("after settle: %+v", st)
+	}
+	if l.Open() != st.Open {
+		t.Fatalf("Open() = %d after settle, Stats().Open = %d", l.Open(), st.Open)
 	}
 	if st.KeepingRate != 0.5 {
 		t.Fatalf("keeping rate %v, want 0.5", st.KeepingRate)
@@ -165,5 +171,21 @@ func TestLedgerEntriesTail(t *testing.T) {
 	}
 	if all := l.Entries(0); len(all) != 5 {
 		t.Fatalf("tail(0) returned %d rows, want all 5", len(all))
+	}
+}
+
+// TestLedgerOpenAllocatesNothing pins the admission-control read: qosd asks
+// for the open count on every accept under a limit, so it must not build
+// the summary Stats does.
+func TestLedgerOpenAllocatesNothing(t *testing.T) {
+	l := NewLedger(10)
+	l.Admit(1, "q-1", 0.9, 100, 10)
+	l.Admit(2, "q-2", 0.8, 200, 20)
+	n := 0
+	if allocs := testing.AllocsPerRun(100, func() { n = l.Open() }); allocs != 0 {
+		t.Errorf("Open allocates %v times per call, want 0", allocs)
+	}
+	if n != 2 {
+		t.Errorf("Open = %d, want 2", n)
 	}
 }

@@ -330,7 +330,7 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		// Every clock move settles the ledger, so its open promises are
 		// exactly the queued and running jobs, counted without a walk over
 		// every job ever admitted.
-		if s.cfg.MaxOutstanding > 0 && s.ledger.Stats().Open >= s.cfg.MaxOutstanding {
+		if s.cfg.MaxOutstanding > 0 && s.ledger.Open() >= s.cfg.MaxOutstanding {
 			if lerr := s.logOp(walOp{Kind: opTake, SessionID: sess.ID}); lerr != nil {
 				s.book.Insert(sess)
 				return http.StatusServiceUnavailable, nil, lerr

@@ -22,7 +22,11 @@ func (s *Engine) Now() units.Time { return s.now }
 // AdvanceTo processes every event due at or before t, then moves the clock
 // to t. Advancing to the past is a no-op (the clock never goes backwards).
 func (s *Engine) AdvanceTo(t units.Time) error {
-	for s.queue.Len() > 0 && s.queue[0].time <= t {
+	for {
+		next, src := s.queue.peek()
+		if src == fromNone || next.time > t {
+			break
+		}
 		if err := s.step(); err != nil {
 			return err
 		}
@@ -91,7 +95,7 @@ func (s *Engine) InjectFailure(node int, at units.Time) error {
 	if at < s.now {
 		return fmt.Errorf("sim: cannot inject a failure at %v, clock is at %v", at, s.now)
 	}
-	s.push(event{time: at, kind: KindFailure, node: node})
+	s.queue.push(event{time: at, kind: KindFailure, node: node})
 	s.record(Op{Kind: OpFault, Node: node, At: at})
 	return nil
 }
@@ -246,7 +250,7 @@ func (s *Engine) Stats() Stats {
 		Jobs:            len(s.jobs),
 		LostWork:        s.lostWork,
 		EventsProcessed: s.res.EventsProcessed,
-		PendingEvents:   s.queue.Len(),
+		PendingEvents:   s.queue.len(),
 	}
 	if s.promisedJobs > 0 {
 		st.MeanPromise = s.promiseSum / float64(s.promisedJobs)

@@ -1,9 +1,12 @@
 package sim
 
 import (
-	"container/heap"
+	"cmp"
+	"slices"
 
+	"probqos/internal/failure"
 	"probqos/internal/units"
+	"probqos/internal/workload"
 )
 
 // Kind enumerates the seven event types of §4.1.
@@ -42,90 +45,178 @@ func (k Kind) String() string {
 
 // event is one entry in the simulation's event queue. Job events carry the
 // job's attempt epoch so that events scheduled for an attempt that has since
-// failed are recognized as stale and dropped.
+// failed are recognized as stale and dropped. An event holds no pointers,
+// so the queue's heap is a plain value slice the garbage collector never
+// scans.
 type event struct {
 	time  units.Time
+	seq   int64 // tie-breaker: arrivals and trace failures by log position, then insertion order
 	kind  Kind
-	seq   int64 // tie-breaker: insertion order
-	jobID int   // job events
-	epoch int   // job events: attempt number the event belongs to
-	node  int   // failure/recovery events
-	index int   // failure events: index into the trace
+	jobID int // job events
+	epoch int // job events: attempt number the event belongs to
+	node  int // failure/recovery events
 }
 
-// arenaChunk is how many events an arena allocates at once. A chunk is one
-// backing array, so the steady-state cost of a simulation run is a handful of
-// chunk allocations instead of one per event.
-const arenaChunk = 256
-
-// eventArena recycles event records. The engine allocates one event per
-// queue push — the largest allocation count in a run after reservations —
-// and never retains an event past its dispatch, so step can return each
-// popped event to the free list. Chunks keep the backing arrays alive while
-// the free list is rebuilt between pooled runs.
-type eventArena struct {
-	free   []*event
-	chunks [][]event
-}
-
-// get returns a zeroed event, growing the arena by one chunk when the free
-// list is empty.
-func (a *eventArena) get() *event {
-	if n := len(a.free); n > 0 {
-		ev := a.free[n-1]
-		a.free = a.free[:n-1]
-		*ev = event{}
-		return ev
+// before reports whether e dispatches ahead of o: by time, then kind, then
+// seq.
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	chunk := make([]event, arenaChunk)
-	a.chunks = append(a.chunks, chunk)
-	for i := 1; i < len(chunk); i++ {
-		a.free = append(a.free, &chunk[i])
+	if e.kind != o.kind {
+		return e.kind < o.kind
 	}
-	return &chunk[0]
+	return e.seq < o.seq
 }
 
-// put returns a dispatched event to the free list. The caller must not
-// touch it afterwards.
-func (a *eventArena) put(ev *event) { a.free = append(a.free, ev) }
+// eventQueue is the engine's deterministic min-queue over (time, kind,
+// seq). It merges three sources. The workload's arrivals and the failure
+// trace's failures are already sorted, so each is read by a cursor and
+// never copied into the queue. Only the events the engine creates as it
+// runs — starts, checkpoint requests and finishes, finishes, recoveries,
+// and injected failures — go into a binary min-heap, and at most a few
+// hundred of those are pending at once.
+//
+// Arrivals take seq = their log index and trace failures seq = J + their
+// trace index, where J is the number of jobs; pushed events are numbered
+// from J + F on, F being the number of trace failures. That is the order
+// in which a single heap holding everything would have stamped them, so
+// the merged dispatch order is the same.
+type eventQueue struct {
+	jobs []workload.Job
+	// order lists job indices in (arrival, index) order when the log is
+	// not sorted by arrival; nil when it is and jobs is read in place.
+	order   []int
+	nextJob int
 
-// reset rebuilds the free list from the chunks. Only call when no event from
-// this arena is still queued — i.e. after a drained run, before reuse.
-func (a *eventArena) reset() {
-	a.free = a.free[:0]
-	for _, c := range a.chunks {
-		for i := range c {
-			a.free = append(a.free, &c[i])
+	failures *failure.Trace
+	nextFail int
+
+	heap []event
+	seq  int64 // next pushed event's seq
+}
+
+// initialHeapCap sizes the pushed-event heap up front. It covers the peak
+// pending count of a Figure-1 run, so a batch run grows it rarely.
+const initialHeapCap = 256
+
+// newEventQueue builds the queue over a workload log (which may be empty)
+// and a failure trace.
+func newEventQueue(jobs []workload.Job, failures *failure.Trace) eventQueue {
+	q := eventQueue{
+		jobs:     jobs,
+		failures: failures,
+		heap:     make([]event, 0, initialHeapCap),
+		seq:      int64(len(jobs) + failures.Len()),
+	}
+	if !slices.IsSortedFunc(jobs, func(a, b workload.Job) int { return cmp.Compare(a.Arrival, b.Arrival) }) {
+		q.order = make([]int, len(jobs))
+		for i := range q.order {
+			q.order[i] = i
+		}
+		slices.SortStableFunc(q.order, func(a, b int) int { return cmp.Compare(jobs[a].Arrival, jobs[b].Arrival) })
+	}
+	return q
+}
+
+// len returns the number of pending events across all three sources.
+func (q *eventQueue) len() int {
+	return len(q.jobs) - q.nextJob + q.failures.Len() - q.nextFail + len(q.heap)
+}
+
+// queueSource names where the least pending event lives.
+type queueSource int
+
+const (
+	fromNone queueSource = iota
+	fromArrivals
+	fromFailures
+	fromHeap
+)
+
+// peek returns the least pending event and its source without removing
+// it; the source is fromNone when the queue is empty.
+func (q *eventQueue) peek() (event, queueSource) {
+	var best event
+	src := fromNone
+	if q.nextJob < len(q.jobs) {
+		i := q.nextJob
+		if q.order != nil {
+			i = q.order[i]
+		}
+		j := &q.jobs[i]
+		best = event{time: j.Arrival, seq: int64(i), kind: KindArrival, jobID: j.ID}
+		src = fromArrivals
+	}
+	if q.nextFail < q.failures.Len() {
+		f := q.failures.At(q.nextFail)
+		ev := event{time: f.Time, seq: int64(len(q.jobs) + q.nextFail), kind: KindFailure, node: f.Node}
+		if src == fromNone || ev.before(&best) {
+			best, src = ev, fromFailures
 		}
 	}
+	if len(q.heap) > 0 && (src == fromNone || q.heap[0].before(&best)) {
+		best, src = q.heap[0], fromHeap
+	}
+	return best, src
 }
 
-// eventQueue is a deterministic min-heap over (time, kind, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+// pop removes and returns the least pending event. The queue must not be
+// empty.
+func (q *eventQueue) pop() event {
+	ev, src := q.peek()
+	switch src {
+	case fromArrivals:
+		q.nextJob++
+	case fromFailures:
+		q.nextFail++
+	case fromHeap:
+		q.popHeap()
 	}
-	if q[i].kind != q[j].kind {
-		return q[i].kind < q[j].kind
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
 	return ev
 }
 
-var _ heap.Interface = (*eventQueue)(nil)
+// push enqueues an engine-created event, stamping its seq.
+func (q *eventQueue) push(ev event) {
+	ev.seq = q.seq
+	q.seq++
+	h := append(q.heap, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	q.heap = h
+}
+
+// popHeap removes the heap's minimum.
+func (q *eventQueue) popHeap() {
+	h := q.heap
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	q.heap = h
+}

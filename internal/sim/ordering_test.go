@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"testing"
 	"time"
 
@@ -13,48 +12,6 @@ import (
 
 // The simulator's tie-breaking rules at equal timestamps are semantic
 // decisions; these tests pin them.
-
-func TestEventQueueOrdering(t *testing.T) {
-	var q eventQueue
-	heap.Init(&q)
-	push := func(tm units.Time, k Kind, seq int64) {
-		heap.Push(&q, &event{time: tm, kind: k, seq: seq})
-	}
-	// Same timestamp, shuffled kinds.
-	push(100, KindStart, 1)
-	push(100, KindFailure, 2)
-	push(100, KindArrival, 3)
-	push(100, KindFinish, 4)
-	push(100, KindRecovery, 5)
-	push(50, KindCheckpointRequest, 6)
-	push(100, KindCheckpointFinish, 7)
-
-	var got []Kind
-	for q.Len() > 0 {
-		got = append(got, heap.Pop(&q).(*event).kind)
-	}
-	want := []Kind{
-		KindCheckpointRequest, // earlier time wins regardless of kind
-		KindFailure, KindRecovery, KindFinish, KindCheckpointFinish,
-		KindArrival, KindStart,
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order[%d] = %v, want %v (full order %v)", i, got[i], want[i], got)
-		}
-	}
-}
-
-func TestEventQueueSeqBreaksTies(t *testing.T) {
-	var q eventQueue
-	heap.Init(&q)
-	heap.Push(&q, &event{time: 10, kind: KindArrival, seq: 2, jobID: 2})
-	heap.Push(&q, &event{time: 10, kind: KindArrival, seq: 1, jobID: 1})
-	first := heap.Pop(&q).(*event)
-	if first.jobID != 1 {
-		t.Errorf("insertion order not respected: job %d first", first.jobID)
-	}
-}
 
 func TestFailureAtFinishInstantKillsJob(t *testing.T) {
 	// Failure and finish at the same timestamp: failures are processed

@@ -121,9 +121,10 @@ func (nopProbe) Phase(Phase, time.Duration) {}
 
 // TestProbeAddsNoAllocations guards "zero cost when off" from the engine's
 // side: every fact reaches a probe as a plain Decision value, so attaching
-// one that does nothing allocates nothing beyond the bare run. The run is
-// Run's engine and drain without its pooled arena: the race detector drops
-// pooled items at random, which would charge either side for fresh arenas.
+// one that does nothing allocates nothing beyond the bare run. Run keeps
+// nothing between calls (the event queue is per engine and holds plain
+// values), so every run pays the same allocations, with the race detector
+// on or off.
 func TestProbeAddsNoAllocations(t *testing.T) {
 	log := workload.GenerateSDSC(workload.GenConfig{Jobs: 60, Seed: 3, ClusterNodes: 16})
 	tr, err := failure.GenerateTrace(failure.RawConfig{Nodes: 16, Seed: 3}, failure.FilterConfig{Seed: 3})
@@ -136,11 +137,7 @@ func TestProbeAddsNoAllocations(t *testing.T) {
 			cfg.Nodes = 16
 			cfg.Accuracy, cfg.UserRisk = 0.3, 0.5
 			cfg.Probe = p
-			e, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Drain(); err != nil {
+			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
 			}
 		})

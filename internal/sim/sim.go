@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"sync"
 
 	"probqos/internal/checkpoint"
 	"probqos/internal/cluster"
@@ -78,8 +76,6 @@ type Engine struct {
 	user       negotiate.User
 
 	queue      eventQueue
-	arena      *eventArena
-	seq        int64
 	now        units.Time
 	dispatched int // events dispatched, for periodic profile GC
 	jobs       map[int]*jobState
@@ -107,12 +103,6 @@ type Engine struct {
 	promisedJobs int
 }
 
-// arenaPool recycles event arenas across Run calls. A sweep executes
-// thousands of runs (often concurrently); reusing the chunk arrays keeps the
-// per-run event cost at a free-list rebuild instead of re-allocating every
-// chunk. Pool reuse never reaches simulation state, so determinism holds.
-var arenaPool = sync.Pool{New: func() any { return &eventArena{} }}
-
 // Run executes the configured simulation to completion and returns the
 // collected result. The run is deterministic: equal configs yield equal
 // results.
@@ -120,39 +110,21 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	arena := arenaPool.Get().(*eventArena)
-	arena.reset()
-	s, err := newEngineWithArena(cfg, arena)
+	s, err := NewEngine(cfg)
 	if err != nil {
-		arenaPool.Put(arena)
 		return nil, err
 	}
 	if err := s.Drain(); err != nil {
-		// Events may still be queued; let this arena go instead of pooling it.
 		return nil, err
 	}
-	res, err := s.collect()
-	if err != nil {
-		return nil, err
-	}
-	// The queue drained, so every arena event is back on the free list and
-	// the result holds no reference into it.
-	arenaPool.Put(arena)
-	return res, nil
+	return s.collect()
 }
 
 // NewEngine builds the state machine for cfg without running it: the
-// workload's arrivals (if any) and the failure trace are enqueued, and the
+// workload's arrivals (if any) and the failure trace are pending, and the
 // clock sits at zero. Unlike Run, a nil or empty Workload is accepted —
 // the online service admits jobs one at a time instead of replaying a log.
 func NewEngine(cfg Config) (*Engine, error) {
-	return newEngineWithArena(cfg, &eventArena{})
-}
-
-// newEngineWithArena is NewEngine with a caller-supplied event arena. Run
-// passes a pooled arena it reclaims after the drain; long-lived service
-// engines keep a private one for their whole life.
-func newEngineWithArena(cfg Config, arena *eventArena) (*Engine, error) {
 	if err := cfg.validate(false); err != nil {
 		return nil, err
 	}
@@ -168,17 +140,16 @@ func newEngineWithArena(cfg Config, arena *eventArena) (*Engine, error) {
 			return nil, err
 		}
 	}
-	jobCount := 0
+	var jobs []workload.Job
 	if cfg.Workload != nil {
-		jobCount = len(cfg.Workload.Jobs)
+		jobs = cfg.Workload.Jobs
 	}
 	s := &Engine{
 		cfg:     cfg,
 		cluster: cluster.New(cfg.Nodes),
 		pred:    pred,
-		arena:   arena,
-		queue:   make(eventQueue, 0, jobCount+cfg.Failures.Len()),
-		jobs:    make(map[int]*jobState, jobCount),
+		queue:   newEventQueue(jobs, cfg.Failures),
+		jobs:    make(map[int]*jobState, len(jobs)),
 		probe:   cfg.Probe,
 	}
 	if cfg.BaseRateFloor {
@@ -196,42 +167,24 @@ func newEngineWithArena(cfg Config, arena *eventArena) (*Engine, error) {
 		s.user = negotiate.User{U: 0} // every first quote accepted
 	}
 
-	if cfg.Workload != nil {
-		// One slab for every job state: the map's values all point into it,
-		// replacing a per-job allocation. Jobs admitted later (online
-		// service) still allocate individually.
-		states := make([]jobState, len(cfg.Workload.Jobs))
-		for i, j := range cfg.Workload.Jobs {
-			if _, dup := s.jobs[j.ID]; dup {
-				return nil, fmt.Errorf("sim: duplicate job ID %d in workload", j.ID)
-			}
-			states[i].job = j
-			s.jobs[j.ID] = &states[i]
-			s.push(event{time: j.Arrival, kind: KindArrival, jobID: j.ID})
+	// One slab for every job state: the map's values all point into it,
+	// replacing a per-job allocation. Jobs admitted later (online service)
+	// still allocate individually.
+	states := make([]jobState, len(jobs))
+	for i, j := range jobs {
+		if _, dup := s.jobs[j.ID]; dup {
+			return nil, fmt.Errorf("sim: duplicate job ID %d in workload", j.ID)
 		}
+		states[i].job = j
+		s.jobs[j.ID] = &states[i]
 	}
-	for i := 0; i < cfg.Failures.Len(); i++ {
-		e := cfg.Failures.At(i)
-		s.push(event{time: e.Time, kind: KindFailure, node: e.Node, index: i})
-	}
-	heap.Init(&s.queue)
 	return s, nil
-}
-
-// push enqueues the event, stamping its insertion order. The queued record
-// comes from the engine's arena; step returns it there after dispatch.
-func (s *Engine) push(ev event) {
-	p := s.arena.get()
-	*p = ev
-	p.seq = s.seq
-	s.seq++
-	heap.Push(&s.queue, p)
 }
 
 // Drain processes events until the queue is empty, however far into the
 // future that reaches. Run uses it to replay a whole workload log.
 func (s *Engine) Drain() error {
-	for s.queue.Len() > 0 {
+	for s.queue.len() > 0 {
 		if err := s.step(); err != nil {
 			return err
 		}
@@ -241,7 +194,7 @@ func (s *Engine) Drain() error {
 
 // step pops and dispatches the next event, advancing the clock to it.
 func (s *Engine) step() error {
-	ev := heap.Pop(&s.queue).(*event)
+	ev := s.queue.pop()
 	if ev.time < s.now {
 		return fmt.Errorf("sim: time went backwards: %v -> %v (%v)", s.now, ev.time, ev.kind)
 	}
@@ -275,9 +228,6 @@ func (s *Engine) step() error {
 	if err != nil {
 		return err
 	}
-	// No handler retains the event past its dispatch, so it can go straight
-	// back to the arena.
-	s.arena.put(ev)
 	s.phaseEnd(PhaseDispatch, t0)
 	if s.probe != nil {
 		s.probe.Sample(s.state())
@@ -286,7 +236,7 @@ func (s *Engine) step() error {
 }
 
 // stale reports whether a job event belongs to a superseded attempt.
-func (s *Engine) stale(ev *event) bool {
+func (s *Engine) stale(ev event) bool {
 	js, ok := s.jobs[ev.jobID]
 	if !ok || js.epoch != ev.epoch || js.completed {
 		s.res.StaleEventsDropped++
@@ -295,7 +245,7 @@ func (s *Engine) stale(ev *event) bool {
 	return false
 }
 
-func (s *Engine) onArrival(ev *event) error {
+func (s *Engine) onArrival(ev event) error {
 	js := s.jobs[ev.jobID]
 	duration := plannedDuration(js.job.PlanExec(), s.cfg.Checkpoint)
 	t0 := s.phaseStart()
@@ -326,11 +276,11 @@ func (s *Engine) commit(js *jobState, q negotiate.Quote, offers int) {
 	s.queueDepth++
 	s.promiseSum += q.Success
 	s.promisedJobs++
-	s.push(event{time: q.Candidate.Start, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
+	s.queue.push(event{time: q.Candidate.Start, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
 	s.decide(Decision{Kind: DecisionReserve, JobID: js.job.ID, Deadline: q.Deadline, Promise: q.Success})
 }
 
-func (s *Engine) onStart(ev *event) error {
+func (s *Engine) onStart(ev event) error {
 	if s.stale(ev) {
 		return nil
 	}
@@ -360,7 +310,7 @@ func (s *Engine) onStart(ev *event) error {
 		}
 		js.rec.StartSlips++
 		s.decide(Decision{Kind: DecisionStartSlip, JobID: js.job.ID, SlipTo: retry})
-		s.push(event{time: retry, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
+		s.queue.push(event{time: retry, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
 		return nil
 	}
 
@@ -410,16 +360,16 @@ func (s *Engine) estimateFinish(js *jobState) units.Time {
 func (s *Engine) scheduleNextWork(js *jobState) {
 	rem := js.remaining()
 	if rem <= s.cfg.Checkpoint.Interval {
-		s.push(event{time: s.now.Add(rem), kind: KindFinish, jobID: js.job.ID, epoch: js.epoch})
+		s.queue.push(event{time: s.now.Add(rem), kind: KindFinish, jobID: js.job.ID, epoch: js.epoch})
 		return
 	}
-	s.push(event{
+	s.queue.push(event{
 		time: s.now.Add(s.cfg.Checkpoint.Interval), kind: KindCheckpointRequest,
 		jobID: js.job.ID, epoch: js.epoch,
 	})
 }
 
-func (s *Engine) onCheckpointRequest(ev *event) error {
+func (s *Engine) onCheckpointRequest(ev event) error {
 	if s.stale(ev) {
 		return nil
 	}
@@ -458,7 +408,7 @@ func (s *Engine) onCheckpointRequest(ev *event) error {
 		s.decide(Decision{Kind: DecisionCheckpointGrant, JobID: js.job.ID, AtRisk: req.AtRiskIntervals})
 		js.inCheckpoint = true
 		js.ckptStarted = s.now
-		s.push(event{time: s.now.Add(p.Overhead), kind: KindCheckpointFinish, jobID: js.job.ID, epoch: js.epoch})
+		s.queue.push(event{time: s.now.Add(p.Overhead), kind: KindCheckpointFinish, jobID: js.job.ID, epoch: js.epoch})
 		return nil
 	}
 	s.decide(Decision{Kind: DecisionCheckpointSkip, JobID: js.job.ID, AtRisk: req.AtRiskIntervals})
@@ -468,7 +418,7 @@ func (s *Engine) onCheckpointRequest(ev *event) error {
 	return nil
 }
 
-func (s *Engine) onCheckpointFinish(ev *event) error {
+func (s *Engine) onCheckpointFinish(ev event) error {
 	if s.stale(ev) {
 		return nil
 	}
@@ -487,7 +437,7 @@ func (s *Engine) onCheckpointFinish(ev *event) error {
 	return nil
 }
 
-func (s *Engine) onFinish(ev *event) error {
+func (s *Engine) onFinish(ev event) error {
 	if s.stale(ev) {
 		return nil
 	}
@@ -511,11 +461,11 @@ func (s *Engine) onFinish(ev *event) error {
 	return nil
 }
 
-func (s *Engine) onFailure(ev *event) error {
+func (s *Engine) onFailure(ev event) error {
 	node := ev.node
 	s.cluster.Fail(node, s.now, s.cfg.Downtime)
 	s.scheduler.AddDowntime(node, s.now, s.now.Add(s.cfg.Downtime))
-	s.push(event{time: s.now.Add(s.cfg.Downtime), kind: KindRecovery, node: node})
+	s.queue.push(event{time: s.now.Add(s.cfg.Downtime), kind: KindRecovery, node: node})
 
 	frec := FailureRecord{Time: s.now, Node: node}
 	if occ := s.cluster.Occupant(node); occ != cluster.NoJob {
@@ -569,7 +519,7 @@ func (s *Engine) requeue(js *jobState) error {
 		return fmt.Errorf("sim: job %d: %w", js.job.ID, err)
 	}
 	s.decide(Decision{Kind: DecisionBackfill, JobID: js.job.ID})
-	s.push(event{time: c.Start, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
+	s.queue.push(event{time: c.Start, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
 	return nil
 }
 

@@ -73,8 +73,15 @@ for b in BenchmarkTracePFailSingleNode BenchmarkTracePFailSingleNodeTracingDisab
     fi
 done
 
-echo "== trace-scan micro-benchmarks"
-go test -run '^$' -bench 'TraceScan' -benchtime "$benchtime" -count "$count" ./internal/failure | tee -a "$tmp"
+echo "== trace-scan and trace-generation micro-benchmarks"
+go test -run '^$' -bench 'TraceScan|GenerateAndFilter' -benchtime "$benchtime" -count "$count" ./internal/failure | tee -a "$tmp"
+
+# Trace generation is the setup cost of every simulation: it must stay in
+# the trajectory.
+if ! grep -q "^BenchmarkGenerateAndFilter" "$tmp"; then
+    echo "FAIL: BenchmarkGenerateAndFilter missing from benchmark output" >&2
+    exit 1
+fi
 
 echo "== scheduler micro-benchmarks"
 go test -run '^$' -bench 'EarliestCandidate|ReserveRelease' -benchtime "$benchtime" -count "$count" ./internal/sched | tee -a "$tmp"
@@ -87,7 +94,18 @@ if ! grep -q "^BenchmarkEarliestCandidateSlipped" "$tmp"; then
 fi
 
 echo "== simulator benchmarks"
-go test -run '^$' -bench 'BenchmarkRun(SDSC|NASA|SDSCInstrumented)$' -benchtime "$benchtime" -count "$count" ./internal/sim | tee -a "$tmp"
+go test -run '^$' -bench 'BenchmarkRun(SDSC|NASA|SDSCInstrumented)$|BenchmarkEventQueue$' -benchtime "$benchtime" -count "$count" ./internal/sim | tee -a "$tmp"
+
+# Allocation gate: the engine's pushed-event heap holds plain values, so a
+# steady-state push/pop must stay at 0 allocs/op.
+if ! grep -q "^BenchmarkEventQueue" "$tmp"; then
+    echo "FAIL: BenchmarkEventQueue missing from benchmark output" >&2
+    exit 1
+fi
+if grep "^BenchmarkEventQueue" "$tmp" | grep -v ' 0 allocs/op' | grep -q .; then
+    echo "FAIL: BenchmarkEventQueue no longer reports 0 allocs/op" >&2
+    exit 1
+fi
 
 # The instrumented run is BenchmarkRunSDSC with obs.Instrument attached as
 # the Probe: the pair records the observability overhead.
