@@ -3,6 +3,7 @@ package failure
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"probqos/internal/stats"
@@ -71,6 +72,7 @@ func GenerateRawLog(cfg RawConfig) []RawEvent {
 	noiseSrc := src.Split("noise")
 	days := cfg.Span.Seconds() / units.Day.Seconds()
 	noiseCount := noiseSrc.Poisson(cfg.NoisePerNodePerDay * float64(cfg.Nodes) * days)
+	events = slices.Grow(events, noiseCount)
 	for i := 0; i < noiseCount; i++ {
 		sev := Info
 		if noiseSrc.Bool(0.25) {
@@ -170,10 +172,36 @@ func generateEpisodes(cfg RawConfig, src *stats.Source, criticalOnly bool) []Raw
 	return events
 }
 
-// sortByTime stable-sorts events by time, keeping generation order among
-// ties.
+// sortByTime sorts events by time, keeping generation order among ties:
+// the order a stable sort gives. When the time span and the positions fit
+// in one word, it sorts packed (time − first, position) keys, which are
+// all distinct, with an unstable sort and then gathers the events once,
+// instead of a stable sort's O(n log² n) moves of whole events.
 func sortByTime(events []RawEvent) {
-	slices.SortStableFunc(events, func(a, b RawEvent) int { return cmp.Compare(a.Time, b.Time) })
+	byTime := func(a, b RawEvent) int { return cmp.Compare(a.Time, b.Time) }
+	if slices.IsSortedFunc(events, byTime) {
+		return
+	}
+	lo, hi := events[0].Time, events[0].Time
+	for _, e := range events {
+		lo, hi = min(lo, e.Time), max(hi, e.Time)
+	}
+	posBits := bits.Len(uint(len(events)))
+	if bits.Len64(uint64(hi-lo))+posBits > 64 {
+		slices.SortStableFunc(events, byTime)
+		return
+	}
+	keys := make([]uint64, len(events))
+	for i, e := range events {
+		keys[i] = uint64(e.Time-lo)<<posBits | uint64(i)
+	}
+	slices.Sort(keys)
+	sorted := make([]RawEvent, len(events))
+	mask := uint64(1)<<posBits - 1
+	for i, k := range keys {
+		sorted[i] = events[k&mask]
+	}
+	copy(events, sorted)
 }
 
 // FilterConfig parameterizes the raw-log filtering pipeline.

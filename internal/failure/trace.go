@@ -14,6 +14,7 @@ import (
 // failures.
 type Trace struct {
 	events  []Event
+	times   []units.Time // times[i] == events[i].Time (ascending)
 	nodes   int
 	perNode []nodeIndex
 }
@@ -108,6 +109,7 @@ func NewTrace(nodes int, events []Event) (*Trace, error) {
 	}
 	t := &Trace{
 		events:  make([]Event, len(events)),
+		times:   make([]units.Time, len(events)),
 		nodes:   nodes,
 		perNode: make([]nodeIndex, nodes),
 	}
@@ -117,9 +119,10 @@ func NewTrace(nodes int, events []Event) (*Trace, error) {
 		if e.Node < 0 || e.Node >= nodes {
 			return nil, fmt.Errorf("failure: event %d references node %d outside [0,%d)", i, e.Node, nodes)
 		}
-		if e.Detectability < 0 || e.Detectability > 1 {
+		if !(e.Detectability >= 0 && e.Detectability <= 1) { // NaN too
 			return nil, fmt.Errorf("failure: event %d has detectability %v outside [0,1]", i, e.Detectability)
 		}
+		t.times[i] = e.Time
 		ix := &t.perNode[e.Node]
 		ix.pos = append(ix.pos, i)
 		ix.times = append(ix.times, e.Time)
@@ -195,14 +198,64 @@ func (t *Trace) firstDetectablePos(node int, from, to units.Time, maxDet float64
 	return ix.pos[i]
 }
 
+// walkMinNodes is the smallest node set the window walk answers: below
+// it, a search of each node's own few failures beats one search of the
+// whole trace (measured on the default 128-node trace: 1 node 17 vs 32 ns,
+// 3 nodes 42 vs 35 ns).
+const walkMinNodes = 3
+
+// window returns the trace positions [lo, hi) of the failures with Time in
+// [from, to) when the nodes (at least walkMinNodes of them, which callers
+// check first) are strictly ascending and the window holds at most
+// len(nodes) failures; ok is false otherwise. Walking such a window in
+// trace order costs O(log E + w) against the per-node path's O(|nodes| ·
+// log k), and trace order refines time order, so the first hit per node
+// is that node's earliest failure and the first hit on any node is the
+// partition's.
+func (t *Trace) window(nodes []int, from, to units.Time) (lo, hi int, ok bool) {
+	for i := 1; i < len(nodes); i++ {
+		if nodes[i] <= nodes[i-1] {
+			return 0, 0, false
+		}
+	}
+	lo = searchTimes(t.times, from)
+	// Search only as far as one past the largest window the walk takes.
+	end := min(len(t.times), lo+len(nodes)+1)
+	hi = lo + searchTimes(t.times[lo:end], to)
+	return lo, hi, hi-lo <= len(nodes)
+}
+
+// nodeRank returns the position of node in the ascending nodes, or -1.
+func nodeRank(nodes []int, node int) int {
+	lo, hi := 0, len(nodes)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if nodes[mid] < node {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(nodes) && nodes[lo] == node {
+		return lo
+	}
+	return -1
+}
+
 // FirstDetectableOnNodes returns the earliest failure with Time in [from,
 // to) and Detectability <= maxDet across all the given nodes: the batched
-// partition query. One pass over the trace index answers every node through
-// its segment tree and keeps the minimum trace position, which is exactly
-// the event a time-ordered Scan would deliver first (ties at equal times
-// break on trace index in both), without the per-event merge walk or its
-// cursor allocation.
+// partition query. A small window is walked in trace order (see window);
+// otherwise one pass over the trace index answers every node through its
+// segment tree and keeps the minimum trace position. Either way the answer
+// is the event a time-ordered Scan would deliver first (ties at equal
+// times break on trace index in both), without the per-event merge walk or
+// its cursor allocation.
 func (t *Trace) FirstDetectableOnNodes(nodes []int, from, to units.Time, maxDet float64) (Event, bool) {
+	if len(nodes) >= walkMinNodes {
+		if lo, hi, ok := t.window(nodes, from, to); ok {
+			return t.firstDetectableWalk(nodes, lo, hi, maxDet)
+		}
+	}
 	best := -1
 	for _, n := range nodes {
 		if i := t.firstDetectablePos(n, from, to, maxDet); i >= 0 && (best < 0 || i < best) {
@@ -215,19 +268,64 @@ func (t *Trace) FirstDetectableOnNodes(nodes []int, from, to units.Time, maxDet 
 	return t.events[best], true
 }
 
+// firstDetectableWalk answers FirstDetectableOnNodes for strictly
+// ascending nodes by walking the trace positions [lo, hi).
+func (t *Trace) firstDetectableWalk(nodes []int, lo, hi int, maxDet float64) (Event, bool) {
+	for i := lo; i < hi; i++ {
+		if e := t.events[i]; e.Detectability <= maxDet && nodeRank(nodes, e.Node) >= 0 {
+			return e, true
+		}
+	}
+	return Event{}, false
+}
+
 // AppendPFailBatch appends, for each node in nodes, the detectability of
 // its earliest failure with Time in [from, to) and Detectability <= maxDet
 // (0 when the node has none) and returns the extended slice. It is the
 // scheduler's batched scoring query: all candidate nodes answered in one
-// call over the trace index, each through its O(log k) segment-tree
-// descent, instead of one predictor call per node.
+// call, by one walk over a small window (see window) or else each node
+// through its O(log k) segment-tree descent, instead of one predictor call
+// per node.
 func (t *Trace) AppendPFailBatch(dst []float64, nodes []int, from, to units.Time, maxDet float64) []float64 {
+	if len(nodes) >= walkMinNodes {
+		if lo, hi, ok := t.window(nodes, from, to); ok {
+			return t.appendPFailWalk(dst, nodes, lo, hi, maxDet)
+		}
+	}
 	for _, n := range nodes {
 		var px float64
 		if i := t.firstDetectablePos(n, from, to, maxDet); i >= 0 {
 			px = t.events[i].Detectability
 		}
 		dst = append(dst, px)
+	}
+	return dst
+}
+
+// appendPFailWalk answers AppendPFailBatch for strictly ascending nodes by
+// walking the trace positions [lo, hi).
+func (t *Trace) appendPFailWalk(dst []float64, nodes []int, lo, hi int, maxDet float64) []float64 {
+	base := len(dst)
+	// A negative slot marks a node not yet hit (detectabilities lie in
+	// [0, 1]), so that a first failure of detectability 0 is kept, not
+	// taken for "none" and overwritten by a later one.
+	for range nodes {
+		dst = append(dst, -1)
+	}
+	out := dst[base:]
+	for i := lo; i < hi; i++ {
+		e := &t.events[i]
+		if e.Detectability > maxDet {
+			continue
+		}
+		if j := nodeRank(nodes, e.Node); j >= 0 && out[j] < 0 {
+			out[j] = e.Detectability
+		}
+	}
+	for j, px := range out {
+		if px < 0 {
+			out[j] = 0
+		}
 	}
 	return dst
 }

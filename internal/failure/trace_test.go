@@ -33,6 +33,7 @@ func TestNewTraceValidation(t *testing.T) {
 		{name: "node out of range", nodes: 4, events: []Event{{Node: 4}}, wantErr: true},
 		{name: "negative node", nodes: 4, events: []Event{{Node: -1}}, wantErr: true},
 		{name: "bad detectability", nodes: 4, events: []Event{{Node: 0, Detectability: 1.5}}, wantErr: true},
+		{name: "NaN detectability", nodes: 4, events: []Event{{Node: 0, Detectability: math.NaN()}}, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

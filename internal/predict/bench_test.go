@@ -75,6 +75,27 @@ func BenchmarkTraceAppendPFailNodes(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceFirstDetectable measures the partition query behind PFail
+// and the negotiator's Locator: the first detectable failure on a 32-node
+// partition over a quote-sized window.
+func BenchmarkTraceFirstDetectable(b *testing.B) {
+	tr := benchTrace(b)
+	p, err := NewTrace(tr, 0.7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := make([]int, 32)
+	for i := range nodes {
+		nodes[i] = 3 * i
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := units.Time(i%1000) * 3600
+		p.FirstDetectable(nodes, from, from.Add(12*units.Hour))
+	}
+}
+
 // BenchmarkTracePFailSingleNodeTracingDisabled is the single-node quote
 // query with the tracing layer compiled into the binary but disabled at
 // runtime: the nil-tracer scope/span calls around the hot loop must cost

@@ -115,15 +115,18 @@ func (s *Scheduler) earliestFit(from units.Time, size int, d units.Duration) (un
 	g.reset(s.n)
 	// Fast path: find which normal nodes are free at from, as freeDuring
 	// would, and try from itself before seeking any busy node's window.
+	// The heads at from say it without searching a list: a node is free
+	// when its first interval not over by from starts at from+d or later.
+	p.moveMark(from)
 	odd, open := 0, 0
-	for n, list := range p.nodes {
-		if p.odd[n] {
+	fits := from.Add(d)
+	for n, isOdd := range p.odd {
+		if isOdd {
 			odd++
 			continue
 		}
-		i := searchEndAfter(list, from)
-		g.next[n] = int32(i)
-		if i == len(list) || list[i].start >= from.Add(d) {
+		g.next[n] = p.headPos[n]
+		if p.headStart[n] >= fits {
 			g.start[n] = from
 			open++
 		} else {

@@ -40,12 +40,36 @@ type profile struct {
 	odd []bool
 	// ends holds every interval end in the profile, so that the query
 	// finds the next distinct end, an end's distinct rank, and the last end
-	// with a binary search instead of a pass over every interval.
+	// with a binary search instead of a pass over every interval. place,
+	// removeOwner and truncateOwner leave it to the Scheduler, which counts
+	// a reservation's shared end once for all its nodes.
 	ends endSet
+
+	// The heads cache, per node, headPos[n] = searchEndAfter(nodes[n],
+	// mark) and the start and end of the interval there (Forever when the
+	// position is past the list), so the earliest-start query reads each
+	// node's first interval not yet over at mark from flat arrays instead
+	// of searching every list. Every mutation re-heads the node it touched
+	// and moveMark carries all heads to a new instant. They are a pure
+	// cache: no interval leaves a list before gc drops it.
+	mark      units.Time
+	headPos   []int32
+	headStart []units.Time
+	headEnd   []units.Time
 }
 
 func newProfile(n int) *profile {
-	return &profile{nodes: make([][]interval, n), odd: make([]bool, n)}
+	p := &profile{
+		nodes:     make([][]interval, n),
+		odd:       make([]bool, n),
+		headPos:   make([]int32, n),
+		headStart: make([]units.Time, n),
+		headEnd:   make([]units.Time, n),
+	}
+	for i := range n {
+		p.headStart[i], p.headEnd[i] = units.Forever, units.Forever
+	}
+	return p
 }
 
 // endSet is a multiset of instants: its distinct values ascending, each
@@ -73,20 +97,29 @@ func (e *endSet) search(t units.Time) int {
 func (e *endSet) after(t units.Time) int { return e.search(t + 1) }
 
 // add counts one more interval ending at t.
-func (e *endSet) add(t units.Time) {
+func (e *endSet) add(t units.Time) { e.addN(t, 1) }
+
+// addN counts k more intervals ending at t.
+func (e *endSet) addN(t units.Time, k int) {
+	if k == 0 {
+		return
+	}
 	i := e.search(t)
 	if i < len(e.at) && e.at[i] == t {
-		e.count[i]++
+		e.count[i] += int32(k)
 		return
 	}
 	e.at = slices.Insert(e.at, i, t)
-	e.count = slices.Insert(e.count, i, 1)
+	e.count = slices.Insert(e.count, i, int32(k))
 }
 
-// remove uncounts one interval ending at t, which must be counted.
-func (e *endSet) remove(t units.Time) {
+// removeN uncounts k intervals ending at t, which must all be counted.
+func (e *endSet) removeN(t units.Time, k int) {
+	if k == 0 {
+		return
+	}
 	i := e.search(t)
-	if e.count[i]--; e.count[i] == 0 {
+	if e.count[i] -= int32(k); e.count[i] == 0 {
 		e.at = slices.Delete(e.at, i, i+1)
 		e.count = slices.Delete(e.count, i, i+1)
 	}
@@ -116,10 +149,19 @@ func (p *profile) recheck(node int) {
 	p.odd[node] = !endsNondecreasing(p.nodes[node])
 }
 
-// insert adds a busy interval to a node, keeping the list sorted by start.
+// insert adds a busy interval to a node and counts its end.
 func (p *profile) insert(node int, iv interval) {
+	if p.place(node, iv) {
+		p.ends.add(iv.end)
+	}
+}
+
+// place adds a busy interval to a node, keeping the list sorted by start,
+// without counting its end. It reports false for an empty interval, which
+// it drops.
+func (p *profile) place(node int, iv interval) bool {
 	if iv.end <= iv.start {
-		return
+		return false
 	}
 	list := p.nodes[node]
 	i := searchStartAfter(list, iv.start)
@@ -127,9 +169,58 @@ func (p *profile) insert(node int, iv interval) {
 	copy(list[i+1:], list[i:])
 	list[i] = iv
 	p.nodes[node] = list
-	p.ends.add(iv.end)
 	if (i > 0 && list[i-1].end > iv.end) || (i+1 < len(list) && iv.end > list[i+1].end) {
 		p.odd[node] = true
+	}
+	p.rehead(node)
+	return true
+}
+
+// rehead recomputes node's head at the current mark.
+func (p *profile) rehead(node int) {
+	p.setHead(node, searchEndAfter(p.nodes[node], p.mark))
+}
+
+// setHead points node's head at list position i.
+func (p *profile) setHead(node, i int) {
+	list := p.nodes[node]
+	p.headPos[node] = int32(i)
+	if i < len(list) {
+		p.headStart[node], p.headEnd[node] = list[i].start, list[i].end
+	} else {
+		p.headStart[node], p.headEnd[node] = units.Forever, units.Forever
+	}
+}
+
+// moveMark carries every head to t. Moving forward, a normal node's head
+// moves only if its interval ended by t, and then by a linear step: with
+// nondecreasing ends every position it passes is one searchEndAfter would
+// pass too. Odd nodes, whose binary search does not move monotonically
+// with t, and every node on a backward move are searched again.
+func (p *profile) moveMark(t units.Time) {
+	switch {
+	case t == p.mark:
+		return
+	case t < p.mark:
+		p.mark = t
+		for n := range p.nodes {
+			p.rehead(n)
+		}
+		return
+	}
+	p.mark = t
+	for n, end := range p.headEnd {
+		switch {
+		case p.odd[n]:
+			p.rehead(n)
+		case end <= t:
+			list := p.nodes[n]
+			i := int(p.headPos[n]) + 1
+			for i < len(list) && list[i].end <= t {
+				i++
+			}
+			p.setHead(n, i)
+		}
 	}
 }
 
@@ -205,42 +296,52 @@ func (p *profile) busyUntil(node int, at units.Time) units.Time {
 	return t
 }
 
-// removeOwner deletes all intervals of the owner on the node.
-func (p *profile) removeOwner(node, owner int) {
+// removeOwner deletes all intervals of the owner on the node and returns
+// how many it deleted, leaving their ends counted.
+func (p *profile) removeOwner(node, owner int) int {
 	list := p.nodes[node][:0]
 	for _, iv := range p.nodes[node] {
 		if iv.owner != owner {
 			list = append(list, iv)
-		} else {
-			p.ends.remove(iv.end)
 		}
 	}
+	removed := len(p.nodes[node]) - len(list)
 	p.nodes[node] = list
 	if p.odd[node] {
 		p.recheck(node)
 	}
+	p.rehead(node)
+	return removed
 }
 
 // truncateOwner cuts the owner's intervals on the node so that nothing
-// extends past at; intervals entirely past at are removed.
-func (p *profile) truncateOwner(node, owner int, at units.Time) {
-	list := p.nodes[node][:0]
-	for _, iv := range p.nodes[node] {
-		if iv.owner == owner {
-			if iv.start >= at {
-				p.ends.remove(iv.end)
-				continue
-			}
-			if iv.end > at {
-				p.ends.remove(iv.end)
-				p.ends.add(at)
-				iv.end = at
-			}
+// extends past at; intervals entirely past at are removed. It returns how
+// many it removed and how many it cut short, leaving the ends counted as
+// they were. Cuts happen in place; the list is compacted only when an
+// interval goes.
+func (p *profile) truncateOwner(node, owner int, at units.Time) (removed, cut int) {
+	list := p.nodes[node]
+	for i := range list {
+		switch iv := &list[i]; {
+		case iv.owner != owner:
+		case iv.start >= at:
+			removed++
+		case iv.end > at:
+			iv.end = at
+			cut++
 		}
-		list = append(list, iv)
 	}
-	p.nodes[node] = list
+	if removed+cut == 0 {
+		return 0, 0
+	}
+	if removed > 0 {
+		p.nodes[node] = slices.DeleteFunc(list, func(iv interval) bool {
+			return iv.owner == owner && iv.start >= at
+		})
+	}
 	p.recheck(node)
+	p.rehead(node)
+	return removed, cut
 }
 
 // shiftOwner moves the owner's interval on the node to start at newStart,
@@ -250,7 +351,7 @@ func (p *profile) shiftOwner(node, owner int, newStart units.Time) {
 	list := p.nodes[node][:0]
 	for _, iv := range p.nodes[node] {
 		if iv.owner == owner {
-			p.ends.remove(iv.end)
+			p.ends.removeN(iv.end, 1)
 			length := iv.end.Sub(iv.start)
 			moved = append(moved, interval{start: newStart, end: newStart.Add(length), owner: owner})
 			continue
@@ -262,7 +363,7 @@ func (p *profile) shiftOwner(node, owner int, newStart units.Time) {
 		p.recheck(node)
 	}
 	for _, iv := range moved {
-		p.insert(node, iv)
+		p.insert(node, iv) // re-heads the node
 	}
 }
 
@@ -280,6 +381,7 @@ func (p *profile) gc(now units.Time) {
 		if p.odd[n] {
 			p.recheck(n)
 		}
+		p.rehead(n)
 	}
 }
 

@@ -287,20 +287,121 @@ func TestEarliestCandidateMatchesWalk(t *testing.T) {
 				t.Fatalf("seed %d step %d: ends = %v×%v, want %v×%v", seed, step,
 					s.profile.ends.at, s.profile.ends.count, ends.at, ends.count)
 			}
+			checkHeads(t, s.profile, seed, step)
+			// Usually one query; sometimes a negotiation-like run of
+			// queries at later starts and then one back at the first, so
+			// the heads' mark moves forward and backward.
 			from := now.Add(units.Duration(src.Intn(1500)))
-			size := 1 + src.Intn(nodes)
-			d := dur(30, 4000)
-			got, ok := s.EarliestCandidate(from, size, d)
-			var want Candidate
-			s.Candidates(from, size, d, func(c Candidate) bool {
-				want = c
-				return false
-			})
-			if !ok || !sameCandidate(got, want) {
-				t.Fatalf("seed %d step %d: EarliestCandidate(%v, %d, %v) = %+v, %v; walk yields %+v",
-					seed, step, from, size, d, got, ok, want)
+			froms := []units.Time{from}
+			if src.Intn(3) == 0 {
+				at := from
+				for k := src.Intn(4); k >= 0; k-- {
+					at = at.Add(units.Duration(src.Intn(3000)))
+					froms = append(froms, at)
+				}
+				froms = append(froms, from)
+			}
+			for _, from := range froms {
+				size := 1 + src.Intn(nodes)
+				d := dur(30, 4000)
+				got, ok := s.EarliestCandidate(from, size, d)
+				var want Candidate
+				s.Candidates(from, size, d, func(c Candidate) bool {
+					want = c
+					return false
+				})
+				if !ok || !sameCandidate(got, want) {
+					t.Fatalf("seed %d step %d: EarliestCandidate(%v, %d, %v) = %+v, %v; walk yields %+v",
+						seed, step, from, size, d, got, ok, want)
+				}
+				if s.profile.mark != from {
+					t.Fatalf("seed %d step %d: mark %v after a query at %v", seed, step, s.profile.mark, from)
+				}
+				checkHeads(t, s.profile, seed, step)
 			}
 		}
+	}
+}
+
+// checkHeads fails unless every node's cached head is what a search of its
+// list at the profile's mark finds.
+func checkHeads(t *testing.T, p *profile, seed int64, step int) {
+	t.Helper()
+	for n, list := range p.nodes {
+		i := searchEndAfter(list, p.mark)
+		start, end := units.Forever, units.Forever
+		if i < len(list) {
+			start, end = list[i].start, list[i].end
+		}
+		if int(p.headPos[n]) != i || p.headStart[n] != start || p.headEnd[n] != end {
+			t.Fatalf("seed %d step %d: node %d head (%d, %v, %v) at mark %v, want (%d, %v, %v)", seed, step, n,
+				p.headPos[n], p.headStart[n], p.headEnd[n], p.mark, i, start, end)
+		}
+	}
+}
+
+// riskTable is a predictor that prices each node at a fixed risk, whatever
+// the window: it feeds node selection chosen risk vectors.
+type riskTable []float64
+
+func (r riskTable) PFail(nodes []int, _, _ units.Time) float64 {
+	var pf float64
+	for _, n := range nodes {
+		pf = max(pf, r[n])
+	}
+	return pf
+}
+
+func (r riskTable) AppendPFailNodes(dst []float64, nodes []int, _, _ units.Time) []float64 {
+	for _, n := range nodes {
+		dst = append(dst, r[n])
+	}
+	return dst
+}
+
+// TestSelectNodesZeroRiskShortcut pins the zero-risk shortcut of
+// selectNodes to the heap selection over random risk vectors, most of them
+// with enough zero-risk nodes for the shortcut and some without.
+func TestSelectNodesZeroRiskShortcut(t *testing.T) {
+	shortcut := 0
+	for seed := int64(0); seed < 2000; seed++ {
+		src := stats.NewSource(seed)
+		nodes := 1 + src.Intn(40)
+		risks := make(riskTable, nodes)
+		for n := range risks {
+			if src.Bool(0.3) {
+				risks[n] = []float64{0.25, 0.5, 1, src.Float64()}[src.Intn(4)]
+			}
+		}
+		var free []int
+		for n := 0; n < nodes; n++ {
+			if src.Bool(0.8) {
+				free = append(free, n)
+			}
+		}
+		if len(free) == 0 {
+			continue
+		}
+		size := 1 + src.Intn(len(free))
+		s := New(nodes, risks)
+		freeRisks := risks.AppendPFailNodes(nil, free, 0, 1)
+		want := slices.Clone(s.lowestRisk(free, freeRisks, size))
+		got := s.selectNodes(free, 0, size, 1)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: selectNodes(%v, %d) over risks %v = %v, heap picks %v", seed, free, size, risks, got, want)
+		}
+		zero := 0
+		for _, r := range freeRisks {
+			if r <= 0 {
+				zero++
+			}
+		}
+		if zero >= size {
+			shortcut++
+		}
+	}
+	if shortcut < 500 || shortcut > 1900 {
+		t.Fatalf("shortcut taken %d of 2000 times: want both paths exercised", shortcut)
 	}
 }
 

@@ -170,6 +170,33 @@ func (s *Scheduler) selectNodes(free []int, start units.Time, size int, duration
 	// window (one pass over the trace index) instead of one call per node.
 	risks := s.predictor.AppendPFailNodes(s.riskScratch[:0], free, riskFrom, end)
 	s.riskScratch = risks
+	// A quote window holds a handful of failures, so usually size of the
+	// free nodes carry no risk. Under the total (risk, node) order those
+	// come first, lowest IDs first: the heap below would pick the first
+	// size of them in free's ascending order.
+	zero := 0
+	for _, r := range risks {
+		if r <= 0 {
+			zero++
+		}
+	}
+	if zero >= size {
+		nodes := make([]int, 0, size)
+		for i, n := range free {
+			if risks[i] <= 0 {
+				if nodes = append(nodes, n); len(nodes) == size {
+					break
+				}
+			}
+		}
+		return nodes
+	}
+	return s.lowestRisk(free, risks, size)
+}
+
+// lowestRisk returns, ascending, the size free nodes first under the
+// (risk, node) order, where risks[i] prices free[i].
+func (s *Scheduler) lowestRisk(free []int, risks []float64, size int) []int {
 	// Partial selection: only the size lowest-risk nodes are wanted, so a
 	// bounded max-heap (O(free · log size)) replaces sorting every free
 	// node. (risk, node) is a total order, so the selected set — and hence
@@ -255,9 +282,14 @@ func (s *Scheduler) Reserve(jobID int, c Candidate, duration units.Duration) (*R
 	r.Duration = duration
 	r.Nodes = append(r.Nodes[:0], c.Nodes...)
 	r.PFail = c.PFail
+	// Every node's interval shares the reservation's end: count it once.
+	placed := 0
 	for _, n := range r.Nodes {
-		s.profile.insert(n, interval{start: r.Start, end: r.End(), owner: jobID})
+		if s.profile.place(n, interval{start: r.Start, end: r.End(), owner: jobID}) {
+			placed++
+		}
 	}
+	s.profile.ends.addN(r.End(), placed)
 	s.reservations[jobID] = r
 	return r, nil
 }
@@ -288,9 +320,11 @@ func (s *Scheduler) Release(jobID int) {
 	if !ok {
 		return
 	}
+	removed := 0
 	for _, n := range r.Nodes {
-		s.profile.removeOwner(n, jobID)
+		removed += s.profile.removeOwner(n, jobID)
 	}
+	s.profile.ends.removeN(r.End(), removed)
 	delete(s.reservations, jobID)
 	s.resFree = append(s.resFree, r)
 }
@@ -303,9 +337,16 @@ func (s *Scheduler) CompleteEarly(jobID int, at units.Time) {
 	if !ok {
 		return
 	}
+	// The counts cover only the intervals still listed: a node whose
+	// interval gc already dropped (its end uncounted with it) adds nothing.
+	removed, cut := 0, 0
 	for _, n := range r.Nodes {
-		s.profile.truncateOwner(n, jobID, at)
+		rm, c := s.profile.truncateOwner(n, jobID, at)
+		removed += rm
+		cut += c
 	}
+	s.profile.ends.removeN(r.End(), removed+cut)
+	s.profile.ends.addN(at, cut)
 	delete(s.reservations, jobID)
 	s.resFree = append(s.resFree, r)
 }

@@ -91,19 +91,11 @@ func DefaultConfig(w *workload.Log, f *failure.Trace) Config {
 	}
 }
 
-// Validate reports configuration errors for a batch run, which needs a
-// non-empty workload to replay.
-func (c Config) Validate() error {
-	return c.validate(true)
-}
-
-// validate checks the configuration. NewEngine passes requireWorkload =
-// false: the online service starts with an empty cluster and admits jobs
-// through the API instead of replaying a log.
-func (c Config) validate(requireWorkload bool) error {
+// validate checks the configuration. A nil or empty Workload passes: the
+// online service starts with an empty cluster and admits jobs through the
+// API instead of replaying a log, and Run checks for jobs itself.
+func (c Config) validate() error {
 	switch {
-	case requireWorkload && (c.Workload == nil || len(c.Workload.Jobs) == 0):
-		return fmt.Errorf("sim: config needs a non-empty workload")
 	case c.Failures == nil:
 		return fmt.Errorf("sim: config needs a failure trace (it may be empty)")
 	case c.Nodes <= 0:

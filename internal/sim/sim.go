@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"probqos/internal/checkpoint"
@@ -105,10 +106,11 @@ type Engine struct {
 
 // Run executes the configured simulation to completion and returns the
 // collected result. The run is deterministic: equal configs yield equal
-// results.
+// results. It needs a non-empty workload and leaves every other check to
+// NewEngine, so the log is validated once.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	if cfg.Workload == nil || len(cfg.Workload.Jobs) == 0 {
+		return nil, errors.New("sim: config needs a non-empty workload")
 	}
 	s, err := NewEngine(cfg)
 	if err != nil {
@@ -125,7 +127,7 @@ func Run(cfg Config) (*Result, error) {
 // clock sits at zero. Unlike Run, a nil or empty Workload is accepted —
 // the online service admits jobs one at a time instead of replaying a log.
 func NewEngine(cfg Config) (*Engine, error) {
-	if err := cfg.validate(false); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	pred := cfg.Predictor

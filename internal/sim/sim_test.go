@@ -58,6 +58,34 @@ func TestRunValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestRunErrorsUnchanged pins Run's error texts for an empty log and for an
+// invalid job: Run checks only that there are jobs and leaves every other
+// check, the log's included, to NewEngine.
+func TestRunErrorsUnchanged(t *testing.T) {
+	tr, err := failure.NewTrace(8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		name string
+		log  *workload.Log
+		want string
+	}{
+		{"nil log", nil, "sim: config needs a non-empty workload"},
+		{"empty log", &workload.Log{Name: "empty"}, "sim: config needs a non-empty workload"},
+		{"too wide job", &workload.Log{Jobs: []workload.Job{{ID: 1, Nodes: 9, Exec: 100}}},
+			"workload: job 1 needs 9 nodes but the cluster has 8"},
+		{"zero-exec job", &workload.Log{Jobs: []workload.Job{{ID: 1, Nodes: 4, Exec: 0}}},
+			"workload: job 1 has non-positive runtime 0"},
+	} {
+		cfg := DefaultConfig(tt.log, tr)
+		cfg.Nodes = 8
+		if _, err := Run(cfg); err == nil || err.Error() != tt.want {
+			t.Errorf("%s: Run error = %v, want %q", tt.name, err, tt.want)
+		}
+	}
+}
+
 func TestSingleJobNoFailures(t *testing.T) {
 	cfg := smallConfig(t, []workload.Job{{ID: 1, Arrival: 10, Nodes: 4, Exec: 500}}, nil)
 	res := run(t, cfg)

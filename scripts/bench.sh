@@ -55,14 +55,15 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp" "$tmp.json"' EXIT
 
 echo "== predictor micro-benchmarks"
-go test -run '^$' -bench 'PFail' -benchtime "$benchtime" -count "$count" ./internal/predict | tee -a "$tmp"
+go test -run '^$' -bench 'PFail|FirstDetectable' -benchtime "$benchtime" -count "$count" ./internal/predict | tee -a "$tmp"
 
 # Allocation gate: the single-node quote-path query must stay at
 # 0 allocs/op — including the variant that compiles the tracing layer into
 # the binary and leaves it disabled, proving the nil-tracer path is free —
 # and so must the batched scoring query node selection makes at every
-# candidate start.
-for b in BenchmarkTracePFailSingleNode BenchmarkTracePFailSingleNodeTracingDisabled BenchmarkTraceAppendPFailNodes; do
+# candidate start and the partition query behind PFail and the
+# negotiator's locator.
+for b in BenchmarkTracePFailSingleNode BenchmarkTracePFailSingleNodeTracingDisabled BenchmarkTraceAppendPFailNodes BenchmarkTraceFirstDetectable; do
     if ! grep -q "^$b" "$tmp"; then
         echo "FAIL: $b missing from benchmark output" >&2
         exit 1
