@@ -40,40 +40,56 @@ const (
 	writeFlags = os.O_CREATE | os.O_WRONLY | os.O_APPEND
 )
 
-// writeSnapshot durably replaces the snapshot: write to a temp file, fsync
-// it, rename over the live name, fsync the directory. A crash at any point
-// leaves either the old snapshot or the new one, never a torn mix.
-func writeSnapshot(fsys FS, dir string, s *Snapshot) error {
-	data, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("durability: encode snapshot: %w", err)
+// snapshotFile is the encoding side of Snapshot: the same fields in the
+// same order, with State holding the owner's value, so one encoder pass
+// writes the whole file. Encoding a RawMessage instead would make
+// encoding/json scan and compact the already-encoded state a second time;
+// its output is compact and HTML-escaped either way, so the bytes match.
+type snapshotFile struct {
+	Version int    `json:"version"`
+	LSN     uint64 `json:"lsn"`
+	Config  string `json:"config"`
+	State   any    `json:"state"`
+}
+
+// writeSnapshot durably replaces the snapshot with s, encoded into buf
+// (reused across snapshots): write to a temp file, fsync it, rename over
+// the live name, fsync the directory. A crash at any point leaves either
+// the old snapshot or the new one, never a torn mix. It returns the size
+// of the file written.
+func writeSnapshot(fsys FS, dir string, buf *bytes.Buffer, s snapshotFile) (int, error) {
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(s); err != nil {
+		return 0, fmt.Errorf("durability: encode snapshot: %w", err)
 	}
+	// Encode ends the value with a newline that json.Marshal does not.
+	data := bytes.TrimSuffix(buf.Bytes(), []byte{'\n'})
 	tmp := filepath.Join(dir, snapshotTmp)
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("durability: create %s: %w", tmp, err)
+		return 0, fmt.Errorf("durability: create %s: %w", tmp, err)
 	}
 	if _, err := f.Write(data); err != nil {
 		//qoslint:allow syncerr best-effort cleanup; the Write error is returned
 		f.Close()
-		return fmt.Errorf("durability: write %s: %w", tmp, err)
+		return 0, fmt.Errorf("durability: write %s: %w", tmp, err)
 	}
 	if err := f.Sync(); err != nil {
 		//qoslint:allow syncerr best-effort cleanup; the Sync error is returned
 		f.Close()
-		return fmt.Errorf("durability: fsync %s: %w", tmp, err)
+		return 0, fmt.Errorf("durability: fsync %s: %w", tmp, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("durability: close %s: %w", tmp, err)
+		return 0, fmt.Errorf("durability: close %s: %w", tmp, err)
 	}
 	final := filepath.Join(dir, snapshotName)
 	if err := fsys.Rename(tmp, final); err != nil {
-		return fmt.Errorf("durability: rename %s: %w", tmp, err)
+		return 0, fmt.Errorf("durability: rename %s: %w", tmp, err)
 	}
 	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("durability: fsync dir %s: %w", dir, err)
+		return 0, fmt.Errorf("durability: fsync dir %s: %w", dir, err)
 	}
-	return nil
+	return len(data), nil
 }
 
 // loadSnapshot reads the current snapshot. ok is false when none exists

@@ -1,6 +1,7 @@
 package durability
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -27,9 +28,9 @@ type Options struct {
 	// OnSync, when set, observes the latency of each WAL append (write +
 	// fsync). The service wires it to a histogram.
 	OnSync func(d time.Duration)
-	// OnSnapshot, when set, observes each completed snapshot: its encoded
-	// state size and how long the durable write took. The service wires it
-	// to the snapshot gauges.
+	// OnSnapshot, when set, observes each completed snapshot: the size of
+	// the snapshot file and how long the durable write took. The service
+	// wires it to the snapshot gauges.
 	OnSnapshot func(bytes int, d time.Duration)
 }
 
@@ -56,6 +57,8 @@ type Store struct {
 
 	replayCost time.Duration // measured cost of replaying one record
 	snapCost   time.Duration // measured cost of writing one snapshot
+
+	snapBuf bytes.Buffer // encoded snapshot, reused across compactions
 }
 
 // Open prepares dir for service: it loads the current snapshot (if any),
@@ -189,31 +192,33 @@ func maxDuration(d, floor units.Duration) units.Duration {
 }
 
 // Compact durably writes a snapshot of state at the current log position
-// and truncates the WAL. The write is atomic (temp file + rename); the
-// truncation is safe to lose, since recovery skips records at or below
-// the snapshot's LSN.
-func (st *Store) Compact(state []byte, config string) error {
+// and truncates the WAL, returning the size of the snapshot file. state is
+// the owner's state value; it is JSON-encoded straight into the snapshot,
+// in the same pass as the envelope, and comes back as Snapshot.State. The
+// write is atomic (temp file + rename); the truncation is safe to lose,
+// since recovery skips records at or below the snapshot's LSN.
+func (st *Store) Compact(state any, config string) (int, error) {
 	//qoslint:allow detwallclock snapshot-cost observation for obs; never feeds replayed state
 	begin := time.Now()
-	err := writeSnapshot(st.fs, st.dir, &Snapshot{
+	n, err := writeSnapshot(st.fs, st.dir, &st.snapBuf, snapshotFile{
 		Version: SnapshotVersion,
 		LSN:     st.lastLSN,
 		Config:  config,
 		State:   state,
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	//qoslint:allow detwallclock snapshot-cost observation for obs; never feeds replayed state
 	st.snapCost = time.Since(begin)
 	if st.opts.OnSnapshot != nil {
-		st.opts.OnSnapshot(len(state), st.snapCost)
+		st.opts.OnSnapshot(n, st.snapCost)
 	}
 	if err := st.w.reset(); err != nil {
-		return err
+		return 0, err
 	}
 	st.sinceSnap = 0
-	return nil
+	return n, nil
 }
 
 // SetReplayCost records the measured cost of replaying records, refining

@@ -66,14 +66,24 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// family returns the named family, creating it on first use. Re-registering
-// a name under a different kind is a programming error and panics.
+// family returns the named family, creating it on first use; the name and
+// any histogram bounds are validated, and the bounds copied, only then.
+// Re-registering a name under a different kind is a programming error and
+// panics.
 func (r *Registry) family(name, help string, kind metricKind, bounds []float64) *family {
-	mustValidName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
+		mustValidName(name)
+		if kind == histogramKind {
+			for i, b := range bounds {
+				if math.IsNaN(b) || math.IsInf(b, 0) || (i > 0 && b <= bounds[i-1]) {
+					panic(fmt.Sprintf("obs: histogram %q bounds must be finite and strictly increasing: %v", name, bounds))
+				}
+			}
+			bounds = append([]float64(nil), bounds...)
+		}
 		f = &family{name: name, help: help, kind: kind, bounds: bounds,
 			children: make(map[string]any)}
 		r.families[name] = f
@@ -118,14 +128,10 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 // Histogram returns the fixed-bucket histogram with the given name and
 // labels, registering it on first use. Bounds are the bucket upper limits,
 // strictly increasing and finite; a +Inf overflow bucket is implicit. The
-// bounds of the first registration win for the whole family.
+// bounds of the first registration win for the whole family: they are
+// validated and copied then, and ignored on later calls.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels) *Histogram {
-	for i, b := range bounds {
-		if math.IsNaN(b) || math.IsInf(b, 0) || (i > 0 && b <= bounds[i-1]) {
-			panic(fmt.Sprintf("obs: histogram %q bounds must be finite and strictly increasing: %v", name, bounds))
-		}
-	}
-	f := r.family(name, help, histogramKind, append([]float64(nil), bounds...))
+	f := r.family(name, help, histogramKind, bounds)
 	key := renderLabels(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()

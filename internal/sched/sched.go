@@ -81,6 +81,9 @@ type Scheduler struct {
 	scoredScratch []scoredNode
 	riskScratch   []float64
 	gaps          gapCursors
+	// seen marks nodes while Reserve checks an unsorted node set for
+	// repeats; all false between calls, allocated on first need.
+	seen []bool
 
 	// resFree recycles Reservation records (and their node slices) released
 	// by Release/CompleteEarly. Reservations churn once per admit and once
@@ -265,10 +268,14 @@ func heapSiftDown(h []scoredNode, i int) {
 
 // Reserve commits a candidate for a job, inserting its busy intervals into
 // the profile. It returns the created reservation, or an error if the job
-// already holds one or the candidate's nodes are no longer free.
+// already holds one, the candidate lists a node twice or one outside the
+// cluster, or its nodes are no longer free.
 func (s *Scheduler) Reserve(jobID int, c Candidate, duration units.Duration) (*Reservation, error) {
 	if _, ok := s.reservations[jobID]; ok {
 		return nil, fmt.Errorf("sched: job %d already holds a reservation", jobID)
+	}
+	if err := s.checkNodes(c.Nodes); err != nil {
+		return nil, fmt.Errorf("sched: job %d: %w", jobID, err)
 	}
 	end := c.Start.Add(duration)
 	for _, n := range c.Nodes {
@@ -292,6 +299,52 @@ func (s *Scheduler) Reserve(jobID int, c Candidate, duration units.Duration) (*R
 	s.profile.ends.addN(r.End(), placed)
 	s.reservations[jobID] = r
 	return r, nil
+}
+
+// checkNodes rejects a node set that repeats a node or names one outside
+// [0, n): every free check would pass for a repeat, which would then get
+// two overlapping intervals of one job. Candidates come ascending, which
+// costs one comparison per node; any other order is checked against the
+// scheduler's seen marks.
+func (s *Scheduler) checkNodes(nodes []int) error {
+	for i := 1; i < len(nodes); i++ {
+		if nodes[i] <= nodes[i-1] {
+			return s.checkUnsortedNodes(nodes)
+		}
+	}
+	if k := len(nodes); k > 0 {
+		if nodes[0] < 0 {
+			return fmt.Errorf("node %d outside [0,%d)", nodes[0], s.n)
+		}
+		if nodes[k-1] >= s.n {
+			return fmt.Errorf("node %d outside [0,%d)", nodes[k-1], s.n)
+		}
+	}
+	return nil
+}
+
+func (s *Scheduler) checkUnsortedNodes(nodes []int) error {
+	if s.seen == nil {
+		s.seen = make([]bool, s.n)
+	}
+	var err error
+	marked := 0
+	for _, n := range nodes {
+		if n < 0 || n >= s.n {
+			err = fmt.Errorf("node %d outside [0,%d)", n, s.n)
+			break
+		}
+		if s.seen[n] {
+			err = fmt.Errorf("node %d listed twice", n)
+			break
+		}
+		s.seen[n] = true
+		marked++
+	}
+	for _, n := range nodes[:marked] {
+		s.seen[n] = false
+	}
+	return err
 }
 
 // getReservation hands out a recycled Reservation (node slice capacity and

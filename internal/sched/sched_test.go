@@ -93,6 +93,52 @@ func TestReserveErrors(t *testing.T) {
 	}
 }
 
+// TestReserveRejectsBadNodeSets pins Reserve's node-set check: a repeated
+// node would pass every free check and get two overlapping intervals of one
+// job, and a node outside the cluster would index past the profile. A
+// rejected set leaves the profile untouched, and valid sets in any order
+// are accepted.
+func TestReserveRejectsBadNodeSets(t *testing.T) {
+	for _, tt := range []struct {
+		name  string
+		nodes []int
+		ok    bool
+	}{
+		{name: "ascending", nodes: []int{0, 2, 3}, ok: true},
+		{name: "unsorted", nodes: []int{3, 0, 2}, ok: true},
+		{name: "single", nodes: []int{7}, ok: true},
+		{name: "adjacent repeat", nodes: []int{1, 1, 2}},
+		{name: "unsorted repeat", nodes: []int{2, 0, 2}},
+		{name: "all one node", nodes: []int{5, 5, 5, 5}},
+		{name: "negative first", nodes: []int{-1, 0, 1}},
+		{name: "past the end", nodes: []int{6, 7, 8}},
+		{name: "unsorted past the end", nodes: []int{9, 0}},
+		{name: "unsorted negative", nodes: []int{3, -2}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			s := New(8, nil)
+			_, err := s.Reserve(1, Candidate{Start: 10, Nodes: tt.nodes}, 100)
+			if tt.ok != (err == nil) {
+				t.Fatalf("Reserve(%v) error = %v, want ok=%v", tt.nodes, err, tt.ok)
+			}
+			if err := s.ValidateProfile(); err != nil {
+				t.Fatal(err)
+			}
+			if tt.ok {
+				return
+			}
+			if _, held := s.Reservation(1); held {
+				t.Error("rejected candidate left a reservation")
+			}
+			// The seen marks were cleared: every node is free again, and
+			// the same scheduler accepts a valid unsorted set.
+			if _, err := s.Reserve(2, Candidate{Start: 10, Nodes: []int{7, 6, 5, 4, 3, 2, 1, 0}}, 100); err != nil {
+				t.Errorf("whole machine after a rejection: %v", err)
+			}
+		})
+	}
+}
+
 func TestBackfillingAroundReservation(t *testing.T) {
 	s := New(4, nil)
 	// Wide job takes the whole machine at [100, 200).

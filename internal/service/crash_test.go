@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -522,6 +523,50 @@ func TestPromiseLedgerSurvivesSnapshot(t *testing.T) {
 	b2, _ := json.Marshal(s2.ledger.Export())
 	if string(b1) != string(b2) {
 		t.Errorf("snapshot-restored ledger diverges:\n got %s\nwant %s", b2, b1)
+	}
+}
+
+// TestSnapshotBytesMatchTwoPassEncoding pins the one-pass snapshot writer
+// to the file the two-pass writer produced: the state marshalled on its
+// own, then wrapped in the envelope as raw JSON. After a driven dialog and
+// a clean shutdown the file must match byte for byte, and the size gauge
+// must report the file's size.
+func TestSnapshotBytesMatchTwoPassEncoding(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(durableConfig(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveDialog(t, s.Handler())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The loop has exited, so the machine is safe to read. Every record
+	// the service committed, the drain marker included, is in the
+	// snapshot.
+	state, err := json.Marshal(s.machine.export(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(durability.Snapshot{
+		Version: durability.SnapshotVersion,
+		LSN:     uint64(s.walRecords.Value()),
+		Config:  s.digest,
+		State:   state,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("snapshot differs from the two-pass encoding:\n got %s\nwant %s", got, want)
+	}
+	size := s.reg.Gauge("qosd_snapshot_last_bytes", "", nil).Value()
+	if size != float64(len(got)) {
+		t.Errorf("qosd_snapshot_last_bytes = %v, file holds %d bytes", size, len(got))
 	}
 }
 

@@ -186,15 +186,15 @@ type persistedState struct {
 	Clean bool `json:"clean"`
 }
 
-func (m *machine) export(clean bool) ([]byte, error) {
+func (m *machine) export(clean bool) persistedState {
 	ledger := m.ledger.Export()
-	return json.Marshal(persistedState{
+	return persistedState{
 		Engine:    m.eng.ExportState(),
 		Book:      m.book.Export(),
 		NextJobID: m.nextJobID,
 		Ledger:    &ledger,
 		Clean:     clean,
-	})
+	}
 }
 
 // RecoveryInfo summarizes what startup found in the data directory.
@@ -244,13 +244,18 @@ func (s *Service) recoverState() error {
 	store, snap, recs, err := durability.Open(s.cfg.FS, s.cfg.DataDir, durability.Options{
 		SnapshotEvery: s.cfg.SnapshotEvery,
 		Hazard:        s.cfg.CrashHazard,
+		// Appends run on the state-machine goroutine (or in Close, after it
+		// exited), so the cached histogram needs no lock.
 		OnSync: func(d time.Duration) {
-			s.reg.Histogram("qosd_wal_fsync_seconds",
-				"WAL append latency (write + fsync)", fsyncBounds, nil).Observe(d.Seconds())
+			if s.fsyncHist == nil {
+				s.fsyncHist = s.reg.Histogram("qosd_wal_fsync_seconds",
+					"WAL append latency (write + fsync)", fsyncBounds, nil)
+			}
+			s.fsyncHist.Observe(d.Seconds())
 		},
 		OnSnapshot: func(bytes int, d time.Duration) {
 			s.reg.Gauge("qosd_snapshot_last_bytes",
-				"encoded state size of the most recent snapshot", nil).Set(float64(bytes))
+				"size of the most recent snapshot file", nil).Set(float64(bytes))
 			s.reg.Histogram("qosd_snapshot_seconds",
 				"durable snapshot write latency", snapshotBounds, nil).Observe(d.Seconds())
 		},
@@ -364,7 +369,7 @@ func (s *Service) logOp(op walOp) error {
 		s.setDegraded(aerr)
 		return fmt.Errorf("%w: %v", errDegraded, aerr)
 	}
-	s.reg.Counter("qosd_wal_records_total", "WAL records committed", nil).Inc()
+	s.loopCounter(&s.walRecords, "qosd_wal_records_total", "WAL records committed").Inc()
 	return nil
 }
 
@@ -413,14 +418,11 @@ func (s *Service) maybeCompact() {
 func (s *Service) compact(clean bool) error {
 	sp := s.curScope.Start("snapshot")
 	defer sp.End()
-	state, err := s.machine.export(clean)
+	n, err := s.store.Compact(s.machine.export(clean), s.digest)
 	if err != nil {
 		return err
 	}
-	sp.Annotate("bytes", strconv.Itoa(len(state)))
-	if err := s.store.Compact(state, s.digest); err != nil {
-		return err
-	}
+	sp.Annotate("bytes", strconv.Itoa(n))
 	s.reg.Counter("qosd_snapshots_total", "state snapshots written", nil).Inc()
 	return nil
 }

@@ -176,6 +176,7 @@ type apiHandler func(r *http.Request, sc *trace.Scope) (int, any, error)
 // and renders JSON. When tracing is disabled the only extra work is one
 // header lookup.
 func (s *Service) instrumented(endpoint string, h apiHandler) http.HandlerFunc {
+	span := "http." + endpoint
 	return func(w http.ResponseWriter, r *http.Request) {
 		begin := time.Now()
 		var sc *trace.Scope
@@ -190,7 +191,7 @@ func (s *Service) instrumented(endpoint string, h apiHandler) http.HandlerFunc {
 			// Echo even with tracing off, so clients correlate retries.
 			w.Header().Set(traceHeader, traceID)
 		}
-		hs := sc.Start("http." + endpoint)
+		hs := sc.Start(span)
 		code, body, err := h(r, sc)
 		hs.End()
 		if err != nil {
@@ -207,8 +208,27 @@ func (s *Service) instrumented(endpoint string, h apiHandler) http.HandlerFunc {
 	}
 }
 
-// readBody slurps a bounded request body.
+// readBody slurps a bounded request body. A body that declares its length
+// below the bound is read into one buffer of that size; one of unknown or
+// excessive length goes through io.ReadAll behind http.MaxBytesReader.
+// Either way a body that ends early yields what arrived, as io.ReadAll
+// would.
 func readBody(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n < maxBodyBytes {
+		data := make([]byte, n)
+		read := 0
+		for read < len(data) {
+			m, err := r.Body.Read(data[read:])
+			read += m
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("reading body: %w", err)
+			}
+		}
+		return data[:read], nil
+	}
 	data, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	if err != nil {
 		return nil, fmt.Errorf("reading body: %w", err)
@@ -271,9 +291,10 @@ func (s *Service) handleQuote(r *http.Request, sc *trace.Scope) (int, any, error
 			s.logOp(walOp{Kind: opSession, Session: sess})
 			resp.SessionID = sess.ID
 			resp.Expires = sess.Expires
-			s.reg.Counter("qosd_sessions_opened_total", "negotiation sessions opened", nil).Inc()
-			s.reg.Counter("qosd_quotes_issued_total", "individual offers extended", nil).
-				Add(float64(len(quotes)))
+			s.loopCounter(&s.sessionsOpened, "qosd_sessions_opened_total",
+				"negotiation sessions opened").Inc()
+			s.loopCounter(&s.quotesIssued, "qosd_quotes_issued_total",
+				"individual offers extended").Add(float64(len(quotes)))
 		}
 		return http.StatusOK, resp, nil
 	})

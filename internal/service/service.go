@@ -10,8 +10,9 @@
 // Concurrency model: every request is serialized through a single
 // state-machine goroutine (request closures in, results out), so the
 // scheduler core — which is single-threaded by design — stays data-race
-// free by construction. The instrumentation registry (internal/obs) is the
-// only state touched from handler goroutines, and it is concurrency-safe.
+// free by construction. The instrumentation registry (internal/obs) and the
+// lock-guarded cache of per-endpoint request instruments in front of it are
+// the only state touched from handler goroutines.
 // The cluster and promise gauges are computed when /metrics or /snapshot
 // is scraped: the scrape hook hops onto the state-machine goroutine to read
 // them, and does not tick, so a scrape never moves the clock or journals.
@@ -24,6 +25,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -165,6 +167,14 @@ type Service struct {
 
 	srv *http.Server
 	ln  net.Listener
+
+	// Cached instruments, each registered on first use. reqMetrics is
+	// shared by the handler goroutines; the rest belong to the
+	// state-machine goroutine.
+	reqMetrics                               requestMetrics
+	walRecords, sessionsOpened, quotesIssued *obs.Counter
+	accepts                                  map[string]*obs.Counter // by outcome
+	fsyncHist                                *obs.Histogram
 }
 
 // New validates cfg, builds the engine, and starts the state-machine
@@ -197,6 +207,11 @@ func New(cfg Config) (*Service, error) {
 		reqs:    make(chan func()),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
+		reqMetrics: requestMetrics{
+			latency: make(map[string]*obs.Histogram),
+			count:   make(map[endpointCode]*obs.Counter),
+		},
+		accepts: make(map[string]*obs.Counter),
 	}
 	s.degradedMsg.Store("")
 	if cfg.DataDir != "" {
@@ -394,20 +409,64 @@ func (s *Service) Close() error {
 // latencyBounds bucket request latency from 100µs to ~1.6s.
 var latencyBounds = []float64{0.0001, 0.0004, 0.0016, 0.0064, 0.0256, 0.1024, 0.4096, 1.6384}
 
-// observeRequest records one finished request in the registry.
+// requestMetrics caches the per-endpoint request instruments. Handlers run
+// concurrently, so the cache sits behind one lock, held only for the map
+// lookups.
+type requestMetrics struct {
+	mu      sync.Mutex
+	latency map[string]*obs.Histogram // by endpoint
+	count   map[endpointCode]*obs.Counter
+}
+
+type endpointCode struct {
+	endpoint string
+	code     int
+}
+
+// observeRequest records one finished request in the registry. Each
+// endpoint's histogram and each (endpoint, code) counter is resolved on
+// first use, so /metrics shows only series that have counted something.
 func (s *Service) observeRequest(endpoint string, code int, elapsed time.Duration) {
-	s.reg.Counter("qosd_requests_total", "API requests by endpoint and status code",
-		obs.Labels{"endpoint": endpoint, "code": strconv.Itoa(code)}).Inc()
-	s.reg.Histogram("qosd_request_seconds", "API request latency by endpoint",
-		latencyBounds, obs.Labels{"endpoint": endpoint}).Observe(elapsed.Seconds())
+	rm := &s.reqMetrics
+	rm.mu.Lock()
+	c := rm.count[endpointCode{endpoint, code}]
+	if c == nil {
+		c = s.reg.Counter("qosd_requests_total", "API requests by endpoint and status code",
+			obs.Labels{"endpoint": endpoint, "code": strconv.Itoa(code)})
+		rm.count[endpointCode{endpoint, code}] = c
+	}
+	h := rm.latency[endpoint]
+	if h == nil {
+		h = s.reg.Histogram("qosd_request_seconds", "API request latency by endpoint",
+			latencyBounds, obs.Labels{"endpoint": endpoint})
+		rm.latency[endpoint] = h
+	}
+	rm.mu.Unlock()
+	c.Inc()
+	h.Observe(elapsed.Seconds())
+}
+
+// loopCounter returns the unlabelled counter cached in *slot, registering
+// it on first use. Only the state-machine goroutine calls it.
+func (s *Service) loopCounter(slot **obs.Counter, name, help string) *obs.Counter {
+	if *slot == nil {
+		*slot = s.reg.Counter(name, help, nil)
+	}
+	return *slot
 }
 
 // countAccept tallies one accept outcome: accepted, conflict (the quoted
 // slot was claimed first), expired (session lapsed or unknown), rejected
-// (admission control), or stale (quote start already in the past).
+// (admission control), or stale (quote start already in the past). Only
+// the state-machine goroutine calls it.
 func (s *Service) countAccept(outcome string) {
-	s.reg.Counter("qosd_accepts_total", "accept outcomes by kind",
-		obs.Labels{"outcome": outcome}).Inc()
+	c := s.accepts[outcome]
+	if c == nil {
+		c = s.reg.Counter("qosd_accepts_total", "accept outcomes by kind",
+			obs.Labels{"outcome": outcome})
+		s.accepts[outcome] = c
+	}
+	c.Inc()
 }
 
 // publishGauges sets the cluster-state and promise-ledger gauges from the

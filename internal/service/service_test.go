@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"probqos/internal/failure"
+	"probqos/internal/obs"
 	"probqos/internal/units"
 )
 
@@ -254,6 +257,107 @@ func TestMetricsExposed(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "qosd_requests_total") {
 		t.Error("/metrics after Close lacks qosd_requests_total")
+	}
+}
+
+// TestInstrumentsAppearOnFirstUse pins the cached instruments to the
+// series /metrics showed when every call looked them up by name: a fresh
+// durable service exposes no accept, session, fsync or request series
+// until one has counted something, and a cached counter keeps counting.
+func TestInstrumentsAppearOnFirstUse(t *testing.T) {
+	s, err := New(durableConfig(t, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	scrape := func() string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/metrics: code %d", rec.Code)
+		}
+		return rec.Body.String()
+	}
+	text := scrape()
+	for _, absent := range []string{
+		"qosd_accepts_total", "qosd_sessions_opened_total", "qosd_quotes_issued_total",
+		"qosd_wal_fsync_seconds", "qosd_wal_records_total", "qosd_requests_total",
+		"qosd_request_seconds",
+	} {
+		if strings.Contains(text, absent) {
+			t.Errorf("fresh service exposes %s before first use", absent)
+		}
+	}
+
+	const n = 3
+	for i := 0; i < n; i++ {
+		var q quoteResponse
+		if code := call(t, h, "POST", "/v1/quote",
+			map[string]any{"nodes": 1, "exec_seconds": 60}, &q); code != http.StatusOK {
+			t.Fatalf("quote: code %d", code)
+		}
+		if code := call(t, h, "POST", "/v1/accept",
+			map[string]any{"session_id": q.SessionID, "offer": 1}, nil); code != http.StatusOK {
+			t.Fatalf("accept: code %d", code)
+		}
+	}
+	text = scrape()
+	for _, want := range []string{
+		`qosd_accepts_total{outcome="accepted"} 3`,
+		"qosd_sessions_opened_total 3",
+		"qosd_wal_records_total 6",
+		"qosd_wal_fsync_seconds_count 6",
+		`qosd_requests_total{code="200",endpoint="accept"} 3`,
+		`qosd_request_seconds_count{endpoint="quote"} 3`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	// Only the outcome and code that happened have series.
+	for _, absent := range []string{`outcome="conflict"`, `code="404"`, `endpoint="advance"`} {
+		if strings.Contains(text, absent) {
+			t.Errorf("/metrics shows %s, which never happened", absent)
+		}
+	}
+}
+
+// TestObserveRequestConcurrent races handler goroutines on the request
+// instrument cache, first resolutions included: every observation lands
+// in the one series its (endpoint, code) names.
+func TestObserveRequestConcurrent(t *testing.T) {
+	s := newTestService(t, 4)
+	endpoints := []string{"quote", "accept", "advance"}
+	codes := []int{http.StatusOK, http.StatusNotFound}
+	const workers, each = 8, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				s.observeRequest(endpoints[(w+i)%len(endpoints)], codes[i%len(codes)], time.Millisecond)
+			}
+		}(w)
+	}
+	wg.Wait()
+	var total float64
+	for _, ep := range endpoints {
+		var byCode float64
+		for _, code := range codes {
+			byCode += s.reg.Counter("qosd_requests_total", "",
+				obs.Labels{"endpoint": ep, "code": strconv.Itoa(code)}).Value()
+		}
+		h := s.reg.Histogram("qosd_request_seconds", "", latencyBounds, obs.Labels{"endpoint": ep})
+		if float64(h.Count()) != byCode {
+			t.Errorf("%s: histogram counted %d, counters %v", ep, h.Count(), byCode)
+		}
+		total += byCode
+	}
+	if total != workers*each {
+		t.Errorf("counted %v requests, want %d", total, workers*each)
 	}
 }
 

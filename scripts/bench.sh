@@ -1,6 +1,6 @@
 #!/bin/sh
 # Quote-path performance harness: runs the predictor, trace-scan, scheduler,
-# and simulator micro-benchmarks plus a reduced-scale end-to-end sweep
+# simulator and qosd daemon micro-benchmarks plus a reduced-scale end-to-end sweep
 # (Figure 1 at PROBQOS_BENCH_JOBS jobs), then folds the results into the
 # BENCH_sweep.json trajectory at the repo root via scripts/benchjson.
 #
@@ -112,6 +112,25 @@ fi
 # the Probe: the pair records the observability overhead.
 if ! grep -q "^BenchmarkRunSDSCInstrumented" "$tmp"; then
     echo "FAIL: BenchmarkRunSDSCInstrumented missing from benchmark output" >&2
+    exit 1
+fi
+
+echo "== daemon micro-benchmarks"
+go test -run '^$' -bench 'BenchmarkCompact$' -benchtime "$benchtime" -count "$count" ./internal/durability | tee -a "$tmp"
+go test -run '^$' -bench 'BenchmarkObserveRequest$|BenchmarkPromiseInProcess$' -benchtime "$benchtime" -count "$count" ./internal/service | tee -a "$tmp"
+
+# The daemon's layers: a snapshot of a 2000-op state, one request's metric
+# update, and a whole advance/quote/accept promise into a durable data dir.
+for b in BenchmarkCompact BenchmarkObserveRequest BenchmarkPromiseInProcess; do
+    if ! grep -q "^$b" "$tmp"; then
+        echo "FAIL: $b missing from benchmark output" >&2
+        exit 1
+    fi
+done
+# Allocation gate: a request's instruments are resolved once, so recording
+# a finished request must stay at 0 allocs/op.
+if grep "^BenchmarkObserveRequest" "$tmp" | grep -v ' 0 allocs/op' | grep -q .; then
+    echo "FAIL: BenchmarkObserveRequest no longer reports 0 allocs/op" >&2
     exit 1
 fi
 
