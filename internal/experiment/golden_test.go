@@ -24,16 +24,6 @@ const (
 	goldenSeed     = 11
 )
 
-// goldenExperiments names the snapshots: the headline claim, both paper
-// tables, and the ablations that pin each predictor path (the checkpoint
-// rule, the health monitor, the decaying forecast horizon, and the
-// base-rate floor switched off), all sharing a single Env so the workload
-// and trace caches are reused across them.
-var goldenExperiments = []string{
-	"headline", "table1", "table2", "ablation-checkpoint",
-	"ablation-monitor", "ablation-horizon", "ablation-baserate",
-}
-
 // goldenFile is the on-disk snapshot of one experiment's output.
 type goldenFile struct {
 	ID       string         `json:"id"`
@@ -48,8 +38,10 @@ type goldenFile struct {
 // changing results materially (e.g. vectorizing an accumulation).
 const goldenTolerance = 1e-9
 
-// TestGoldenCorpus recomputes the pinned experiments and diffs every cell
-// against testdata/golden. Run with -update to regenerate after an
+// TestGoldenCorpus recomputes every registered experiment, all sharing a
+// single Env so the workload and trace caches are reused across them, and
+// diffs every cell against testdata/golden. A registered experiment
+// without a snapshot fails. Run with -update to regenerate after an
 // intentional change — and justify the diff in the commit.
 func TestGoldenCorpus(t *testing.T) {
 	if testing.Short() {
@@ -59,19 +51,7 @@ func TestGoldenCorpus(t *testing.T) {
 	e.JobCount = goldenJobCount
 	e.Seed = goldenSeed
 
-	byID := make(map[string]Experiment)
-	for _, exp := range All() {
-		byID[exp.ID] = exp
-	}
-	var exps []Experiment
-	for _, id := range goldenExperiments {
-		exp, ok := byID[id]
-		if !ok {
-			t.Fatalf("golden experiment %q is not registered", id)
-		}
-		exps = append(exps, exp)
-	}
-	for _, res := range RunAll(e, exps) {
+	for _, res := range RunAll(e, All()) {
 		id := res.Exp.ID
 		t.Run(id, func(t *testing.T) {
 			if res.Err != nil {

@@ -50,10 +50,10 @@ func TestRunAllByteIdenticalToSerial(t *testing.T) {
 	for _, exp := range All() {
 		byID[exp.ID] = exp
 	}
-	// The golden corpus plus fig1 — the ISSUE's named sweep — so the gate
+	// The determinism subset plus fig1 — the ISSUE's named sweep — so the gate
 	// covers both the memoized grids and the headline figure.
 	var exps []Experiment
-	for _, id := range append([]string{"fig1"}, goldenExperiments...) {
+	for _, id := range append([]string{"fig1"}, determinismExperiments...) {
 		exp, ok := byID[id]
 		if !ok {
 			t.Fatalf("experiment %q is not registered", id)

@@ -18,7 +18,6 @@ func All() []*Analyzer {
 		ObsImport,
 		DetTaint,
 		LockHeld,
-		PoolEscape,
 		WalSwitch,
 	}
 }

@@ -1,9 +1,8 @@
 // Package cfg builds a lightweight intraprocedural control-flow graph over
 // a function body, using nothing beyond go/ast and go/token. It exists for
-// the flow-aware qoslint analyzers (lockheld, poolescape): questions like
-// "is this mutex held on any path between Lock and Unlock when we hit a
-// channel send?" or "is this pooled value used after Put on some path?"
-// are path questions, and a per-file AST walk cannot answer them.
+// qoslint's flow-aware lockheld analyzer: a question like "is this mutex
+// held on any path between Lock and Unlock when we hit a channel send?" is
+// a path question, and a per-file AST walk cannot answer it.
 //
 // The graph is statement-granular and its nodes are atomic: a compound
 // statement (if, for, switch, select) never appears as a node itself —

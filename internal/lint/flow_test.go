@@ -116,18 +116,6 @@ func TestLockHeldFixture(t *testing.T) {
 	diffStrings(t, got, want)
 }
 
-func TestPoolEscapeFixture(t *testing.T) {
-	pkg := loadFixture(t, "poolescape", "probqos/internal/fixture")
-	got := runOn(t, pkg, PoolEscape)
-	want := []string{
-		"poolescape.go:16:13: [poolescape] b is used after being released to the pool (sync.Pool Put at line 15); the object may already be recycled and rewritten — copy what you need before releasing, or annotate with //qoslint:allow poolescape <reason>",
-		"poolescape.go:25:11: [poolescape] b may be released twice (previously sync.Pool Put at line 23); a double release hands the same object to two callers — release on exactly one path, or annotate with //qoslint:allow poolescape <reason>",
-		"poolescape.go:65:9: [poolescape] ev is used after being released to the pool (put at line 64); the object may already be recycled and rewritten — copy what you need before releasing, or annotate with //qoslint:allow poolescape <reason>",
-		"poolescape.go:71:26: [poolescape] ev may be released twice (previously pushed onto the freelist at line 70); a double release hands the same object to two callers — release on exactly one path, or annotate with //qoslint:allow poolescape <reason>",
-	}
-	diffStrings(t, got, want)
-}
-
 func TestWalSwitchFixture(t *testing.T) {
 	pkg := loadFixture(t, "walswitch", "probqos/internal/service/fixture")
 	got := runOn(t, pkg, WalSwitch)

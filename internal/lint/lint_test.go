@@ -281,8 +281,8 @@ func TestNamesMatchAll(t *testing.T) {
 	if aliases := names[len(all):]; aliases[0] != "detwallclock" || aliases[1] != "detrand" {
 		t.Errorf("aliases = %v, want [detwallclock detrand]", aliases)
 	}
-	if len(all) != 8 {
-		t.Errorf("registry has %d analyzers, want the 8 shipped ones", len(all))
+	if len(all) != 7 {
+		t.Errorf("registry has %d analyzers, want the 7 shipped ones", len(all))
 	}
 }
 

@@ -36,9 +36,8 @@ func TestEveryAnalyzerHasFixtureCoverage(t *testing.T) {
 			{"dettaint", "probqos/internal/sim/fixture"},
 			{"dettaintcall", "probqos/internal/qosd/fixture"},
 		}, target: 1},
-		"lockheld":   {specs: []fixtureSpec{{"lockheld", "probqos/internal/fixture"}}},
-		"poolescape": {specs: []fixtureSpec{{"poolescape", "probqos/internal/fixture"}}},
-		"walswitch":  {specs: []fixtureSpec{{"walswitch", "probqos/internal/fixture"}}},
+		"lockheld":  {specs: []fixtureSpec{{"lockheld", "probqos/internal/fixture"}}},
+		"walswitch": {specs: []fixtureSpec{{"walswitch", "probqos/internal/fixture"}}},
 	}
 
 	byName := make(map[string]*Analyzer)

@@ -29,7 +29,7 @@ func benchScheduler(b testing.TB, backlog int) *Scheduler {
 		if !ok {
 			b.Fatal("no candidate")
 		}
-		if _, err := s.Reserve(job, c, dur); err != nil {
+		if err := s.Reserve(job, c, dur); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func BenchmarkReserveRelease(b *testing.B) {
 		if !ok {
 			b.Fatal("no candidate")
 		}
-		if _, err := s.Reserve(1000000+i, c, 1800); err != nil {
+		if err := s.Reserve(1000000+i, c, 1800); err != nil {
 			b.Fatal(err)
 		}
 		s.Release(1000000 + i)

@@ -19,11 +19,7 @@ func TestRandomOperationSequencesKeepProfileConsistent(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		src := stats.NewSource(seed)
 		s := New(16, nil)
-		type live struct {
-			id  int
-			res *Reservation
-		}
-		var reservations []live
+		var reservations []int
 		nextID := 1
 		now := units.Time(0)
 
@@ -37,35 +33,33 @@ func TestRandomOperationSequencesKeepProfileConsistent(t *testing.T) {
 				if !ok {
 					t.Fatalf("seed %d step %d: no candidate", seed, step)
 				}
-				r, err := s.Reserve(nextID, c, dur)
-				if err != nil {
+				if err := s.Reserve(nextID, c, dur); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-				reservations = append(reservations, live{id: nextID, res: r})
+				reservations = append(reservations, nextID)
 				nextID++
 			case op < 7: // complete one early
 				if len(reservations) == 0 {
 					continue
 				}
 				k := src.Intn(len(reservations))
-				r := reservations[k]
-				at := r.res.Start.Add(units.Duration(src.Intn(int(r.res.Duration) + 1)))
-				s.CompleteEarly(r.id, at)
+				r, _ := s.Reservation(reservations[k])
+				at := r.Start.Add(units.Duration(src.Intn(int(r.Duration) + 1)))
+				s.CompleteEarly(r.JobID, at)
 				reservations = append(reservations[:k], reservations[k+1:]...)
 			case op < 8: // release one (failure path)
 				if len(reservations) == 0 {
 					continue
 				}
 				k := src.Intn(len(reservations))
-				s.Release(reservations[k].id)
+				s.Release(reservations[k])
 				reservations = append(reservations[:k], reservations[k+1:]...)
 			case op < 9: // slip one later
 				if len(reservations) == 0 {
 					continue
 				}
-				k := src.Intn(len(reservations))
-				r := reservations[k]
-				if err := s.Slip(r.id, r.res.Start.Add(units.Duration(1+src.Intn(600)))); err != nil {
+				r, _ := s.Reservation(reservations[src.Intn(len(reservations))])
+				if err := s.Slip(r.JobID, r.Start.Add(units.Duration(1+src.Intn(600)))); err != nil {
 					t.Fatalf("seed %d step %d: slip: %v", seed, step, err)
 				}
 			default: // a node outage
@@ -122,7 +116,7 @@ func TestEveryCandidateIsReservable(t *testing.T) {
 				size := 1 + src.Intn(nodes)
 				dur := units.Duration(60 + src.Intn(5000))
 				if c, ok := s.EarliestCandidate(now, size, dur); ok {
-					if _, err := s.Reserve(nextID, c, dur); err != nil {
+					if err := s.Reserve(nextID, c, dur); err != nil {
 						t.Fatalf("seed %d step %d: reserve: %v", seed, step, err)
 					}
 					nextID++
@@ -154,7 +148,7 @@ func TestEveryCandidateIsReservable(t *testing.T) {
 				if len(c.Nodes) != size {
 					t.Fatalf("seed %d step %d: candidate has %d nodes, want %d", seed, step, len(c.Nodes), size)
 				}
-				if _, err := s.Reserve(probeID, c, dur); err != nil {
+				if err := s.Reserve(probeID, c, dur); err != nil {
 					t.Fatalf("seed %d step %d: yielded candidate at %v not reservable: %v", seed, step, c.Start, err)
 				}
 				s.Release(probeID)
@@ -179,7 +173,7 @@ func TestRandomReservationsNeverOverlap(t *testing.T) {
 			if !ok {
 				t.Fatal("no candidate")
 			}
-			if _, err := s.Reserve(job, c, dur); err != nil {
+			if err := s.Reserve(job, c, dur); err != nil {
 				t.Fatalf("seed %d job %d: %v", seed, job, err)
 			}
 			if err := s.ValidateProfile(); err != nil {
@@ -247,7 +241,7 @@ func TestEarliestCandidateMatchesWalk(t *testing.T) {
 				if !ok {
 					t.Fatalf("seed %d step %d: no candidate", seed, step)
 				}
-				if _, err := s.Reserve(nextID, c, d); err != nil {
+				if err := s.Reserve(nextID, c, d); err != nil {
 					t.Fatalf("seed %d step %d: reserve: %v", seed, step, err)
 				}
 				live = append(live, nextID)
@@ -420,7 +414,7 @@ func sameCandidate(a, b Candidate) bool {
 // assertion below.
 func TestFreeDuringNestedIntervalDefect(t *testing.T) {
 	s := New(1, nil)
-	if _, err := s.Reserve(1, Candidate{Start: 0, Nodes: []int{0}}, 1000); err != nil {
+	if err := s.Reserve(1, Candidate{Start: 0, Nodes: []int{0}}, 1000); err != nil {
 		t.Fatal(err)
 	}
 	s.AddDowntime(0, 200, 300)
@@ -428,7 +422,7 @@ func TestFreeDuringNestedIntervalDefect(t *testing.T) {
 	if !ok || c.Start != 400 {
 		t.Fatalf("candidate = %+v, %v; the defect answers start 400", c, ok)
 	}
-	if _, err := s.Reserve(2, c, 100); err != nil {
+	if err := s.Reserve(2, c, 100); err != nil {
 		t.Fatalf("Reserve = %v; the defect accepts the double booking", err)
 	}
 	if err := s.ValidateProfile(); err == nil {

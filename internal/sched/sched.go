@@ -18,13 +18,16 @@ type Candidate struct {
 	PFail float64    `json:"pfail"`
 }
 
-// Reservation records a job's committed placement.
+// Reservation records a job's committed placement. The scheduler hands it
+// out by value: a copy is a snapshot, and only Slip moves the start.
 type Reservation struct {
 	JobID    int
 	Start    units.Time
 	Duration units.Duration
-	Nodes    []int
-	PFail    float64
+	// Nodes is the committed candidate's node slice, shared with that
+	// candidate and with every copy of the reservation: read-only.
+	Nodes []int
+	PFail float64
 }
 
 // End returns the reserved end instant.
@@ -68,7 +71,7 @@ type Scheduler struct {
 	n             int
 	profile       *profile
 	predictor     predict.Predictor
-	reservations  map[int]*Reservation
+	reservations  map[int]Reservation
 	faultAware    bool
 	maxCandidates int
 	quoteSlack    units.Duration
@@ -84,14 +87,6 @@ type Scheduler struct {
 	// seen marks nodes while Reserve checks an unsorted node set for
 	// repeats; all false between calls, allocated on first need.
 	seen []bool
-
-	// resFree recycles Reservation records (and their node slices) released
-	// by Release/CompleteEarly. Reservations churn once per admit and once
-	// per failure restart, so without recycling they are the simulator's
-	// largest allocation source. A recycled record is only handed out again
-	// after its owner released it, by which point the engine no longer reads
-	// the old node set.
-	resFree []*Reservation
 }
 
 // scoredNode pairs a node with its predicted window risk during selection.
@@ -113,7 +108,7 @@ func New(n int, p predict.Predictor, opts ...Option) *Scheduler {
 		n:             n,
 		profile:       newProfile(n),
 		predictor:     p,
-		reservations:  make(map[int]*Reservation),
+		reservations:  make(map[int]Reservation),
 		faultAware:    true,
 		maxCandidates: 512,
 	}
@@ -267,38 +262,33 @@ func heapSiftDown(h []scoredNode, i int) {
 }
 
 // Reserve commits a candidate for a job, inserting its busy intervals into
-// the profile. It returns the created reservation, or an error if the job
-// already holds one, the candidate lists a node twice or one outside the
-// cluster, or its nodes are no longer free.
-func (s *Scheduler) Reserve(jobID int, c Candidate, duration units.Duration) (*Reservation, error) {
+// the profile. It fails if the job already holds a reservation, the
+// candidate lists a node twice or one outside the cluster, or its nodes are
+// no longer free. The reservation keeps c.Nodes itself, not a copy: the
+// caller must not write to that slice afterwards.
+func (s *Scheduler) Reserve(jobID int, c Candidate, duration units.Duration) error {
 	if _, ok := s.reservations[jobID]; ok {
-		return nil, fmt.Errorf("sched: job %d already holds a reservation", jobID)
+		return fmt.Errorf("sched: job %d already holds a reservation", jobID)
 	}
 	if err := s.checkNodes(c.Nodes); err != nil {
-		return nil, fmt.Errorf("sched: job %d: %w", jobID, err)
+		return fmt.Errorf("sched: job %d: %w", jobID, err)
 	}
 	end := c.Start.Add(duration)
 	for _, n := range c.Nodes {
 		if !s.profile.freeDuring(n, c.Start, end) {
-			return nil, fmt.Errorf("sched: node %d is no longer free at %v for job %d", n, c.Start, jobID)
+			return fmt.Errorf("sched: node %d is no longer free at %v for job %d", n, c.Start, jobID)
 		}
 	}
-	r := s.getReservation()
-	r.JobID = jobID
-	r.Start = c.Start
-	r.Duration = duration
-	r.Nodes = append(r.Nodes[:0], c.Nodes...)
-	r.PFail = c.PFail
 	// Every node's interval shares the reservation's end: count it once.
 	placed := 0
-	for _, n := range r.Nodes {
-		if s.profile.place(n, interval{start: r.Start, end: r.End(), owner: jobID}) {
+	for _, n := range c.Nodes {
+		if s.profile.place(n, interval{start: c.Start, end: end, owner: jobID}) {
 			placed++
 		}
 	}
-	s.profile.ends.addN(r.End(), placed)
-	s.reservations[jobID] = r
-	return r, nil
+	s.profile.ends.addN(end, placed)
+	s.reservations[jobID] = Reservation{JobID: jobID, Start: c.Start, Duration: duration, Nodes: c.Nodes, PFail: c.PFail}
+	return nil
 }
 
 // checkNodes rejects a node set that repeats a node or names one outside
@@ -347,19 +337,9 @@ func (s *Scheduler) checkUnsortedNodes(nodes []int) error {
 	return err
 }
 
-// getReservation hands out a recycled Reservation (node slice capacity and
-// all) or a fresh one. Callers must overwrite every field.
-func (s *Scheduler) getReservation() *Reservation {
-	if n := len(s.resFree); n > 0 {
-		r := s.resFree[n-1]
-		s.resFree = s.resFree[:n-1]
-		return r
-	}
-	return &Reservation{}
-}
-
-// Reservation returns the job's current reservation, if any.
-func (s *Scheduler) Reservation(jobID int) (*Reservation, bool) {
+// Reservation returns a copy of the job's current reservation, if any. Its
+// Nodes slice is shared with the scheduler and read-only.
+func (s *Scheduler) Reservation(jobID int) (Reservation, bool) {
 	r, ok := s.reservations[jobID]
 	return r, ok
 }
@@ -379,7 +359,6 @@ func (s *Scheduler) Release(jobID int) {
 	}
 	s.profile.ends.removeN(r.End(), removed)
 	delete(s.reservations, jobID)
-	s.resFree = append(s.resFree, r)
 }
 
 // CompleteEarly truncates the job's reservation at the actual completion
@@ -401,7 +380,6 @@ func (s *Scheduler) CompleteEarly(jobID int, at units.Time) {
 	s.profile.ends.removeN(r.End(), removed+cut)
 	s.profile.ends.addN(at, cut)
 	delete(s.reservations, jobID)
-	s.resFree = append(s.resFree, r)
 }
 
 // Slip moves the job's reservation to a later start (its nodes were down at
@@ -416,6 +394,7 @@ func (s *Scheduler) Slip(jobID int, newStart units.Time) error {
 		s.profile.shiftOwner(n, jobID, newStart)
 	}
 	r.Start = newStart
+	s.reservations[jobID] = r
 	return nil
 }
 

@@ -63,7 +63,7 @@ func TestCandidatesRejectsBadRequests(t *testing.T) {
 func TestReserveBlocksOverlap(t *testing.T) {
 	s := New(4, nil)
 	c, _ := s.EarliestCandidate(0, 4, 100)
-	if _, err := s.Reserve(1, c, 100); err != nil {
+	if err := s.Reserve(1, c, 100); err != nil {
 		t.Fatal(err)
 	}
 	// The whole machine is taken; the next job must start at 100.
@@ -82,13 +82,13 @@ func TestReserveBlocksOverlap(t *testing.T) {
 func TestReserveErrors(t *testing.T) {
 	s := New(4, nil)
 	c, _ := s.EarliestCandidate(0, 2, 100)
-	if _, err := s.Reserve(1, c, 100); err != nil {
+	if err := s.Reserve(1, c, 100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Reserve(1, c, 100); err == nil {
+	if err := s.Reserve(1, c, 100); err == nil {
 		t.Error("double reservation for one job must fail")
 	}
-	if _, err := s.Reserve(2, c, 100); err == nil {
+	if err := s.Reserve(2, c, 100); err == nil {
 		t.Error("reserving occupied nodes must fail")
 	}
 }
@@ -117,7 +117,7 @@ func TestReserveRejectsBadNodeSets(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			s := New(8, nil)
-			_, err := s.Reserve(1, Candidate{Start: 10, Nodes: tt.nodes}, 100)
+			err := s.Reserve(1, Candidate{Start: 10, Nodes: tt.nodes}, 100)
 			if tt.ok != (err == nil) {
 				t.Fatalf("Reserve(%v) error = %v, want ok=%v", tt.nodes, err, tt.ok)
 			}
@@ -132,7 +132,7 @@ func TestReserveRejectsBadNodeSets(t *testing.T) {
 			}
 			// The seen marks were cleared: every node is free again, and
 			// the same scheduler accepts a valid unsorted set.
-			if _, err := s.Reserve(2, Candidate{Start: 10, Nodes: []int{7, 6, 5, 4, 3, 2, 1, 0}}, 100); err != nil {
+			if err := s.Reserve(2, Candidate{Start: 10, Nodes: []int{7, 6, 5, 4, 3, 2, 1, 0}}, 100); err != nil {
 				t.Errorf("whole machine after a rejection: %v", err)
 			}
 		})
@@ -143,7 +143,7 @@ func TestBackfillingAroundReservation(t *testing.T) {
 	s := New(4, nil)
 	// Wide job takes the whole machine at [100, 200).
 	wide, _ := s.EarliestCandidate(100, 4, 100)
-	if _, err := s.Reserve(1, wide, 100); err != nil {
+	if err := s.Reserve(1, wide, 100); err != nil {
 		t.Fatal(err)
 	}
 	// A short narrow job fits in the hole before the wide job: backfilled.
@@ -209,7 +209,7 @@ func TestFirstFitIgnoresRisk(t *testing.T) {
 func TestCompleteEarlyFreesTail(t *testing.T) {
 	s := New(2, nil)
 	c, _ := s.EarliestCandidate(0, 2, 1000)
-	if _, err := s.Reserve(1, c, 1000); err != nil {
+	if err := s.Reserve(1, c, 1000); err != nil {
 		t.Fatal(err)
 	}
 	s.CompleteEarly(1, 400)
@@ -225,7 +225,7 @@ func TestCompleteEarlyFreesTail(t *testing.T) {
 func TestReleaseFreesEverything(t *testing.T) {
 	s := New(2, nil)
 	c, _ := s.EarliestCandidate(100, 2, 1000)
-	if _, err := s.Reserve(1, c, 1000); err != nil {
+	if err := s.Reserve(1, c, 1000); err != nil {
 		t.Fatal(err)
 	}
 	s.Release(1)
@@ -240,14 +240,13 @@ func TestReleaseFreesEverything(t *testing.T) {
 func TestSlipMovesReservation(t *testing.T) {
 	s := New(2, nil)
 	c, _ := s.EarliestCandidate(100, 2, 100)
-	r, err := s.Reserve(1, c, 100)
-	if err != nil {
+	if err := s.Reserve(1, c, 100); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Slip(1, 150); err != nil {
 		t.Fatal(err)
 	}
-	if r.Start != 150 || r.End() != 250 {
+	if r, _ := s.Reservation(1); r.Start != 150 || r.End() != 250 {
 		t.Errorf("slipped reservation = [%v, %v)", r.Start, r.End())
 	}
 	// The vacated window opens up; the shifted window is busy.
@@ -259,6 +258,34 @@ func TestSlipMovesReservation(t *testing.T) {
 	}
 	if err := s.Slip(99, 0); err == nil {
 		t.Error("slipping an unknown job must fail")
+	}
+}
+
+// TestReservationIsASnapshot pins the value semantics of Reservation: a
+// returned copy does not move the held reservation when edited, and a Slip
+// shows only on a fresh read.
+func TestReservationIsASnapshot(t *testing.T) {
+	s := New(2, nil)
+	c, _ := s.EarliestCandidate(100, 2, 100)
+	if err := s.Reserve(1, c, 100); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := s.Reservation(1)
+	r.Start = 500
+	if got, _ := s.Reservation(1); got.Start != 100 {
+		t.Errorf("editing a copy moved the reservation to %v", got.Start)
+	}
+	if got, _ := s.EarliestCandidate(100, 2, 50); got.Start != 200 {
+		t.Errorf("editing a copy changed the profile: next start %v, want 200", got.Start)
+	}
+	if err := s.Slip(1, 150); err != nil {
+		t.Fatal(err)
+	}
+	if r.Start != 500 {
+		t.Errorf("Slip reached into an earlier copy: start %v", r.Start)
+	}
+	if got, _ := s.Reservation(1); got.Start != 150 || got.End() != 250 {
+		t.Errorf("re-read after Slip = [%v, %v), want [150, 250)", got.Start, got.End())
 	}
 }
 
@@ -288,7 +315,7 @@ func TestCandidateBudgetFallback(t *testing.T) {
 		if !ok {
 			t.Fatal("expected candidate")
 		}
-		if _, err := s.Reserve(job, c, 100); err != nil {
+		if err := s.Reserve(job, c, 100); err != nil {
 			t.Fatal(err)
 		}
 		at = c.Start
@@ -307,7 +334,7 @@ func TestCandidateBudgetFallback(t *testing.T) {
 func TestGCKeepsFutureReservations(t *testing.T) {
 	s := New(2, nil)
 	c, _ := s.EarliestCandidate(1000, 2, 100)
-	if _, err := s.Reserve(1, c, 100); err != nil {
+	if err := s.Reserve(1, c, 100); err != nil {
 		t.Fatal(err)
 	}
 	s.GC(500)

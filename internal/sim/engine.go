@@ -72,7 +72,7 @@ func (s *Engine) Admit(job workload.Job, q negotiate.Quote, offers int) error {
 		return fmt.Errorf("%w: start %v, now %v", ErrStaleQuote, q.Candidate.Start, s.now)
 	}
 	duration := s.PlannedDuration(job.PlanExec())
-	if _, err := s.scheduler.Reserve(job.ID, q.Candidate, duration); err != nil {
+	if err := s.scheduler.Reserve(job.ID, q.Candidate, duration); err != nil {
 		return err
 	}
 	js := &jobState{job: job}

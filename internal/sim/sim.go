@@ -258,7 +258,7 @@ func (s *Engine) onArrival(ev event) error {
 	}
 	s.decide(Decision{Kind: DecisionQuote, JobID: js.job.ID, N: offers})
 	t0 = s.phaseStart()
-	_, err = s.scheduler.Reserve(js.job.ID, quote.Candidate, duration)
+	err = s.scheduler.Reserve(js.job.ID, quote.Candidate, duration)
 	s.phaseEnd(PhaseSchedule, t0)
 	if err != nil {
 		return fmt.Errorf("sim: job %d: %w", js.job.ID, err)
@@ -323,6 +323,7 @@ func (s *Engine) onStart(ev event) error {
 	s.queueDepth--
 	s.runningJobs++
 	js.running = true
+	// Safe to alias: a reservation's node slice is never written or reused.
 	js.nodes = r.Nodes
 	js.attemptStart = s.now
 	js.lastMark = s.now
@@ -515,7 +516,7 @@ func (s *Engine) requeue(js *jobState) error {
 		s.phaseEnd(PhaseSchedule, t0)
 		return fmt.Errorf("sim: job %d cannot be rescheduled after failure", js.job.ID)
 	}
-	_, err := s.scheduler.Reserve(js.job.ID, c, duration)
+	err := s.scheduler.Reserve(js.job.ID, c, duration)
 	s.phaseEnd(PhaseSchedule, t0)
 	if err != nil {
 		return fmt.Errorf("sim: job %d: %w", js.job.ID, err)

@@ -87,6 +87,18 @@ fi
 echo "== scheduler micro-benchmarks"
 go test -run '^$' -bench 'EarliestCandidate|ReserveRelease' -benchtime "$benchtime" -count "$count" ./internal/sched | tee -a "$tmp"
 
+# Allocation gate: a reservation is stored by value and keeps its
+# candidate's node slice, so a quote-reserve-release cycle allocates only
+# that slice (1 allocs/op). A second allocation per reservation fails here.
+if ! grep -q "^BenchmarkReserveRelease" "$tmp"; then
+    echo "FAIL: BenchmarkReserveRelease missing from benchmark output" >&2
+    exit 1
+fi
+if grep "^BenchmarkReserveRelease" "$tmp" | awk '{for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op" && $i > 1) bad = 1} END {exit !bad}'; then
+    echo "FAIL: BenchmarkReserveRelease reports more than 1 allocs/op" >&2
+    exit 1
+fi
+
 # The slipped-backlog query is the odd-node worst case of EarliestCandidate
 # (see internal/sched/bench_test.go): it must stay in the trajectory.
 if ! grep -q "^BenchmarkEarliestCandidateSlipped" "$tmp"; then

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repo-wide verification: formatting (with simplification), vet, the
 # qoslint determinism/durability analyzers, build, the full test suite
-# under the race detector, and vet + tests of the qosbench module.
+# under the race detector, vet + tests of the qosbench module, and the
+# full-scale sweep against its archive.
 # ROADMAP.md's tier-1 verify line points here.
 set -eu
 
@@ -35,5 +36,18 @@ echo "== qosbench: go vet ./... && go test ./..."
 
 echo "== qossim validate internal/scenario/zoo"
 go run ./cmd/qossim validate internal/scenario/zoo
+
+# EXPERIMENTS.md quotes docs/sweep_full.txt: the full-scale sweep must
+# reproduce it byte for byte. After an intentional change, re-record it
+# with the same command and explain the diff.
+echo "== qossweep -exp all vs docs/sweep_full.txt"
+sweep=$(mktemp)
+trap 'rm -f "$sweep"' EXIT
+go run ./cmd/qossweep -exp all >"$sweep"
+if ! cmp "$sweep" docs/sweep_full.txt; then
+    echo "qossweep -exp all no longer matches docs/sweep_full.txt:" >&2
+    diff "$sweep" docs/sweep_full.txt >&2 || true
+    exit 1
+fi
 
 echo "OK"
