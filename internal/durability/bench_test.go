@@ -6,26 +6,36 @@ import (
 
 	"probqos/internal/negotiate"
 	"probqos/internal/sched"
-	"probqos/internal/sim"
 	"probqos/internal/units"
 	"probqos/internal/workload"
 )
 
-// BenchmarkCompact times one snapshot of a daemon-sized state, an engine
-// journal of 2000 admits (about 0.5 MiB encoded), on a filesystem that
-// skips fsync, so the number is the encoding and writing, not the disk.
+// benchOp is a daemon-sized journal entry: an admit carrying its job and
+// the accepted quote, shaped like the records qosd snapshots.
+type benchOp struct {
+	Kind   string           `json:"kind"`
+	Job    *workload.Job    `json:"job,omitempty"`
+	Quote  *negotiate.Quote `json:"quote,omitempty"`
+	Offers int              `json:"offers,omitempty"`
+	Node   int              `json:"node"`
+}
+
+// BenchmarkCompact times one snapshot of a daemon-sized state, a journal
+// of 2000 admits (about 0.5 MiB encoded), on a filesystem that skips
+// fsync, so the number is the encoding and writing, not the disk.
 func BenchmarkCompact(b *testing.B) {
 	const ops = 2000
-	st := sim.EngineState{Now: units.Time(ops * 600), Ops: make([]sim.Op, ops)}
+	st := struct {
+		Ops []benchOp `json:"ops"`
+	}{Ops: make([]benchOp, ops)}
 	for i := range st.Ops {
 		now := units.Time(i * 600)
 		nodes := make([]int, 8)
 		for k := range nodes {
 			nodes[k] = (i*8 + k) % 128
 		}
-		st.Ops[i] = sim.Op{
-			Now:  now,
-			Kind: sim.OpAdmit,
+		st.Ops[i] = benchOp{
+			Kind: "admit",
 			Job:  &workload.Job{ID: i + 1, Arrival: now, Nodes: 8, Exec: 3600},
 			Quote: &negotiate.Quote{
 				Candidate: sched.Candidate{Start: now + 60, Nodes: nodes, PFail: 0.0123456789},

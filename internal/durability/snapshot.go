@@ -27,8 +27,8 @@ type Snapshot struct {
 	// under. Recovery refuses a data dir whose fingerprint differs: replay
 	// against a different cluster, trace, or policy would silently diverge.
 	Config string `json:"config"`
-	// State is the owner's serialized state (the service stores its engine
-	// operation journal, session book, and counters).
+	// State is the owner's serialized state (the service stores its
+	// machine journal and session book).
 	State json.RawMessage `json:"state"`
 }
 

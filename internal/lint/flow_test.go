@@ -127,8 +127,8 @@ func TestWalSwitchFixture(t *testing.T) {
 }
 
 // TestWalSwitchRealReplaySwitchesExhaustive pins the actual crash-safety
-// contract: the service's machine.apply and the engine's Restore currently
-// handle every journaled kind, so walswitch is silent on the real packages.
+// contract: the service's machine.apply currently handles every journaled
+// kind, so walswitch is silent on the real packages.
 // Together with TestWalSwitchCatchesDeletedReplayCase this is the
 // acceptance guarantee that adding a WAL record kind without replay
 // coverage fails lint.
@@ -209,7 +209,7 @@ func loadMutatedPackage(t *testing.T, relDir, importPath, file, old, new string)
 }
 
 // TestWalSwitchCatchesDeletedReplayCase deletes one replay case from the
-// real service and engine switches (by making the case expression a
+// real service switch (by making the case expression a
 // non-constant so it no longer counts as coverage) and asserts walswitch
 // reports exactly the missing kind.
 func TestWalSwitchCatchesDeletedReplayCase(t *testing.T) {
@@ -218,8 +218,6 @@ func TestWalSwitchCatchesDeletedReplayCase(t *testing.T) {
 	}{
 		{"service-apply", "internal/service", "probqos/internal/service",
 			"durable.go", "case opFault:", `case opFault + "-disabled":`},
-		{"engine-restore", "internal/sim", "probqos/internal/sim",
-			"state.go", "case OpFault:", `case OpFault + "-disabled":`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

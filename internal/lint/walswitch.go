@@ -9,18 +9,17 @@ import (
 )
 
 // WalSwitch pins the crash-safety contract that every journaled record kind
-// is replayable: the service's walOp kinds and the engine's journal Op kinds
-// are string constants switched over in exactly two places each (live apply
-// and replay), and adding a kind without extending every switch must fail
-// lint, not fail at the first post-crash boot.
+// is replayable: the service's walOp kinds are string constants switched
+// over by the one apply path that both WAL and snapshot replay use, and
+// adding a kind without extending every switch must fail lint, not fail at
+// the first post-crash boot.
 //
 // The analyzer has no hard-coded list of enums. Any package-level const
 // block declaring two or more string constants forms a kind group; a switch
 // statement that cases on any member of a group must case on all of them.
-// A default clause does not exempt the switch: machine.apply and
-// Engine.Restore both end in a default that rejects unknown kinds, and that
-// error path is precisely what a forgotten case would fall into at replay
-// time. Additionally, an unexported member that is never used outside its
+// A default clause does not exempt the switch: machine.apply ends in a
+// default that rejects unknown kinds, and that error path is precisely what
+// a forgotten case would fall into at replay time. Additionally, an unexported member that is never used outside its
 // own declaration and switch cases has no producer anywhere in the module —
 // a record kind nothing journals — and is reported at its declaration.
 var WalSwitch = &Analyzer{

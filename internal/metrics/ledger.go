@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"fmt"
-
 	"probqos/internal/sim"
 	"probqos/internal/stats"
 	"probqos/internal/units"
@@ -18,10 +16,11 @@ import (
 // /qos/conformance.
 //
 // The ledger lives entirely on the virtual clock: it is deterministic
-// state, owned by the service's machine (and by the scenario runner),
-// carried through WAL replay and snapshots so that a recovered daemon
-// reports exactly the conformance record it would have had without the
-// crash.
+// state, owned by the service's machine (and by the scenario runner), and
+// has no persistent form of its own. A recovered daemon rebuilds it by
+// replaying the operations that built it, so it reports exactly the
+// conformance record it would have had without the restart — sums
+// accumulated in the same order included.
 
 // Outcome is the terminal disposition of one promise.
 type Outcome string
@@ -233,58 +232,4 @@ func (l *Ledger) Lookup(jobID int) (Promise, bool) {
 		return Promise{}, false
 	}
 	return l.entries[idx], true
-}
-
-// LedgerState is the ledger's persistent form, carried inside qosd
-// snapshots. BrierSum is carried verbatim rather than recomputed because
-// the live sum accumulates in settlement order, which the rows alone do
-// not fully determine; every other statistic is rebuilt from the rows so
-// the state cannot go internally inconsistent.
-type LedgerState struct {
-	Bins     int       `json:"bins"`
-	BrierSum float64   `json:"brier_sum"`
-	Promises []Promise `json:"promises"`
-}
-
-// Export snapshots the ledger.
-func (l *Ledger) Export() LedgerState {
-	return LedgerState{
-		Bins:     l.bins,
-		BrierSum: l.brierSum,
-		Promises: append([]Promise(nil), l.entries...),
-	}
-}
-
-// Import replaces the ledger's contents with an exported state.
-func (l *Ledger) Import(st LedgerState) error {
-	bins := st.Bins
-	if bins <= 0 {
-		bins = DefaultBins
-	}
-	fresh := NewLedger(bins)
-	for i, p := range st.Promises {
-		if _, dup := fresh.index[p.JobID]; dup {
-			return fmt.Errorf("metrics: ledger state repeats job %d", p.JobID)
-		}
-		fresh.index[p.JobID] = i
-		fresh.entries = append(fresh.entries, p)
-		switch p.Outcome {
-		case OutcomePending:
-			fresh.open = append(fresh.open, i)
-		case OutcomeKept:
-			fresh.kept++
-			fresh.binSettled[stats.BinIndex(p.Promised, bins)]++
-			fresh.binKept[stats.BinIndex(p.Promised, bins)]++
-			fresh.binPromised[stats.BinIndex(p.Promised, bins)] += p.Promised
-		case OutcomeBroken:
-			fresh.broken++
-			fresh.binSettled[stats.BinIndex(p.Promised, bins)]++
-			fresh.binPromised[stats.BinIndex(p.Promised, bins)] += p.Promised
-		default:
-			return fmt.Errorf("metrics: ledger state job %d has unknown outcome %q", p.JobID, p.Outcome)
-		}
-	}
-	fresh.brierSum = st.BrierSum
-	*l = *fresh
-	return nil
 }

@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"encoding/json"
 	"math"
-	"reflect"
 	"testing"
 
 	"probqos/internal/units"
@@ -107,56 +105,6 @@ func TestLedgerSettleIsIdempotent(t *testing.T) {
 	}
 	if p, _ := l.Lookup(1); p.SettledAt != 50 {
 		t.Fatalf("resettling moved the settle instant: %+v", p)
-	}
-}
-
-func TestLedgerExportImportRoundTrip(t *testing.T) {
-	l := NewLedger(10)
-	l.Admit(1, "q-1", 0.95, 100, 10)
-	l.Admit(2, "q-2", 0.72, 200, 20)
-	l.Admit(3, "q-3", 0.55, 300, 30)
-	settleAll(l, 150, map[int]bool{1: true, 2: false})
-
-	// Round-trip through JSON, as a qosd snapshot would.
-	data, err := json.Marshal(l.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st LedgerState
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewLedger(0)
-	if err := restored.Import(st); err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(restored.Export(), l.Export()) {
-		t.Fatalf("export mismatch:\n got %+v\nwant %+v", restored.Export(), l.Export())
-	}
-	if !reflect.DeepEqual(restored.Stats(), l.Stats()) {
-		t.Fatalf("stats mismatch:\n got %+v\nwant %+v", restored.Stats(), l.Stats())
-	}
-
-	// The restored ledger must keep settling identically.
-	settleAll(l, 400, map[int]bool{3: false})
-	settleAll(restored, 400, map[int]bool{3: false})
-	if !reflect.DeepEqual(restored.Export(), l.Export()) {
-		t.Fatalf("post-import settlement diverged")
-	}
-}
-
-func TestLedgerImportRejectsBadState(t *testing.T) {
-	l := NewLedger(10)
-	if err := l.Import(LedgerState{Bins: 10, Promises: []Promise{
-		{JobID: 1, Outcome: OutcomeKept}, {JobID: 1, Outcome: OutcomeKept},
-	}}); err == nil {
-		t.Fatal("import accepted a duplicate job ID")
-	}
-	if err := l.Import(LedgerState{Bins: 10, Promises: []Promise{
-		{JobID: 1, Outcome: "mangled"},
-	}}); err == nil {
-		t.Fatal("import accepted an unknown outcome")
 	}
 }
 

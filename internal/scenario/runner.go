@@ -32,9 +32,8 @@ func policyFor(name string) (checkpoint.Policy, error) {
 
 // Runner executes one scenario on a sim.Engine, step by step. A step is one
 // timeline event; a final implicit step drains the engine and settles the
-// last promises. The runner drives the engine exclusively through
-// Admit/AdvanceTo/InjectFailure, which keeps the engine's operation journal
-// faithful: Export/Resume mid-scenario reproduces the exact final report.
+// last promises. The runner is a pure function of the scenario, so its
+// state after k steps is the scenario plus k: Resume re-runs those steps.
 type Runner struct {
 	scn    *Scenario
 	eng    *sim.Engine
@@ -53,24 +52,13 @@ func NewRunner(s *Scenario) (*Runner, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	eng, ledger, err := buildEngine(s)
+	bg, err := backgroundTrace(s)
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{scn: s, eng: eng, ledger: ledger, nextJobID: 1}, nil
-}
-
-// buildEngine constructs the fresh engine + ledger pair a scenario defines;
-// NewRunner and Resume share it so a resumed run restores onto an engine
-// identical to the original.
-func buildEngine(s *Scenario) (*sim.Engine, *metrics.Ledger, error) {
-	bg, err := backgroundTrace(s)
-	if err != nil {
-		return nil, nil, err
-	}
 	policy, err := policyFor(s.Fleet.Policy)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cfg := sim.DefaultConfig(nil, bg)
 	cfg.Nodes = s.Fleet.Nodes
@@ -84,9 +72,9 @@ func buildEngine(s *Scenario) (*sim.Engine, *metrics.Ledger, error) {
 	cfg.BaseRateFloor = s.Fleet.BaseRateFloor
 	eng, err := sim.NewEngine(cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	return eng, metrics.NewLedger(0), nil
+	return &Runner{scn: s, eng: eng, ledger: metrics.NewLedger(0), nextJobID: 1}, nil
 }
 
 // Done reports whether every step (including the final drain) has run.
@@ -109,8 +97,8 @@ func (r *Runner) Step() error {
 		return nil
 	}
 	ev := r.scn.Events[i]
-	// Events are ordered, but a resumed engine may already sit past the
-	// event instant (Restore replays to the journal clock); never rewind.
+	// Events are ordered, but an earlier burst's spread may already have
+	// carried the clock past this event's instant; never rewind.
 	at := ev.At.Max(r.eng.Now())
 	if err := r.eng.AdvanceTo(at); err != nil {
 		return fmt.Errorf("scenario %s: events[%d]: %w", r.scn.Name, i, err)
@@ -156,8 +144,8 @@ func (r *Runner) Step() error {
 // burst runs one arrival_burst: Jobs submissions spread evenly over the
 // spread window, each quoting and admitting the first offer whose promised
 // success clears the user risk. Job shapes come from a per-event stream
-// derived statelessly from (seed, event index), so a resumed run re-derives
-// the same jobs without replaying earlier bursts.
+// derived statelessly from (seed, event index), so a burst's jobs depend
+// only on the scenario, not on what earlier bursts drew.
 func (r *Runner) burst(i int, ev Event) error {
 	b := ev.Burst
 	rng := stats.NewSource(r.scn.Seed).Split(fmt.Sprintf("event-%d", i))
@@ -212,63 +200,34 @@ func (r *Runner) Run() (*Report, error) {
 	return r.Report(), nil
 }
 
-// State is a mid-scenario snapshot: the scenario itself plus the engine's
-// operation journal, the ledger, and the runner's counters. Resume on a
-// fresh process reconstructs a runner that finishes with the exact report
-// the uninterrupted run would have produced.
+// State is a mid-scenario snapshot: the scenario and the number of steps
+// run. The runner is deterministic, so that is all its state.
 type State struct {
-	Scenario  *Scenario           `json:"scenario"`
-	Step      int                 `json:"step"`
-	NextJobID int                 `json:"next_job_id"`
-	Submitted int                 `json:"submitted"`
-	Rejected  int                 `json:"rejected"`
-	Injected  int                 `json:"injected"`
-	Engine    sim.EngineState     `json:"engine"`
-	Ledger    metrics.LedgerState `json:"ledger"`
+	Scenario *Scenario `json:"scenario"`
+	Step     int       `json:"step"`
 }
 
 // Export snapshots the runner between steps.
-func (r *Runner) Export() State {
-	return State{
-		Scenario:  r.scn,
-		Step:      r.step,
-		NextJobID: r.nextJobID,
-		Submitted: r.submitted,
-		Rejected:  r.rejected,
-		Injected:  r.injected,
-		Engine:    r.eng.ExportState(),
-		Ledger:    r.ledger.Export(),
-	}
-}
+func (r *Runner) Export() State { return State{Scenario: r.scn, Step: r.step} }
 
-// Resume reconstructs a runner from an exported State: a fresh engine built
-// from the scenario (identical config and background trace), the operation
-// journal replayed, the ledger imported.
+// Resume reconstructs a runner from an exported State by building it anew
+// from the scenario and re-running the exported number of steps, so it
+// finishes with the exact report the uninterrupted run would have produced.
 func Resume(st State) (*Runner, error) {
 	if st.Scenario == nil {
 		return nil, fmt.Errorf("scenario: resume state has no scenario")
 	}
-	if err := st.Scenario.Validate(); err != nil {
-		return nil, err
+	if last := len(st.Scenario.Events) + 1; st.Step < 0 || st.Step > last {
+		return nil, fmt.Errorf("scenario %s: resume step %d outside 0..%d", st.Scenario.Name, st.Step, last)
 	}
-	eng, ledger, err := buildEngine(st.Scenario)
+	r, err := NewRunner(st.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.Restore(st.Engine); err != nil {
-		return nil, fmt.Errorf("scenario %s: resume: %w", st.Scenario.Name, err)
+	for r.step < st.Step {
+		if err := r.Step(); err != nil {
+			return nil, fmt.Errorf("scenario %s: resume: %w", st.Scenario.Name, err)
+		}
 	}
-	if err := ledger.Import(st.Ledger); err != nil {
-		return nil, fmt.Errorf("scenario %s: resume: %w", st.Scenario.Name, err)
-	}
-	return &Runner{
-		scn:       st.Scenario,
-		eng:       eng,
-		ledger:    ledger,
-		step:      st.Step,
-		nextJobID: st.NextJobID,
-		submitted: st.Submitted,
-		rejected:  st.Rejected,
-		injected:  st.Injected,
-	}, nil
+	return r, nil
 }

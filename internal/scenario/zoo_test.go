@@ -173,8 +173,9 @@ func TestZooByteIdenticalAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestZooExportResume interrupts each scenario halfway, round-trips the
-// runner state through JSON (as a crash/restart would), resumes on a fresh
+// TestZooExportResume interrupts each scenario at every step index, from
+// before the first event to after the final drain, round-trips the runner
+// state through JSON (as a crash/restart would), resumes on a fresh
 // runner, and demands the byte-exact report of the uninterrupted run.
 func TestZooExportResume(t *testing.T) {
 	for _, file := range zooFiles(t) {
@@ -187,36 +188,52 @@ func TestZooExportResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			half := (len(s.Events) + 1) / 2
-			for i := 0; i < half; i++ {
-				if err := r.Step(); err != nil {
+			for cut := 0; cut <= len(s.Events)+1; cut++ {
+				if cut > 0 {
+					if err := r.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				blob, err := json.Marshal(r.Export())
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			blob, err := json.Marshal(r.Export())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st State
-			if err := json.Unmarshal(blob, &st); err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := Resume(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := resumed.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := rep.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, buf.Bytes()) {
-				saveArtifact(t, "resume-"+filepath.Base(goldenPath(file)), buf.Bytes())
-				t.Errorf("resumed run diverged from uninterrupted run\n%s", firstDiff(want, buf.Bytes()))
+				var st State
+				if err := json.Unmarshal(blob, &st); err != nil {
+					t.Fatal(err)
+				}
+				resumed, err := Resume(st)
+				if err != nil {
+					t.Fatalf("cut %d: %v", cut, err)
+				}
+				rep, err := resumed.Run()
+				if err != nil {
+					t.Fatalf("cut %d: %v", cut, err)
+				}
+				var buf bytes.Buffer
+				if err := rep.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, buf.Bytes()) {
+					saveArtifact(t, fmt.Sprintf("resume-%d-%s", cut, filepath.Base(goldenPath(file))), buf.Bytes())
+					t.Errorf("run resumed at step %d diverged from uninterrupted run\n%s", cut, firstDiff(want, buf.Bytes()))
+				}
 			}
 		})
+	}
+}
+
+// TestResumeRejectsOutOfRangeStep checks that a resume state naming a step
+// the scenario does not have is refused, not clamped: it comes from outside
+// the program.
+func TestResumeRejectsOutOfRangeStep(t *testing.T) {
+	s := decodeFile(t, zooFiles(t)[0])
+	for _, step := range []int{-1, len(s.Events) + 2} {
+		if _, err := Resume(State{Scenario: s, Step: step}); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("Resume at step %d: err = %v, want an out-of-range error", step, err)
+		}
+	}
+	if _, err := Resume(State{}); err == nil {
+		t.Error("Resume without a scenario succeeded")
 	}
 }

@@ -42,9 +42,9 @@ func TestEarliestCandidateAllocationBounds(t *testing.T) {
 }
 
 // TestReservationChurnAllocatesNothing pins the by-value reservation map:
-// the reservation keeps the candidate's own node slice, so committing and
-// dropping a prebuilt candidate allocates nothing once the profile and map
-// have grown to their steady-state capacity.
+// the reservation keeps the candidate's own node slice, so committing,
+// slipping and dropping a prebuilt candidate allocates nothing once the
+// profile and map have grown to their steady-state capacity.
 func TestReservationChurnAllocatesNothing(t *testing.T) {
 	s := New(16, nil)
 	c := Candidate{Start: 100, Nodes: []int{0, 3, 5, 9}}
@@ -55,7 +55,10 @@ func TestReservationChurnAllocatesNothing(t *testing.T) {
 		if r, ok := s.Reservation(1); !ok || len(r.Nodes) != 4 {
 			t.Fatalf("reservation = %+v, %v", r, ok)
 		}
-		s.CompleteEarly(1, c.Start)
+		if err := s.Slip(1, c.Start+60); err != nil {
+			t.Fatal(err)
+		}
+		s.CompleteEarly(1, c.Start+60)
 		if err := s.Reserve(2, c, 600); err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +68,7 @@ func TestReservationChurnAllocatesNothing(t *testing.T) {
 		churn()
 	}
 	if avg := testing.AllocsPerRun(100, churn); avg != 0 {
-		t.Errorf("Reserve/CompleteEarly/Release churn allocates %.2f/op, want 0", avg)
+		t.Errorf("Reserve/Slip/CompleteEarly/Release churn allocates %.2f/op, want 0", avg)
 	}
 	if err := s.ValidateProfile(); err != nil {
 		t.Fatal(err)

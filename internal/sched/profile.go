@@ -56,6 +56,10 @@ type profile struct {
 	headPos   []int32
 	headStart []units.Time
 	headEnd   []units.Time
+
+	// moved is shiftOwner's scratch list, reused so a slip allocates
+	// nothing once it has grown.
+	moved []interval
 }
 
 func newProfile(n int) *profile {
@@ -347,7 +351,7 @@ func (p *profile) truncateOwner(node, owner int, at units.Time) (removed, cut in
 // shiftOwner moves the owner's interval on the node to start at newStart,
 // preserving its length, and re-sorts.
 func (p *profile) shiftOwner(node, owner int, newStart units.Time) {
-	var moved []interval
+	moved := p.moved[:0]
 	list := p.nodes[node][:0]
 	for _, iv := range p.nodes[node] {
 		if iv.owner == owner {
@@ -365,6 +369,7 @@ func (p *profile) shiftOwner(node, owner int, newStart units.Time) {
 	for _, iv := range moved {
 		p.insert(node, iv) // re-heads the node
 	}
+	p.moved = moved
 }
 
 // gc drops intervals that ended at or before now.

@@ -17,6 +17,7 @@ import (
 	"probqos/internal/durability"
 	"probqos/internal/failure"
 	"probqos/internal/sim"
+	"probqos/internal/units"
 )
 
 // durableConfig builds a config over an 8-node empty trace writing to dir,
@@ -49,8 +50,8 @@ func crash(s *Service) {
 }
 
 // fingerprint serializes everything a recovered machine must reproduce:
-// the engine's journal and clock, per-job status, aggregate stats, the
-// session book, the ID counter, and the promise ledger.
+// the machine journal, the clock, per-job status, aggregate stats, the
+// session book, the ID counter, and the promise ledger's rows and summary.
 func fingerprint(t *testing.T, m *machine) string {
 	t.Helper()
 	jobs := map[int]sim.JobStatus{}
@@ -59,12 +60,14 @@ func fingerprint(t *testing.T, m *machine) string {
 		jobs[id] = js
 	}
 	data, err := json.Marshal(map[string]any{
-		"engine":  m.eng.ExportState(),
-		"stats":   m.eng.Stats(),
-		"jobs":    jobs,
-		"book":    m.book.Export(),
-		"next_id": m.nextJobID,
-		"ledger":  m.ledger.Export(),
+		"journal":     m.journal,
+		"now":         m.eng.Now(),
+		"stats":       m.eng.Stats(),
+		"jobs":        jobs,
+		"book":        m.book.Export(),
+		"next_id":     m.nextJobID,
+		"ledger":      m.ledger.Entries(0),
+		"conformance": m.ledger.Stats(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -341,6 +344,24 @@ func TestRecoveryRefusesForeignConfig(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesOldSnapshotLayout boots from a data dir whose
+// snapshot holds the earlier state layout (engine op journal, ledger rows
+// and job-ID counter), written under this test's cluster config. It must
+// be refused, not decoded into an empty machine.
+func TestRecoveryRefusesOldSnapshotLayout(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v1-datadir", "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(durableConfig(t, dir)); err == nil || !strings.Contains(err.Error(), "refusing to replay") {
+		t.Fatalf("old snapshot layout accepted: %v", err)
+	}
+}
+
 // TestDegradedModeServesReadsAndHeals forces WAL append failures and
 // checks the contract: mutations 503, quotes and reads still answered,
 // /healthz and the gauge report it, and service resumes once the disk
@@ -458,9 +479,9 @@ func TestPromiseLedgerSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveDialog(t, s.Handler())
-	before := s.ledger.Export()
-	if len(before.Promises) != 3 {
-		t.Fatalf("dialog admitted %d promises, want 3", len(before.Promises))
+	before := s.ledger.Entries(0)
+	if len(before) != 3 {
+		t.Fatalf("dialog admitted %d promises, want 3", len(before))
 	}
 	crash(s)
 
@@ -469,9 +490,8 @@ func TestPromiseLedgerSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	after := s2.ledger.Export()
 	b1, _ := json.Marshal(before)
-	b2, _ := json.Marshal(after)
+	b2, _ := json.Marshal(s2.ledger.Entries(0))
 	if string(b1) != string(b2) {
 		t.Errorf("recovered ledger diverges:\n got %s\nwant %s", b2, b1)
 	}
@@ -496,9 +516,8 @@ func TestPromiseLedgerSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestPromiseLedgerSurvivesSnapshot pins the other recovery path: a clean
-// shutdown folds the ledger into the snapshot, and the next boot imports
-// it without replaying a single record.
+// TestPromiseLedgerSurvivesSnapshot pins the clean-shutdown path: the
+// snapshot's journal rebuilds the ledger without a single WAL record.
 func TestPromiseLedgerSurvivesSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(durableConfig(t, dir))
@@ -506,7 +525,7 @@ func TestPromiseLedgerSurvivesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveDialog(t, s.Handler())
-	before := s.ledger.Export()
+	before := s.ledger.Entries(0)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -520,9 +539,144 @@ func TestPromiseLedgerSurvivesSnapshot(t *testing.T) {
 		t.Fatalf("expected clean snapshot-only restart, got %+v", info)
 	}
 	b1, _ := json.Marshal(before)
-	b2, _ := json.Marshal(s2.ledger.Export())
+	b2, _ := json.Marshal(s2.ledger.Entries(0))
 	if string(b1) != string(b2) {
 		t.Errorf("snapshot-restored ledger diverges:\n got %s\nwant %s", b2, b1)
+	}
+}
+
+// forecastConfig builds a config over a 4-node trace whose failures a
+// predictor of accuracy 1 sees, each with its own odd detectability, so
+// quotes promise less than 1 and jobs of different lengths settle out of
+// admit order. An empty dir gives an in-memory service; otherwise a small
+// SnapshotEvery makes the service snapshot as it goes, so that a crash
+// recovers from a snapshot plus a WAL tail.
+func forecastConfig(t *testing.T, dir string) Config {
+	t.Helper()
+	var events []failure.Event
+	for k := 0; k < 40; k++ {
+		for n := 0; n < 4; n++ {
+			events = append(events, failure.Event{
+				Time:          units.Time(1800*(k+1) + 397*n),
+				Node:          n,
+				Detectability: 0.0131234567 + 0.00731234567*float64((k*5+n*3)%13),
+			})
+		}
+	}
+	tr, err := failure.NewTrace(4, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(tr)
+	cfg.Accuracy = 1
+	cfg.DataDir = dir
+	cfg.SnapshotEvery = 8
+	return cfg
+}
+
+// forecastDialog runs steps [from, to) of a fixed script: each step quotes
+// a job of one or two nodes and varied length, accepts the first offer,
+// and advances the clock.
+func forecastDialog(t *testing.T, h http.Handler, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		var q quoteResponse
+		if code := call(t, h, "POST", "/v1/quote",
+			map[string]any{"nodes": 1 + i%2, "exec_seconds": 600 + (i*1337)%5400}, &q); code != http.StatusOK {
+			t.Fatalf("step %d: quote: code %d", i, code)
+		}
+		if code := call(t, h, "POST", "/v1/accept",
+			map[string]any{"session_id": q.SessionID, "offer": 1}, nil); code != http.StatusOK {
+			t.Fatalf("step %d: accept: code %d", i, code)
+		}
+		if code := call(t, h, "POST", "/v1/advance",
+			map[string]any{"by_seconds": 300 + (i*211)%1500}, nil); code != http.StatusOK {
+			t.Fatalf("step %d: advance: code %d", i, code)
+		}
+	}
+}
+
+// conformanceBody returns the raw /qos/conformance body with every row.
+func conformanceBody(t *testing.T, h http.Handler) string {
+	t.Helper()
+	rec := callRec(t, h, "GET", "/qos/conformance?n=0", nil, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("conformance: code %d", rec.Code)
+	}
+	return rec.Body.String()
+}
+
+// TestConformanceSurvivesRestart pins the promise ledger across both
+// recovery paths when promises are below 1 and settle out of admit order:
+// a rebuilt ledger must sum each reliability bin in the order the live one
+// did, so /qos/conformance reads byte for byte the same right after a
+// clean restart or a crash, and again at the end of the dialog, as on an
+// uninterrupted twin.
+func TestConformanceSurvivesRestart(t *testing.T) {
+	const steps, cut = 40, 24
+	twin, err := New(forecastConfig(t, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	forecastDialog(t, twin.Handler(), 0, cut)
+	// The dialog must reach the case: promises below 1, settled out of
+	// admit order, before the cut.
+	rows := twin.ledger.Entries(0)
+	subOne, outOfOrder := 0, false
+	for i, p := range rows {
+		if p.Outcome != "pending" && p.Promised < 1 {
+			subOne++
+		}
+		for _, q := range rows[i+1:] {
+			if p.Outcome != "pending" && q.Outcome != "pending" && q.SettledAt < p.SettledAt {
+				outOfOrder = true
+			}
+		}
+	}
+	if subOne < 3 || !outOfOrder {
+		t.Fatalf("dialog settles %d promises below 1, out of admit order %v; want >= 3 and true", subOne, outOfOrder)
+	}
+	forecastDialog(t, twin.Handler(), cut, steps)
+	want := conformanceBody(t, twin.Handler())
+
+	for _, stop := range []struct {
+		name string
+		stop func(*Service)
+	}{
+		{"clean", func(s *Service) {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"crash", crash},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(forecastConfig(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			forecastDialog(t, s.Handler(), 0, cut)
+			before := conformanceBody(t, s.Handler())
+			stop.stop(s)
+
+			s2, err := New(forecastConfig(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if !s2.RecoveryInfo().SnapshotLoaded {
+				t.Fatalf("recovery info %+v, want a snapshot restored", s2.RecoveryInfo())
+			}
+			if got := conformanceBody(t, s2.Handler()); got != before {
+				t.Errorf("conformance after restart diverges:\n got %s\nwant %s", got, before)
+			}
+			forecastDialog(t, s2.Handler(), cut, steps)
+			if got := conformanceBody(t, s2.Handler()); got != want {
+				t.Errorf("conformance at the end diverges from the uninterrupted twin:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 

@@ -21,11 +21,12 @@ import (
 // Crash safety for qosd. Every state-mutating operation — clock advances,
 // session opens and takes, admits, fault injections — is journaled to a
 // write-ahead log (internal/durability) before it is applied, so that on
-// restart the service reconstructs its exact state: snapshot restore plus
-// record-by-record replay through the same apply code the live request
-// path uses. A WAL write failure flips the service into degraded mode:
-// reads and quotes keep working, mutations answer 503, and each request
-// probes whether the log has healed.
+// restart the service reconstructs its exact state by replaying, through
+// the same apply code the live request path uses, first the operations a
+// snapshot holds and then the log records written after it. A WAL write
+// failure flips the service into degraded mode: reads and quotes keep
+// working, mutations answer 503, and each request probes whether the log
+// has healed.
 //
 // Two deliberate relaxations, both promise-safe:
 //
@@ -73,15 +74,20 @@ type walOp struct {
 }
 
 // machine is the replayable core of qosd: the engine, the session book,
-// the job-ID counter, and the promise ledger. Live requests and WAL replay
+// the job-ID counter, and the promise ledger. Live requests and recovery
 // mutate it through the same apply helpers, so recovery is the normal code
 // path re-run, not a parallel implementation that can drift — including
-// the conformance record, which a crash must not be able to launder.
+// the conformance record, which a restart must not be able to launder.
 type machine struct {
 	eng       *sim.Engine
 	book      *negotiate.Book
 	nextJobID int
 	ledger    *metrics.Ledger
+	// journal is every advance, admit (accepted or rejected) and fault
+	// applied, in order. Applied again to a fresh machine it rebuilds the
+	// engine, the job-ID counter and the ledger exactly; the session book
+	// is the only state a snapshot stores besides it.
+	journal []walOp
 }
 
 func newMachine(cfg Config) (machine, error) {
@@ -112,6 +118,7 @@ func newMachine(cfg Config) (machine, error) {
 // the journaled clock, inside the replayed path — so a recovered ledger
 // is identical to the one the crash interrupted.
 func (m *machine) applyAdvance(to units.Time) error {
+	m.journal = append(m.journal, walOp{Kind: opAdvance, To: to})
 	if err := m.eng.AdvanceTo(to); err != nil {
 		return err
 	}
@@ -125,6 +132,7 @@ func (m *machine) applyAdvance(to units.Time) error {
 // and on replay alike — so the counter never reissues an ID. A successful
 // admit files the quoted promise in the ledger.
 func (m *machine) applyAdmit(op walOp) error {
+	m.journal = append(m.journal, op)
 	if op.SessionID != "" {
 		m.book.Take(op.SessionID, m.eng.Now())
 	}
@@ -139,6 +147,7 @@ func (m *machine) applyAdmit(op walOp) error {
 }
 
 func (m *machine) applyFault(op walOp) error {
+	m.journal = append(m.journal, op)
 	return m.eng.InjectFailure(op.Node, op.At)
 }
 
@@ -171,30 +180,22 @@ func (m *machine) apply(op walOp) error {
 	return nil
 }
 
-// persistedState is what a snapshot's State field holds.
+// persistedState is what a snapshot's State field holds: the machine
+// journal and the open sessions. Recovery replays Ops through apply, then
+// imports Book, then replays the WAL tail.
 type persistedState struct {
-	Engine    sim.EngineState     `json:"engine"`
-	Book      negotiate.BookState `json:"book"`
-	NextJobID int                 `json:"next_job_id"`
-	// Ledger carries the promise-conformance record. A pointer so
-	// snapshots written before the ledger existed still decode (they
-	// restore an empty ledger).
-	Ledger *metrics.LedgerState `json:"ledger,omitempty"`
+	Ops  []walOp             `json:"ops"`
+	Book negotiate.BookState `json:"book"`
 	// Clean marks a shutdown snapshot: the WAL was drained and truncated
 	// before exit, so a boot that finds it with an empty log was preceded
 	// by a graceful stop, not a crash.
 	Clean bool `json:"clean"`
 }
 
+// export returns the snapshot state. Ops is the live journal itself, not a
+// copy: the snapshot is encoded before the machine applies anything else.
 func (m *machine) export(clean bool) persistedState {
-	ledger := m.ledger.Export()
-	return persistedState{
-		Engine:    m.eng.ExportState(),
-		Book:      m.book.Export(),
-		NextJobID: m.nextJobID,
-		Ledger:    &ledger,
-		Clean:     clean,
-	}
+	return persistedState{Ops: m.journal, Book: m.book.Export(), Clean: clean}
 }
 
 // RecoveryInfo summarizes what startup found in the data directory.
@@ -217,10 +218,12 @@ func (s *Service) RecoveryInfo() RecoveryInfo { return s.info }
 // configDigest fingerprints every configuration input that determines
 // replay: the cluster, the failure trace, and the policies. Recovery
 // refuses a data dir written under a different fingerprint, since
-// replaying its journal here would silently diverge.
+// replaying its journal here would silently diverge. The leading tag names
+// the snapshot state's layout, so a data dir written in an older layout is
+// refused the same way instead of being misread.
 func configDigest(cfg Config) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v1|nodes=%d|a=%g|ckpt=%d/%d|down=%d|policy=%s|skip=%t|fa=%t|floor=%t|ttl=%d|",
+	fmt.Fprintf(h, "v2|nodes=%d|a=%g|ckpt=%d/%d|down=%d|policy=%s|skip=%t|fa=%t|floor=%t|ttl=%d|",
 		cfg.Nodes, cfg.Accuracy, cfg.Checkpoint.Interval, cfg.Checkpoint.Overhead,
 		cfg.Downtime, cfg.Policy.Name(), cfg.DeadlineSkip, cfg.FaultAware,
 		cfg.BaseRateFloor, cfg.SessionTTL)
@@ -237,8 +240,9 @@ var fsyncBounds = []float64{0.00005, 0.0002, 0.0008, 0.0032, 0.0128, 0.0512, 0.2
 // snapshotBounds bucket snapshot write latency from 1ms to ~4s.
 var snapshotBounds = []float64{0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096}
 
-// recoverState opens the data dir, restores the snapshot, replays the WAL
-// through the machine, and leaves the store ready for appends. Called from
+// recoverState opens the data dir, replays the snapshot's journal and
+// imports its sessions, replays the WAL tail, both through machine.apply,
+// and leaves the store ready for appends. Called from
 // New before the state machine starts, so it owns all state unlocked.
 func (s *Service) recoverState() error {
 	store, snap, recs, err := durability.Open(s.cfg.FS, s.cfg.DataDir, durability.Options{
@@ -276,21 +280,16 @@ func (s *Service) recoverState() error {
 			store.Close()
 			return fmt.Errorf("service: decode snapshot state: %w", err)
 		}
-		if err := s.eng.Restore(ps.Engine); err != nil {
-			store.Close()
-			return fmt.Errorf("service: restore engine: %w", err)
+		for i, op := range ps.Ops {
+			if err := s.machine.apply(op); err != nil {
+				store.Close()
+				return fmt.Errorf("service: replay snapshot op %d: %w", i, err)
+			}
 		}
 		if err := s.book.Import(ps.Book); err != nil {
 			store.Close()
 			return fmt.Errorf("service: restore session book: %w", err)
 		}
-		if ps.Ledger != nil {
-			if err := s.ledger.Import(*ps.Ledger); err != nil {
-				store.Close()
-				return fmt.Errorf("service: restore promise ledger: %w", err)
-			}
-		}
-		s.nextJobID = ps.NextJobID
 		clean = ps.Clean
 	}
 	for _, rec := range recs {

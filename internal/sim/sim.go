@@ -88,11 +88,6 @@ type Engine struct {
 	busyMarkAt units.Time
 	busyAccum  units.Work
 
-	// history journals every external mutation (Admit, InjectFailure) for
-	// ExportState. The batch simulator drives arrivals internally and never
-	// appends to it, so Run pays nothing for it.
-	history []Op
-
 	// Instrumentation. The counters below are plain integer bookkeeping and
 	// are maintained unconditionally; the probe itself is only consulted
 	// when non-nil, so an uninstrumented run never reads the wall clock.

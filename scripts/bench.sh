@@ -85,7 +85,7 @@ if ! grep -q "^BenchmarkGenerateAndFilter" "$tmp"; then
 fi
 
 echo "== scheduler micro-benchmarks"
-go test -run '^$' -bench 'EarliestCandidate|ReserveRelease' -benchtime "$benchtime" -count "$count" ./internal/sched | tee -a "$tmp"
+go test -run '^$' -bench 'EarliestCandidate|ReserveRelease|Slip$' -benchtime "$benchtime" -count "$count" ./internal/sched | tee -a "$tmp"
 
 # Allocation gate: a reservation is stored by value and keeps its
 # candidate's node slice, so a quote-reserve-release cycle allocates only
@@ -96,6 +96,16 @@ if ! grep -q "^BenchmarkReserveRelease" "$tmp"; then
 fi
 if grep "^BenchmarkReserveRelease" "$tmp" | awk '{for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op" && $i > 1) bad = 1} END {exit !bad}'; then
     echo "FAIL: BenchmarkReserveRelease reports more than 1 allocs/op" >&2
+    exit 1
+fi
+# Allocation gate: a slip moves the reservation's intervals through a
+# reused scratch list, so it must stay at 0 allocs/op.
+if ! grep -q "^BenchmarkSlip" "$tmp"; then
+    echo "FAIL: BenchmarkSlip missing from benchmark output" >&2
+    exit 1
+fi
+if grep "^BenchmarkSlip" "$tmp" | grep -v ' 0 allocs/op' | grep -q .; then
+    echo "FAIL: BenchmarkSlip no longer reports 0 allocs/op" >&2
     exit 1
 fi
 
