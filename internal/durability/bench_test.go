@@ -1,6 +1,7 @@
 package durability
 
 import (
+	"encoding/json"
 	"os"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // benchOp is a daemon-sized journal entry: an admit carrying its job and
-// the accepted quote, shaped like the records qosd snapshots.
+// the accepted quote, shaped like the records qosd journals.
 type benchOp struct {
 	Kind   string           `json:"kind"`
 	Job    *workload.Job    `json:"job,omitempty"`
@@ -20,31 +21,50 @@ type benchOp struct {
 	Node   int              `json:"node"`
 }
 
-// BenchmarkCompact times one snapshot of a daemon-sized state, a journal
-// of 2000 admits (about 0.5 MiB encoded), on a filesystem that skips
-// fsync, so the number is the encoding and writing, not the disk.
-func BenchmarkCompact(b *testing.B) {
-	const ops = 2000
-	st := struct {
-		Ops []benchOp `json:"ops"`
-	}{Ops: make([]benchOp, ops)}
-	for i := range st.Ops {
-		now := units.Time(i * 600)
-		nodes := make([]int, 8)
-		for k := range nodes {
-			nodes[k] = (i*8 + k) % 128
-		}
-		st.Ops[i] = benchOp{
-			Kind: "admit",
-			Job:  &workload.Job{ID: i + 1, Arrival: now, Nodes: 8, Exec: 3600},
-			Quote: &negotiate.Quote{
-				Candidate: sched.Candidate{Start: now + 60, Nodes: nodes, PFail: 0.0123456789},
-				Deadline:  now + 3960,
-				Success:   0.9876543211,
-			},
-			Offers: 1,
-		}
+// benchAdmit returns the encoded admit of job i.
+func benchAdmit(b *testing.B, i int) []byte {
+	now := units.Time(i * 600)
+	nodes := make([]int, 8)
+	for k := range nodes {
+		nodes[k] = (i*8 + k) % 128
 	}
+	op, err := json.Marshal(benchOp{
+		Kind: "admit",
+		Job:  &workload.Job{ID: i + 1, Arrival: now, Nodes: 8, Exec: 3600},
+		Quote: &negotiate.Quote{
+			Candidate: sched.Candidate{Start: now + 60, Nodes: nodes, PFail: 0.0123456789},
+			Deadline:  now + 3960,
+			Success:   0.9876543211,
+		},
+		Offers: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return op
+}
+
+// BenchmarkCompact times one snapshot of a daemon-sized state, a journal
+// of 2000 admits (about 0.5 MiB), on a filesystem that skips fsync, so the
+// number is the writing, not the disk. The state comes pre-encoded, as
+// qosd hands it over: the journal's ops, comma-separated in 64 KiB chunks,
+// between the state's fixed bytes.
+func BenchmarkCompact(b *testing.B) {
+	const ops, chunk = 2000, 64 << 10
+	parts := [][]byte{[]byte(`{"ops":[`), make([]byte, 0, chunk)}
+	for i := 0; i < ops; i++ {
+		op := benchAdmit(b, i)
+		last := len(parts) - 1
+		if i > 0 {
+			op = append([]byte{','}, op...)
+		}
+		if cap(parts[last])-len(parts[last]) < len(op) {
+			parts = append(parts, make([]byte, 0, chunk))
+			last++
+		}
+		parts[last] = append(parts[last], op...)
+	}
+	parts = append(parts, []byte(`]}`))
 	store, _, _, err := Open(noSyncFS{}, b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -53,11 +73,40 @@ func BenchmarkCompact(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, err := store.Compact(st, "cfg")
+		n, err := store.Compact(parts, "cfg")
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(n))
+	}
+}
+
+// BenchmarkWALAppend times one committed WAL record, a daemon-sized
+// admit, on a filesystem that skips fsync: the framing and the write. It
+// must not allocate. The log is cut back every walResetEvery appends,
+// outside the timer, so its file stays small.
+func BenchmarkWALAppend(b *testing.B) {
+	const walResetEvery = 1 << 14
+	payload := benchAdmit(b, 1)
+	store, _, _, err := Open(noSyncFS{}, b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%walResetEvery == walResetEvery-1 {
+			b.StopTimer()
+			if err := store.w.reset(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := store.Append(payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // SnapshotVersion is the on-disk snapshot format version. Loading refuses
@@ -40,36 +41,42 @@ const (
 	writeFlags = os.O_CREATE | os.O_WRONLY | os.O_APPEND
 )
 
-// snapshotFile is the encoding side of Snapshot: the same fields in the
-// same order, with State holding the owner's value, so one encoder pass
-// writes the whole file. Encoding a RawMessage instead would make
-// encoding/json scan and compact the already-encoded state a second time;
-// its output is compact and HTML-escaped either way, so the bytes match.
-type snapshotFile struct {
-	Version int    `json:"version"`
-	LSN     uint64 `json:"lsn"`
-	Config  string `json:"config"`
-	State   any    `json:"state"`
+// appendSnapshotHead appends the snapshot file's bytes up to its state:
+// the envelope fields as json.Marshal of a Snapshot writes them, then the
+// state's key.
+func appendSnapshotHead(dst []byte, lsn uint64, config string) []byte {
+	dst = append(dst, `{"version":`...)
+	dst = strconv.AppendInt(dst, SnapshotVersion, 10)
+	dst = append(dst, `,"lsn":`...)
+	dst = strconv.AppendUint(dst, lsn, 10)
+	dst = append(dst, `,"config":`...)
+	// A string always encodes; Marshal escapes it as the decoder expects.
+	cfg, _ := json.Marshal(config)
+	dst = append(dst, cfg...)
+	return append(dst, `,"state":`...)
 }
 
-// writeSnapshot durably replaces the snapshot with s, encoded into buf
-// (reused across snapshots): write to a temp file, fsync it, rename over
-// the live name, fsync the directory. A crash at any point leaves either
-// the old snapshot or the new one, never a torn mix. It returns the size
-// of the file written.
-func writeSnapshot(fsys FS, dir string, buf *bytes.Buffer, s snapshotFile) (int, error) {
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(s); err != nil {
-		return 0, fmt.Errorf("durability: encode snapshot: %w", err)
-	}
-	// Encode ends the value with a newline that json.Marshal does not.
-	data := bytes.TrimSuffix(buf.Bytes(), []byte{'\n'})
+// writeSnapshot durably replaces the snapshot with head, the state's parts
+// in order and the closing brace: write to a temp file, fsync it, rename
+// over the live name, fsync the directory. A crash at any point leaves
+// either the old snapshot or the new one, never a torn mix. It returns the
+// size of the file written.
+func writeSnapshot(fsys FS, dir string, head []byte, state [][]byte) (int, error) {
 	tmp := filepath.Join(dir, snapshotTmp)
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("durability: create %s: %w", tmp, err)
 	}
-	if _, err := f.Write(data); err != nil {
+	size := len(head) + 1
+	_, err = f.Write(head)
+	for i := 0; err == nil && i < len(state); i++ {
+		_, err = f.Write(state[i])
+		size += len(state[i])
+	}
+	if err == nil {
+		_, err = f.Write([]byte{'}'})
+	}
+	if err != nil {
 		//qoslint:allow syncerr best-effort cleanup; the Write error is returned
 		f.Close()
 		return 0, fmt.Errorf("durability: write %s: %w", tmp, err)
@@ -89,7 +96,7 @@ func writeSnapshot(fsys FS, dir string, buf *bytes.Buffer, s snapshotFile) (int,
 	if err := fsys.SyncDir(dir); err != nil {
 		return 0, fmt.Errorf("durability: fsync dir %s: %w", dir, err)
 	}
-	return len(data), nil
+	return size, nil
 }
 
 // loadSnapshot reads the current snapshot. ok is false when none exists

@@ -1,7 +1,6 @@
 package durability
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -58,7 +57,7 @@ type Store struct {
 	replayCost time.Duration // measured cost of replaying one record
 	snapCost   time.Duration // measured cost of writing one snapshot
 
-	snapBuf bytes.Buffer // encoded snapshot, reused across compactions
+	snapHead []byte // the snapshot file up to its state, reused across compactions
 }
 
 // Open prepares dir for service: it loads the current snapshot (if any),
@@ -193,19 +192,16 @@ func maxDuration(d, floor units.Duration) units.Duration {
 
 // Compact durably writes a snapshot of state at the current log position
 // and truncates the WAL, returning the size of the snapshot file. state is
-// the owner's state value; it is JSON-encoded straight into the snapshot,
-// in the same pass as the envelope, and comes back as Snapshot.State. The
-// write is atomic (temp file + rename); the truncation is safe to lose,
-// since recovery skips records at or below the snapshot's LSN.
-func (st *Store) Compact(state any, config string) (int, error) {
+// the owner's state, already encoded: its parts are written one after
+// another inside the envelope, unscanned, so their concatenation must be
+// one compact JSON value, and it comes back as Snapshot.State. The write
+// is atomic (temp file + rename); the truncation is safe to lose, since
+// recovery skips records at or below the snapshot's LSN.
+func (st *Store) Compact(state [][]byte, config string) (int, error) {
 	//qoslint:allow detwallclock snapshot-cost observation for obs; never feeds replayed state
 	begin := time.Now()
-	n, err := writeSnapshot(st.fs, st.dir, &st.snapBuf, snapshotFile{
-		Version: SnapshotVersion,
-		LSN:     st.lastLSN,
-		Config:  config,
-		State:   state,
-	})
+	st.snapHead = appendSnapshotHead(st.snapHead[:0], st.lastLSN, config)
+	n, err := writeSnapshot(st.fs, st.dir, st.snapHead, state)
 	if err != nil {
 		return 0, err
 	}

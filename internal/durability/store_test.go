@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,7 +21,7 @@ func TestSnapshotCompactsAndRecoveryReplaysTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Compact(map[string]int{"ops": 5}, "cfg-1"); err != nil {
+	if _, err := st.Compact([][]byte{[]byte(`{"ops":`), []byte(`5}`)}, "cfg-1"); err != nil {
 		t.Fatal(err)
 	}
 	if st.RecordsSinceSnapshot() != 0 {
@@ -68,7 +67,7 @@ func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	}
 	// The snapshot rename lands; the truncate "crashes".
 	ffs.FailTruncate(true)
-	if _, err := st.Compact(map[string]int{"ops": 4}, "cfg"); err == nil {
+	if _, err := st.Compact([][]byte{[]byte(`{"ops":4}`)}, "cfg"); err == nil {
 		t.Fatal("compact with failing truncate succeeded")
 	}
 	ffs.Clear()
@@ -103,7 +102,7 @@ func TestFailedSnapshotKeepsOldState(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs.FailRename(true)
-	if _, err := st.Compact(map[string]bool{"new": true}, "cfg"); err == nil {
+	if _, err := st.Compact([][]byte{[]byte(`{"new":true}`)}, "cfg"); err == nil {
 		t.Fatal("compact with failing rename succeeded")
 	}
 	ffs.Clear()
@@ -121,30 +120,38 @@ func TestFailedSnapshotKeepsOldState(t *testing.T) {
 	}
 }
 
-// TestCompactMatchesTwoPassEncoding pins the one-pass writer to the bytes
-// of marshalling the state first and wrapping it as raw JSON: escaping of
-// HTML-sensitive and line-separator characters, nested raw JSON and
-// custom marshalers included. It also checks the returned size and that
-// the state loads back as it was encoded.
+// TestCompactMatchesTwoPassEncoding pins the snapshot writer to the bytes
+// of marshalling the envelope with the state as raw JSON: the state's
+// parts are written as they are, one after another, even when a part ends
+// mid-token, and the config string is escaped as Marshal escapes it. It
+// also checks the returned size and that the state loads back as the
+// parts' concatenation.
 func TestCompactMatchesTwoPassEncoding(t *testing.T) {
 	type inner struct {
 		Note string  `json:"note"`
 		P    float64 `json:"p"`
 	}
-	state := struct {
-		Text  string            `json:"text"`
-		Raw   json.RawMessage   `json:"raw"`
-		Ops   []inner           `json:"ops"`
-		Tags  map[string]string `json:"tags"`
-		Empty *inner            `json:"empty,omitempty"`
-		When  time.Duration     `json:"when"`
+	encoded, err := json.Marshal(struct {
+		Text string            `json:"text"`
+		Ops  []inner           `json:"ops"`
+		Tags map[string]string `json:"tags"`
+		When time.Duration     `json:"when"`
 	}{
 		Text: "<b>&amp;</b> \u2028\u2029 \"quoted\"",
-		Raw:  json.RawMessage(`{ "spaced" : [1, 2,3] , "html":"<&>" }`),
 		Ops:  []inner{{"a", 0.1}, {"b", 1e-9}, {"c", 1e21}},
 		Tags: map[string]string{"z": "1", "a": "2"},
 		When: 1500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	var parts [][]byte
+	for rest := encoded; len(rest) > 0; {
+		n := min(len(rest), 7)
+		parts = append(parts, rest[:n], nil)
+		rest = rest[n:]
+	}
+	const config = "cfg <&> \u2028 \"x\""
 	dir := t.TempDir()
 	var sized int
 	st, _, _, err := Open(OSFS{}, dir, Options{OnSnapshot: func(n int, _ time.Duration) { sized = n }})
@@ -154,17 +161,13 @@ func TestCompactMatchesTwoPassEncoding(t *testing.T) {
 	if _, err := st.Append([]byte("op-0")); err != nil {
 		t.Fatal(err)
 	}
-	n, err := st.Compact(state, "cfg")
+	n, err := st.Compact(parts, config)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
 
-	encoded, err := json.Marshal(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(&Snapshot{Version: SnapshotVersion, LSN: 1, Config: "cfg", State: encoded})
+	want, err := json.Marshal(&Snapshot{Version: SnapshotVersion, LSN: 1, Config: config, State: encoded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,39 +186,8 @@ func TestCompactMatchesTwoPassEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if !bytes.Equal(snap.State, encoded) {
-		t.Errorf("loaded state %s, want %s", snap.State, encoded)
-	}
-}
-
-// TestCompactRefusesUnencodableState: a state the encoder cannot write
-// fails the compaction before any file is touched, leaving the WAL whole.
-func TestCompactRefusesUnencodableState(t *testing.T) {
-	dir := t.TempDir()
-	st, _, _, err := Open(OSFS{}, dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Append([]byte("op-0")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Compact(map[string]float64{"p": math.NaN()}, "cfg"); err == nil {
-		t.Fatal("compact of a NaN state succeeded")
-	}
-	if st.RecordsSinceSnapshot() != 1 {
-		t.Errorf("records since snapshot = %d after a failed compact", st.RecordsSinceSnapshot())
-	}
-	st.Close()
-	if _, err := os.Stat(filepath.Join(dir, snapshotTmp)); !os.IsNotExist(err) {
-		t.Errorf("failed encode left a temp file: %v", err)
-	}
-	st2, snap, recs, err := Open(OSFS{}, dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if snap != nil || len(recs) != 1 {
-		t.Fatalf("after a failed compact: snapshot %+v, %d records", snap, len(recs))
+	if !bytes.Equal(snap.State, encoded) || snap.Config != config {
+		t.Errorf("loaded state %s under config %q, want %s under %q", snap.State, snap.Config, encoded, config)
 	}
 }
 

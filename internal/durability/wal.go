@@ -33,13 +33,15 @@ type Record struct {
 // returns the extended slice. It is the single encoder: the writer, the
 // recovery path, and the fuzz target all agree on it byte for byte.
 func AppendFrame(buf []byte, lsn uint64, payload []byte) []byte {
-	var hdr [frameHeaderSize + lsnSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(lsnSize+len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], lsn)
-	crc := crc32.ChecksumIEEE(hdr[8:16])
+	// The header is built in buf itself: a local array would escape
+	// through the checksum call and cost an allocation per record.
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(lsnSize+len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // the CRC, set below
+	buf = binary.LittleEndian.AppendUint64(buf, lsn)
+	crc := crc32.ChecksumIEEE(buf[start+frameHeaderSize:])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
+	binary.LittleEndian.PutUint32(buf[start+4:], crc)
 	return append(buf, payload...)
 }
 
@@ -88,6 +90,8 @@ type wal struct {
 	nextLSN uint64
 	good    int64 // file length after the last durable record
 	damaged bool  // a failed append may have left partial bytes past good
+
+	frame []byte // the record being appended, reused across appends
 }
 
 // openWAL opens (creating if needed) the log for appending after `valid`
@@ -118,7 +122,8 @@ func (w *wal) append(payload []byte) (uint64, int, error) {
 			return 0, 0, err
 		}
 	}
-	frame := AppendFrame(nil, w.nextLSN, payload)
+	w.frame = AppendFrame(w.frame[:0], w.nextLSN, payload)
+	frame := w.frame
 	if _, err := w.f.Write(frame); err != nil {
 		w.damaged = true
 		w.heal() // best effort; append stays failed either way

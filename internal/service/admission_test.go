@@ -64,16 +64,16 @@ func TestLedgerOpenCountsQueuedAndRunning(t *testing.T) {
 			job := workload.Job{ID: jobID, Arrival: m.eng.Now(), Nodes: q.size, Exec: q.exec}
 			// A quote the clock or another accept overtook is refused; the
 			// ledger must then stay as it was.
-			if m.applyAdmit(walOp{Kind: opAdmit, Job: &job, Quote: &q.quotes[offer-1], Offers: offer}) == nil {
+			if m.applyAdmit(walOp{Kind: opAdmit, Job: &job, Quote: &q.quotes[offer-1], Offers: offer}, nil) == nil {
 				admitted++
 			}
 		case k < 9:
-			if err := m.applyAdvance(m.eng.Now().Add(units.Duration(rng.Intn(3600)))); err != nil {
+			if err := m.applyAdvance(m.eng.Now().Add(units.Duration(rng.Intn(3600))), nil); err != nil {
 				t.Fatalf("step %d: advance: %v", step, err)
 			}
 		default:
 			at := m.eng.Now().Add(units.Duration(rng.Intn(3600)))
-			if err := m.applyFault(walOp{Kind: opFault, Node: rng.Intn(nodes), At: at}); err != nil {
+			if err := m.applyFault(walOp{Kind: opFault, Node: rng.Intn(nodes), At: at}, nil); err != nil {
 				t.Fatalf("step %d: fault: %v", step, err)
 			}
 		}

@@ -16,8 +16,11 @@ import (
 
 	"probqos/internal/durability"
 	"probqos/internal/failure"
+	"probqos/internal/negotiate"
+	"probqos/internal/sched"
 	"probqos/internal/sim"
 	"probqos/internal/units"
+	"probqos/internal/workload"
 )
 
 // durableConfig builds a config over an 8-node empty trace writing to dir,
@@ -50,8 +53,9 @@ func crash(s *Service) {
 }
 
 // fingerprint serializes everything a recovered machine must reproduce:
-// the machine journal, the clock, per-job status, aggregate stats, the
-// session book, the ID counter, and the promise ledger's rows and summary.
+// the machine journal's bytes, the clock, per-job status, aggregate stats,
+// the session book, the ID counter, and the promise ledger's rows and
+// summary.
 func fingerprint(t *testing.T, m *machine) string {
 	t.Helper()
 	jobs := map[int]sim.JobStatus{}
@@ -60,7 +64,7 @@ func fingerprint(t *testing.T, m *machine) string {
 		jobs[id] = js
 	}
 	data, err := json.Marshal(map[string]any{
-		"journal":     m.journal,
+		"journal":     string(bytes.Join(m.journal.chunks, nil)),
 		"now":         m.eng.Now(),
 		"stats":       m.eng.Stats(),
 		"jobs":        jobs,
@@ -184,7 +188,8 @@ func TestKillAtEveryRecordBoundary(t *testing.T) {
 
 	for _, c := range cuts {
 		t.Run(fmt.Sprintf("bytes=%d records=%d", c.bytes, c.records), func(t *testing.T) {
-			// Reference: a fresh machine applying the surviving records.
+			// Reference: a fresh machine applying the surviving records,
+			// each with its payload, as recovery does.
 			ref, err := newMachine(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -194,7 +199,7 @@ func TestKillAtEveryRecordBoundary(t *testing.T) {
 				if err := json.Unmarshal(rec.Payload, &op); err != nil {
 					t.Fatal(err)
 				}
-				if err := ref.apply(op); err != nil {
+				if err := ref.apply(op, rec.Payload); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -223,7 +228,8 @@ func TestKillAtEveryRecordBoundary(t *testing.T) {
 
 // TestCrashMidWorkloadRecovers kills the service halfway through a
 // workload, restarts it from the data dir, finishes the workload, and
-// checks the outcome matches an uninterrupted in-memory run.
+// checks the outcome matches an uninterrupted run. The twin is durable
+// too: a machine without a data dir keeps no journal to compare.
 func TestCrashMidWorkloadRecovers(t *testing.T) {
 	firstHalf := func(t *testing.T, h http.Handler) string {
 		t.Helper()
@@ -278,12 +284,8 @@ func TestCrashMidWorkloadRecovers(t *testing.T) {
 	}
 	secondHalf(t, s2.Handler(), session)
 
-	// Uninterrupted reference, in-memory.
-	tr, err := failure.NewTrace(8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(DefaultConfig(tr))
+	// Uninterrupted reference.
+	ref, err := New(durableConfig(t, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,47 +682,84 @@ func TestConformanceSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesMatchTwoPassEncoding pins the one-pass snapshot writer
-// to the file the two-pass writer produced: the state marshalled on its
-// own, then wrapped in the envelope as raw JSON. After a driven dialog and
-// a clean shutdown the file must match byte for byte, and the size gauge
-// must report the file's size.
-func TestSnapshotBytesMatchTwoPassEncoding(t *testing.T) {
-	dir := t.TempDir()
-	s, err := New(durableConfig(t, dir))
-	if err != nil {
-		t.Fatal(err)
+// snapshotOracle encodes the snapshot s would write now, independently of
+// the snapshot writer: it decodes every journal entry and marshals the
+// {ops, book, clean} state on its own, then wraps it in the envelope as
+// raw JSON. Call it only while the loop is idle.
+func snapshotOracle(t *testing.T, s *Service, lsn uint64, clean bool) []byte {
+	t.Helper()
+	var ops []walOp
+	if len(s.journal.chunks) > 0 {
+		list := append(append([]byte{'['}, bytes.Join(s.journal.chunks, nil)...), ']')
+		if err := json.Unmarshal(list, &ops); err != nil {
+			t.Fatalf("journal does not decode as a list of ops: %v", err)
+		}
 	}
-	driveDialog(t, s.Handler())
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The loop has exited, so the machine is safe to read. Every record
-	// the service committed, the drain marker included, is in the
-	// snapshot.
-	state, err := json.Marshal(s.machine.export(true))
+	state, err := json.Marshal(struct {
+		Ops   []walOp             `json:"ops"`
+		Book  negotiate.BookState `json:"book"`
+		Clean bool                `json:"clean"`
+	}{ops, s.book.Export(), clean})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := json.Marshal(durability.Snapshot{
 		Version: durability.SnapshotVersion,
-		LSN:     uint64(s.walRecords.Value()),
+		LSN:     lsn,
 		Config:  s.digest,
 		State:   state,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("snapshot differs from the two-pass encoding:\n got %s\nwant %s", got, want)
-	}
-	size := s.reg.Gauge("qosd_snapshot_last_bytes", "", nil).Value()
-	if size != float64(len(got)) {
-		t.Errorf("qosd_snapshot_last_bytes = %v, file holds %d bytes", size, len(got))
+	return want
+}
+
+// TestSnapshotBytesMatchTwoPassEncoding pins the snapshot writer, which
+// writes the journal's bytes as they are, to the file the two-pass
+// writer produced (snapshotOracle). After a driven dialog, or only an open
+// session (an empty journal, which encodes as null), and a clean shutdown
+// the file must match byte for byte, and the size gauge must report the
+// file's size.
+func TestSnapshotBytesMatchTwoPassEncoding(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drive func(t *testing.T, h http.Handler)
+	}{
+		{"dialog", driveDialog},
+		{"session-only", func(t *testing.T, h http.Handler) {
+			if code := call(t, h, "POST", "/v1/quote",
+				map[string]any{"nodes": 2, "exec_seconds": 600}, nil); code != http.StatusOK {
+				t.Fatalf("quote: %d", code)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(durableConfig(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.drive(t, s.Handler())
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The loop has exited, so the machine is safe to read. Every
+			// record the service committed, the drain marker included, is
+			// in the snapshot.
+			want := snapshotOracle(t, s, uint64(s.walRecords.Value()), true)
+			if !bytes.Equal(got, want) {
+				t.Errorf("snapshot differs from the two-pass encoding:\n got %s\nwant %s", got, want)
+			}
+			size := s.reg.Gauge("qosd_snapshot_last_bytes", "", nil).Value()
+			if size != float64(len(got)) {
+				t.Errorf("qosd_snapshot_last_bytes = %v, file holds %d bytes", size, len(got))
+			}
+		})
 	}
 }
 
@@ -810,5 +849,219 @@ func TestScrapeNeitherTicksNorJournals(t *testing.T) {
 	}
 	if float64(st.Now) <= before["qosd_virtual_time_seconds"] {
 		t.Errorf("request after 40ms at speedup %v left the clock at %v", cfg.Speedup, st.Now)
+	}
+}
+
+// TestJournalChunks: the journal's chunks concatenate to its ops joined by
+// commas, whether an op fits the current chunk, starts a new one, or is
+// larger than a chunk, and each chunk keeps the capacity it started with,
+// so nothing is copied as the journal grows. An op without bytes adds
+// nothing.
+func TestJournalChunks(t *testing.T) {
+	var j journal
+	var ops [][]byte
+	for i, n := range []int{10, journalChunk / 2, journalChunk / 2, journalChunk * 2, 3} {
+		op := bytes.Repeat([]byte{'a' + byte(i)}, n)
+		j.add(op)
+		ops = append(ops, op)
+	}
+	j.add(nil)
+	if got, want := bytes.Join(j.chunks, nil), bytes.Join(ops, []byte{','}); !bytes.Equal(got, want) {
+		t.Errorf("journal holds %d bytes, want the %d of the ops joined by commas", len(got), len(want))
+	}
+	var caps []int
+	for _, c := range j.chunks {
+		caps = append(caps, cap(c))
+	}
+	if want := []int{journalChunk, journalChunk, 2*journalChunk + 1, journalChunk}; fmt.Sprint(caps) != fmt.Sprint(want) {
+		t.Errorf("chunk capacities %v, want %v", caps, want)
+	}
+}
+
+// recordingFS is the non-syncing filesystem that also keeps a copy of
+// every snapshot file as it is renamed into place.
+type recordingFS struct {
+	noSyncFS
+	snapshots *[][]byte
+}
+
+func (f recordingFS) Rename(oldpath, newpath string) error {
+	if filepath.Base(newpath) == "snapshot.json" {
+		data, err := os.ReadFile(oldpath)
+		if err != nil {
+			return err
+		}
+		*f.snapshots = append(*f.snapshots, data)
+	}
+	return f.noSyncFS.Rename(oldpath, newpath)
+}
+
+// TestSnapshotBytesAcrossRestart pins the bytes of every file a durable
+// service writes across a crash and a restart, with snapshots taken as
+// the log grows. Each WAL payload equals json.Marshal of the op it
+// decodes to, and so does each snapshot file of its decoded content,
+// including those written after recovery from journal bytes read back
+// from a snapshot and a WAL tail. The final, clean snapshot also matches
+// snapshotOracle.
+func TestSnapshotBytesAcrossRestart(t *testing.T) {
+	const steps, cut = 30, 17
+	var snaps [][]byte
+	dir := t.TempDir()
+	cfg := forecastConfig(t, dir)
+	cfg.FS = recordingFS{snapshots: &snaps}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forecastDialog(t, s.Handler(), 0, cut)
+	crash(s)
+	lsn := uint64(s.walRecords.Value())
+
+	data, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := durability.DecodeRecords(data)
+	if len(recs) == 0 {
+		t.Fatal("the crash left no WAL tail to recover")
+	}
+	for _, rec := range recs {
+		var op walOp
+		if err := json.Unmarshal(rec.Payload, &op); err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(op); !bytes.Equal(rec.Payload, want) {
+			t.Errorf("WAL record %d:\n got %s\nwant %s", rec.LSN, rec.Payload, want)
+		}
+	}
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := s2.RecoveryInfo(); !info.SnapshotLoaded || info.RecordsReplayed != len(recs) {
+		t.Fatalf("recovery info %+v, want a snapshot and %d records", info, len(recs))
+	}
+	forecastDialog(t, s2.Handler(), cut, steps)
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) < 6 {
+		t.Fatalf("%d snapshots written, want at least 6", len(snaps))
+	}
+	for i, got := range snaps {
+		var snap struct {
+			Version int    `json:"version"`
+			LSN     uint64 `json:"lsn"`
+			Config  string `json:"config"`
+			State   struct {
+				Ops   []walOp             `json:"ops"`
+				Book  negotiate.BookState `json:"book"`
+				Clean bool                `json:"clean"`
+			} `json:"state"`
+		}
+		if err := json.Unmarshal(got, &snap); err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		if want, _ := json.Marshal(snap); !bytes.Equal(got, want) {
+			t.Errorf("snapshot %d differs from the encoding of its content:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	last := snaps[len(snaps)-1]
+	if want := snapshotOracle(t, s2, lsn+uint64(s2.walRecords.Value()), true); !bytes.Equal(last, want) {
+		t.Errorf("clean snapshot:\n got %s\nwant %s", last, want)
+	}
+}
+
+// TestReplayCostCountsSnapshotOps pins the snapshot rule's replay cost
+// after a crash: recovering a snapshot of thousands of ops plus one WAL
+// record spreads the replay time over all of them, so the next records do
+// not look expensive enough to snapshot after every few. Charging the
+// whole replay to the one record did.
+func TestReplayCostCountsSnapshotOps(t *testing.T) {
+	const ops, after = 3000, 20
+	dir := t.TempDir()
+	cfg := durableConfig(t, dir)
+	cfg.FS = noSyncFS{}
+	advance := func(s *Service) {
+		t.Helper()
+		if code := call(t, s.Handler(), "POST", "/v1/advance",
+			map[string]any{"by_seconds": 60}, nil); code != http.StatusOK {
+			t.Fatalf("advance: code %d", code)
+		}
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ops; i++ {
+		advance(s)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	advance(s)
+	crash(s)
+
+	// A high crash hazard under the default cap: the cost model decides,
+	// and a snapshot costs less than replaying the whole journal, so
+	// charging that replay to one record compacts at the first append.
+	cfg.CrashHazard, cfg.SnapshotEvery = 0.5, 0
+	s, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if info := s.RecoveryInfo(); !info.SnapshotLoaded || info.RecordsReplayed != 1 {
+		t.Fatalf("recovery info %+v, want a snapshot and one record", info)
+	}
+	for i := 0; i < after; i++ {
+		advance(s)
+	}
+	var since int
+	s.do(func() { since = s.store.RecordsSinceSnapshot() })
+	if since != after {
+		t.Errorf("%d records since the last snapshot after %d appends: the rule compacted early", since, after)
+	}
+}
+
+// TestLogOpAllocatesNothing: with tracing off and no fsync, journaling an
+// advance or an admit (its encoding and its WAL append) allocates nothing.
+func TestLogOpAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled encoder state at random")
+	}
+	cfg := durableConfig(t, t.TempDir())
+	cfg.FS = noSyncFS{}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	job := workload.Job{ID: 1, Nodes: 2, Exec: 600}
+	quote := negotiate.Quote{
+		Candidate: sched.Candidate{Nodes: []int{0, 1}, PFail: 0.125},
+		Deadline:  600,
+		Success:   0.875,
+	}
+	for _, op := range []walOp{
+		{Kind: opAdvance, To: 60},
+		{Kind: opAdmit, SessionID: "q-1", Job: &job, Quote: &quote, Offers: 1},
+	} {
+		var allocs float64
+		s.do(func() {
+			allocs = testing.AllocsPerRun(100, func() {
+				if _, err := s.logOp(op); err != nil {
+					t.Error(err)
+				}
+			})
+		})
+		if allocs != 0 {
+			t.Errorf("a WAL append of an %s op through logOp allocates %v times, want 0", op.Kind, allocs)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -84,10 +85,45 @@ type machine struct {
 	nextJobID int
 	ledger    *metrics.Ledger
 	// journal is every advance, admit (accepted or rejected) and fault
-	// applied, in order. Applied again to a fresh machine it rebuilds the
-	// engine, the job-ID counter and the ledger exactly; the session book
-	// is the only state a snapshot stores besides it.
-	journal []walOp
+	// applied, in order, as the bytes of its WAL record. Applied again to
+	// a fresh machine it rebuilds the engine, the job-ID counter and the
+	// ledger exactly; the session book is the only state a snapshot stores
+	// besides it. A machine without a data dir has no record bytes and so
+	// keeps no journal.
+	journal journal
+}
+
+// journalChunk is the size of one journal chunk.
+const journalChunk = 64 << 10
+
+// journal holds encoded ops as the elements of a JSON array without its
+// brackets: each op's bytes, comma-separated, in chunks of journalChunk
+// bytes (or one op, if larger). A chunk is never regrown, so appending
+// never copies what is already there, and a snapshot writes the chunks as
+// they are.
+type journal struct {
+	chunks [][]byte
+}
+
+// add appends one encoded op; nil (no record bytes) adds nothing.
+func (j *journal) add(op []byte) {
+	if op == nil {
+		return
+	}
+	sep := len(j.chunks) > 0 // a comma goes before every op but the first
+	need := len(op)
+	if sep {
+		need++
+	}
+	last := len(j.chunks) - 1
+	if last < 0 || cap(j.chunks[last])-len(j.chunks[last]) < need {
+		j.chunks = append(j.chunks, make([]byte, 0, max(journalChunk, need)))
+		last++
+	}
+	if sep {
+		j.chunks[last] = append(j.chunks[last], ',')
+	}
+	j.chunks[last] = append(j.chunks[last], op...)
 }
 
 func newMachine(cfg Config) (machine, error) {
@@ -116,9 +152,11 @@ func newMachine(cfg Config) (machine, error) {
 // promise the advance drove to a terminal state: the transition behind
 // both /v1/advance and the speedup clock. Settlement happens here — on
 // the journaled clock, inside the replayed path — so a recovered ledger
-// is identical to the one the crash interrupted.
-func (m *machine) applyAdvance(to units.Time) error {
-	m.journal = append(m.journal, walOp{Kind: opAdvance, To: to})
+// is identical to the one the crash interrupted. raw, here and in the
+// other apply helpers, is the op's WAL record payload, which the journal
+// keeps; nil without a data dir.
+func (m *machine) applyAdvance(to units.Time, raw []byte) error {
+	m.journal.add(raw)
 	if err := m.eng.AdvanceTo(to); err != nil {
 		return err
 	}
@@ -131,8 +169,8 @@ func (m *machine) applyAdvance(to units.Time) error {
 // and admits. The ID is consumed even when admission then fails — live
 // and on replay alike — so the counter never reissues an ID. A successful
 // admit files the quoted promise in the ledger.
-func (m *machine) applyAdmit(op walOp) error {
-	m.journal = append(m.journal, op)
+func (m *machine) applyAdmit(op walOp, raw []byte) error {
+	m.journal.add(raw)
 	if op.SessionID != "" {
 		m.book.Take(op.SessionID, m.eng.Now())
 	}
@@ -146,18 +184,19 @@ func (m *machine) applyAdmit(op walOp) error {
 	return nil
 }
 
-func (m *machine) applyFault(op walOp) error {
-	m.journal = append(m.journal, op)
+func (m *machine) applyFault(op walOp, raw []byte) error {
+	m.journal.add(raw)
 	return m.eng.InjectFailure(op.Node, op.At)
 }
 
-// apply replays one journaled operation. Admit and fault rejections are
-// deterministic re-enactments of what the live request saw, so they are
-// benign; an advance failure is an engine invariant violation and fatal.
-func (m *machine) apply(op walOp) error {
+// apply replays one journaled operation, decoded from raw. Admit and fault
+// rejections are deterministic re-enactments of what the live request saw,
+// so they are benign; an advance failure is an engine invariant violation
+// and fatal.
+func (m *machine) apply(op walOp, raw []byte) error {
 	switch op.Kind {
 	case opAdvance:
-		return m.applyAdvance(op.To)
+		return m.applyAdvance(op.To, raw)
 	case opSession:
 		if op.Session == nil {
 			return fmt.Errorf("service: session record without a session")
@@ -169,9 +208,9 @@ func (m *machine) apply(op walOp) error {
 		if op.Job == nil || op.Quote == nil {
 			return fmt.Errorf("service: admit record without job or quote")
 		}
-		m.applyAdmit(op)
+		m.applyAdmit(op, raw)
 	case opFault:
-		m.applyFault(op)
+		m.applyFault(op, raw)
 	case opDrain:
 		// Clean-shutdown marker; state unchanged.
 	default:
@@ -182,9 +221,10 @@ func (m *machine) apply(op walOp) error {
 
 // persistedState is what a snapshot's State field holds: the machine
 // journal and the open sessions. Recovery replays Ops through apply, then
-// imports Book, then replays the WAL tail.
+// imports Book, then replays the WAL tail. Ops stay raw, so the journal
+// keeps each op's bytes as they were written.
 type persistedState struct {
-	Ops  []walOp             `json:"ops"`
+	Ops  []json.RawMessage   `json:"ops"`
 	Book negotiate.BookState `json:"book"`
 	// Clean marks a shutdown snapshot: the WAL was drained and truncated
 	// before exit, so a boot that finds it with an empty log was preceded
@@ -192,10 +232,33 @@ type persistedState struct {
 	Clean bool `json:"clean"`
 }
 
-// export returns the snapshot state. Ops is the live journal itself, not a
-// copy: the snapshot is encoded before the machine applies anything else.
-func (m *machine) export(clean bool) persistedState {
-	return persistedState{Ops: m.journal, Book: m.book.Export(), Clean: clean}
+// The fixed bytes of a persistedState around its journal and book.
+var (
+	stateOpsNull  = []byte(`{"ops":null,"book":`)
+	stateOpsOpen  = []byte(`{"ops":[`)
+	stateOpsClose = []byte(`],"book":`)
+	stateClean    = []byte(`,"clean":true}`)
+	stateUnclean  = []byte(`,"clean":false}`)
+)
+
+// stateParts appends to dst the parts of the snapshot state, encoded as a
+// persistedState is: the journal chunks themselves, not copies (the
+// snapshot is written before the machine applies anything else), around
+// book, the encoded session book. An empty journal encodes as null, as a
+// nil slice does.
+func (m *machine) stateParts(dst [][]byte, book []byte, clean bool) [][]byte {
+	if len(m.journal.chunks) == 0 {
+		dst = append(dst, stateOpsNull)
+	} else {
+		dst = append(dst, stateOpsOpen)
+		dst = append(dst, m.journal.chunks...)
+		dst = append(dst, stateOpsClose)
+	}
+	dst = append(dst, book)
+	if clean {
+		return append(dst, stateClean)
+	}
+	return append(dst, stateUnclean)
 }
 
 // RecoveryInfo summarizes what startup found in the data directory.
@@ -267,7 +330,7 @@ func (s *Service) recoverState() error {
 	if err != nil {
 		return err
 	}
-	clean := false
+	clean, snapOps := false, 0
 	begin := time.Now()
 	if snap != nil {
 		if snap.Config != s.digest {
@@ -280,12 +343,18 @@ func (s *Service) recoverState() error {
 			store.Close()
 			return fmt.Errorf("service: decode snapshot state: %w", err)
 		}
-		for i, op := range ps.Ops {
-			if err := s.machine.apply(op); err != nil {
+		for i, raw := range ps.Ops {
+			var op walOp
+			if err := json.Unmarshal(raw, &op); err != nil {
+				store.Close()
+				return fmt.Errorf("service: decode snapshot op %d: %w", i, err)
+			}
+			if err := s.machine.apply(op, raw); err != nil {
 				store.Close()
 				return fmt.Errorf("service: replay snapshot op %d: %w", i, err)
 			}
 		}
+		snapOps = len(ps.Ops)
 		if err := s.book.Import(ps.Book); err != nil {
 			store.Close()
 			return fmt.Errorf("service: restore session book: %w", err)
@@ -301,15 +370,15 @@ func (s *Service) recoverState() error {
 			store.Close()
 			return fmt.Errorf("service: wal record lsn %d: undecodable payload: %w", rec.LSN, err)
 		}
-		if err := s.machine.apply(op); err != nil {
+		if err := s.machine.apply(op, rec.Payload); err != nil {
 			store.Close()
 			return fmt.Errorf("service: replay wal record lsn %d: %w", rec.LSN, err)
 		}
 	}
 	replayDur := time.Since(begin)
-	if len(recs) > 0 {
-		store.SetReplayCost(replayDur, len(recs))
-	}
+	// The replay covered the snapshot's ops as well as the WAL tail, so
+	// the per-record cost divides by both.
+	store.SetReplayCost(replayDur, snapOps+len(recs))
 	s.reg.Gauge("qosd_wal_replay_seconds",
 		"time spent restoring the snapshot and replaying the WAL at boot", nil).
 		Set(replayDur.Seconds())
@@ -344,32 +413,50 @@ func (s *Service) recoverState() error {
 	return nil
 }
 
-// logOp journals op ahead of applying it. A write failure flips the
-// service into degraded mode and means the operation must not happen.
-// Runs on the state-machine goroutine. Without a data dir it is a no-op.
-func (s *Service) logOp(op walOp) error {
+// logOp journals op ahead of applying it and returns the record's payload,
+// the bytes the apply helpers keep in the machine journal. They are valid
+// until the next encode. A write failure flips the service into degraded
+// mode and means the operation must not happen. Runs on the state-machine
+// goroutine. Without a data dir it is a no-op and returns no bytes.
+func (s *Service) logOp(op walOp) ([]byte, error) {
 	if s.store == nil {
-		return nil
+		return nil, nil
 	}
 	if s.degraded != nil {
-		return errDegraded
+		return nil, errDegraded
 	}
-	payload, err := json.Marshal(op)
+	// Encoding from a field of s, not a local, keeps op off the heap.
+	s.encOp = op
+	payload, err := s.encode(&s.encOp)
 	if err != nil {
 		s.broken = fmt.Errorf("service: encode wal op: %w", err)
-		return s.broken
+		return nil, s.broken
 	}
 	sp := s.curScope.Start("wal.append")
-	sp.Annotate("op", op.Kind)
-	sp.Annotate("bytes", strconv.Itoa(len(payload)))
+	if sp.Recording() {
+		sp.Annotate("op", op.Kind)
+		sp.Annotate("bytes", strconv.Itoa(len(payload)))
+	}
 	_, aerr := s.store.Append(payload)
 	sp.End()
 	if aerr != nil {
 		s.setDegraded(aerr)
-		return fmt.Errorf("%w: %v", errDegraded, aerr)
+		return nil, fmt.Errorf("%w: %v", errDegraded, aerr)
 	}
 	s.loopCounter(&s.walRecords, "qosd_wal_records_total", "WAL records committed").Inc()
-	return nil
+	return payload, nil
+}
+
+// encode JSON-encodes v into the service's encode buffer and returns the
+// bytes, equal to json.Marshal(v), valid until the next encode. Runs on
+// the state-machine goroutine.
+func (s *Service) encode(v any) ([]byte, error) {
+	s.encBuf.Reset()
+	if err := s.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	// Encode ends the value with a newline that json.Marshal does not.
+	return bytes.TrimSuffix(s.encBuf.Bytes(), []byte{'\n'}), nil
 }
 
 func (s *Service) setDegraded(cause error) {
@@ -414,14 +501,23 @@ func (s *Service) maybeCompact() {
 	}
 }
 
+// compact snapshots the machine: the journal's bytes as they are and the
+// session book, the one part encoded here, before any file is touched.
 func (s *Service) compact(clean bool) error {
 	sp := s.curScope.Start("snapshot")
 	defer sp.End()
-	n, err := s.store.Compact(s.machine.export(clean), s.digest)
+	book, err := s.encode(s.book.Export())
+	if err != nil {
+		return fmt.Errorf("service: encode session book: %w", err)
+	}
+	s.snapParts = s.machine.stateParts(s.snapParts[:0], book, clean)
+	n, err := s.store.Compact(s.snapParts, s.digest)
 	if err != nil {
 		return err
 	}
-	sp.Annotate("bytes", strconv.Itoa(n))
+	if sp.Recording() {
+		sp.Annotate("bytes", strconv.Itoa(n))
+	}
 	s.reg.Counter("qosd_snapshots_total", "state snapshots written", nil).Inc()
 	return nil
 }

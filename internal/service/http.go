@@ -122,11 +122,23 @@ type faultRequest struct {
 	AfterSeconds int64      `json:"after_seconds,omitempty"`
 }
 
+// faultResponse confirms an injected failure: the node and the instant it
+// fails. The field order fixes the reply's bytes, {"at":…,"node":…}.
+type faultResponse struct {
+	At   units.Time `json:"at"`
+	Node int        `json:"node"`
+}
+
 type advanceRequest struct {
 	// To is an absolute virtual instant; BySeconds offsets from now.
 	// Exactly one must be set.
 	To        units.Time `json:"to,omitempty"`
 	BySeconds int64      `json:"by_seconds,omitempty"`
+}
+
+// advanceResponse reports the clock after an advance.
+type advanceResponse struct {
+	Now units.Time `json:"now"`
 }
 
 type stateResponse struct {
@@ -266,9 +278,11 @@ func (s *Service) handleQuote(r *http.Request, sc *trace.Scope) (int, any, error
 
 	return s.onLoop(sc, func() (int, any, error) {
 		qs := sc.Start("quote")
-		qs.Annotate("nodes", strconv.Itoa(req.Nodes))
 		quotes := s.eng.Quotes(req.Nodes, units.Duration(req.ExecSeconds), max)
-		qs.Annotate("offers", strconv.Itoa(len(quotes)))
+		if qs.Recording() {
+			qs.Annotate("nodes", strconv.Itoa(req.Nodes))
+			qs.Annotate("offers", strconv.Itoa(len(quotes)))
+		}
 		qs.End()
 		resp := quoteResponse{Now: s.eng.Now(), Quotes: make([]wireQuote, len(quotes))}
 		for i, q := range quotes {
@@ -340,7 +354,7 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		// journaled; on a log failure put it back and refuse, as if the
 		// request never happened.
 		if req.Offer < 1 || req.Offer > len(sess.Quotes) {
-			if lerr := s.logOp(walOp{Kind: opTake, SessionID: sess.ID}); lerr != nil {
+			if _, lerr := s.logOp(walOp{Kind: opTake, SessionID: sess.ID}); lerr != nil {
 				s.book.Insert(sess)
 				return http.StatusServiceUnavailable, nil, lerr
 			}
@@ -352,7 +366,7 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		// exactly the queued and running jobs, counted without a walk over
 		// every job ever admitted.
 		if s.cfg.MaxOutstanding > 0 && s.ledger.Open() >= s.cfg.MaxOutstanding {
-			if lerr := s.logOp(walOp{Kind: opTake, SessionID: sess.ID}); lerr != nil {
+			if _, lerr := s.logOp(walOp{Kind: opTake, SessionID: sess.ID}); lerr != nil {
 				s.book.Insert(sess)
 				return http.StatusServiceUnavailable, nil, lerr
 			}
@@ -371,13 +385,16 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		// depends on a session record existing (memory-only sessions from a
 		// degraded window stay admittable after healing).
 		op := walOp{Kind: opAdmit, SessionID: sess.ID, Job: &job, Quote: &quote, Offers: req.Offer}
-		if lerr := s.logOp(op); lerr != nil {
+		raw, lerr := s.logOp(op)
+		if lerr != nil {
 			s.book.Insert(sess)
 			return http.StatusServiceUnavailable, nil, lerr
 		}
 		as := sc.Start("admit")
-		as.Annotate("job", strconv.Itoa(job.ID))
-		admitErr := s.applyAdmit(op)
+		if as.Recording() {
+			as.Annotate("job", strconv.Itoa(job.ID))
+		}
+		admitErr := s.applyAdmit(op, raw)
 		as.End()
 		if admitErr != nil {
 			// The quoted slot is gone: the clock moved past its start, or a
@@ -455,14 +472,15 @@ func (s *Service) handleFault(r *http.Request, sc *trace.Scope) (int, any, error
 			at = s.eng.Now()
 		}
 		op := walOp{Kind: opFault, Node: req.Node, At: at}
-		if lerr := s.logOp(op); lerr != nil {
+		raw, lerr := s.logOp(op)
+		if lerr != nil {
 			return http.StatusServiceUnavailable, nil, lerr
 		}
-		if injErr := s.applyFault(op); injErr != nil {
+		if injErr := s.applyFault(op, raw); injErr != nil {
 			return http.StatusBadRequest, nil, injErr
 		}
 		s.reg.Counter("qosd_faults_injected_total", "failures injected via the API", nil).Inc()
-		return http.StatusAccepted, map[string]any{"node": req.Node, "at": at}, nil
+		return http.StatusAccepted, faultResponse{At: at, Node: req.Node}, nil
 	})
 }
 
@@ -490,7 +508,7 @@ func (s *Service) handleAdvance(r *http.Request, sc *trace.Scope) (int, any, err
 		if err := s.advanceTo(target); err != nil {
 			return errCode(err), nil, err
 		}
-		return http.StatusOK, map[string]units.Time{"now": s.eng.Now()}, nil
+		return http.StatusOK, advanceResponse{Now: s.eng.Now()}, nil
 	})
 }
 

@@ -19,7 +19,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -142,6 +144,14 @@ type Service struct {
 	digest string
 	info   RecoveryInfo
 
+	// The state-machine goroutine's encoding scratch: WAL payloads and the
+	// snapshot's session book are encoded through enc into encBuf (encOp
+	// holds the op being encoded), and snapParts lists a snapshot's parts.
+	enc       *json.Encoder
+	encBuf    bytes.Buffer
+	encOp     walOp
+	snapParts [][]byte
+
 	reqs chan func()
 	quit chan struct{}
 	done chan struct{}
@@ -216,6 +226,7 @@ func New(cfg Config) (*Service, error) {
 	s.degradedMsg.Store("")
 	if cfg.DataDir != "" {
 		s.digest = configDigest(cfg)
+		s.enc = json.NewEncoder(&s.encBuf)
 		if err := s.recoverState(); err != nil {
 			return nil, err
 		}
@@ -308,12 +319,15 @@ func (s *Service) advanceTo(t units.Time) error {
 	if t <= s.eng.Now() {
 		return nil
 	}
-	if err := s.logOp(walOp{Kind: opAdvance, To: t}); err != nil {
+	raw, err := s.logOp(walOp{Kind: opAdvance, To: t})
+	if err != nil {
 		return err
 	}
 	sp := s.curScope.Start("engine.advance")
-	sp.Annotate("to", t.String())
-	err := s.applyAdvance(t)
+	if sp.Recording() {
+		sp.Annotate("to", t.String())
+	}
+	err = s.applyAdvance(t, raw)
 	sp.End()
 	if err != nil {
 		s.broken = fmt.Errorf("service: engine failed: %w", err)
@@ -394,7 +408,7 @@ func (s *Service) Close() error {
 	// a snapshot with the WAL truncated, so the next boot replays nothing.
 	if s.store != nil {
 		if s.broken == nil && s.degraded == nil {
-			if lerr := s.logOp(walOp{Kind: opDrain}); lerr == nil {
+			if _, lerr := s.logOp(walOp{Kind: opDrain}); lerr == nil {
 				s.compact(true)
 			}
 		}

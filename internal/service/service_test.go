@@ -123,6 +123,26 @@ func TestAcceptStaleQuoteConflicts(t *testing.T) {
 	}
 }
 
+// TestAdvanceAndFaultReplyBytes pins the advance and fault replies to the
+// bytes their map-typed forms encoded to: {"now":N}, and {"at":T,"node":K}
+// with the keys in sorted order.
+func TestAdvanceAndFaultReplyBytes(t *testing.T) {
+	h := newTestService(t, 8).Handler()
+	for _, tc := range []struct{ path, body, want string }{
+		{"/v1/advance", `{"by_seconds":600}`, `{"now":600}`},
+		{"/v1/faults", `{"node":3,"after_seconds":120}`, `{"at":720,"node":3}`},
+		{"/v1/advance", `{"to":86400}`, `{"now":86400}`},
+	} {
+		rec := callRec(t, h, "POST", tc.path, nil, tc.body)
+		if rec.Code >= 300 {
+			t.Fatalf("POST %s %s: code %d", tc.path, tc.body, rec.Code)
+		}
+		if got := rec.Body.String(); got != tc.want+"\n" {
+			t.Errorf("POST %s %s: body %q, want %q", tc.path, tc.body, got, tc.want+"\n")
+		}
+	}
+}
+
 func TestQuoteRejectsOversizeJob(t *testing.T) {
 	s := newTestService(t, 4)
 	if code := call(t, s.Handler(), "POST", "/v1/quote",

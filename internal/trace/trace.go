@@ -147,6 +147,10 @@ func (h SpanHandle) End() {
 	sp.Dur = time.Since(sp.Start)
 }
 
+// Recording reports whether the span records, so a caller formats an
+// annotation's value only when it will be kept.
+func (h SpanHandle) Recording() bool { return h.sc != nil }
+
 // Annotate attaches one key=value argument to the span, shown in the
 // Chrome trace viewer's detail pane.
 func (h SpanHandle) Annotate(key, value string) {

@@ -14,6 +14,9 @@ func TestScopeRecordsSpans(t *testing.T) {
 	sc := tr.StartScope("abc123")
 	h := sc.Start("http.quote")
 	inner := sc.Start("wal.append")
+	if !inner.Recording() {
+		t.Fatal("a span of an enabled tracer does not record")
+	}
 	inner.Annotate("bytes", "17")
 	inner.End()
 	h.End()
@@ -51,6 +54,9 @@ func TestNilTracerIsInert(t *testing.T) {
 	// must not allocate: that is the quote fast path's overhead budget.
 	allocs := testing.AllocsPerRun(100, func() {
 		h := sc.Start("op")
+		if h.Recording() {
+			t.Error("a span of a nil scope records")
+		}
 		h.Annotate("k", "v")
 		h.End()
 		_ = sc.Spans()

@@ -138,12 +138,13 @@ if ! grep -q "^BenchmarkRunSDSCInstrumented" "$tmp"; then
 fi
 
 echo "== daemon micro-benchmarks"
-go test -run '^$' -bench 'BenchmarkCompact$' -benchtime "$benchtime" -count "$count" ./internal/durability | tee -a "$tmp"
+go test -run '^$' -bench 'BenchmarkCompact$|BenchmarkWALAppend$' -benchtime "$benchtime" -count "$count" ./internal/durability | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkObserveRequest$|BenchmarkPromiseInProcess$' -benchtime "$benchtime" -count "$count" ./internal/service | tee -a "$tmp"
 
-# The daemon's layers: a snapshot of a 2000-op state, one request's metric
-# update, and a whole advance/quote/accept promise into a durable data dir.
-for b in BenchmarkCompact BenchmarkObserveRequest BenchmarkPromiseInProcess; do
+# The daemon's layers: a snapshot of a 2000-op state, one WAL record, one
+# request's metric update, and a whole advance/quote/accept promise into a
+# durable data dir.
+for b in BenchmarkCompact BenchmarkWALAppend BenchmarkObserveRequest BenchmarkPromiseInProcess; do
     if ! grep -q "^$b" "$tmp"; then
         echo "FAIL: $b missing from benchmark output" >&2
         exit 1
@@ -153,6 +154,12 @@ done
 # a finished request must stay at 0 allocs/op.
 if grep "^BenchmarkObserveRequest" "$tmp" | grep -v ' 0 allocs/op' | grep -q .; then
     echo "FAIL: BenchmarkObserveRequest no longer reports 0 allocs/op" >&2
+    exit 1
+fi
+# Allocation gate: a WAL record is framed into a buffer the log keeps, so
+# an append must stay at 0 allocs/op.
+if grep "^BenchmarkWALAppend" "$tmp" | grep -v ' 0 allocs/op' | grep -q .; then
+    echo "FAIL: BenchmarkWALAppend no longer reports 0 allocs/op" >&2
     exit 1
 fi
 
