@@ -54,7 +54,8 @@ func TestReadBodyMatchesReadAll(t *testing.T) {
 			req := httptest.NewRequest("POST", "/v1/quote", nil)
 			req.ContentLength = tt.length
 			req.Body = io.NopCloser(&cutReader{data: tt.body, err: tt.err})
-			got, gotErr := readBody(req)
+			// A pooled buffer arrives holding an earlier body.
+			got, gotErr := readBody(req, []byte("an earlier body"))
 
 			wantData, wantErr := io.ReadAll(http.MaxBytesReader(nil,
 				io.NopCloser(&cutReader{data: tt.body, err: tt.err}), maxBodyBytes))
@@ -111,5 +112,29 @@ func TestTruncatedBodyOverTheWire(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "reading body: unexpected EOF") {
 		t.Errorf("truncated body: %d %s, want 400 reading body: unexpected EOF", resp.StatusCode, body)
+	}
+}
+
+// TestTrailingDataIsRejected: a request body must be one JSON value and
+// nothing but whitespace after it, also when what follows starts with the
+// ] or } that json.Decoder.More does not see as another value.
+func TestTrailingDataIsRejected(t *testing.T) {
+	h := newTestService(t, 4).Handler()
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/quote", `{"nodes":1,"exec_seconds":60}`},
+		{"/v1/accept", `{"session_id":"s1","offer":1}`},
+		{"/v1/advance", `{"by_seconds":60}`},
+		{"/v1/faults", `{"node":1}`},
+	} {
+		for _, tail := range []string{"]", "}garbage", "]]]", "\n}", ` {"again":1}`} {
+			rec := callRec(t, h, "POST", tc.path, nil, tc.body+tail)
+			want := `{"error":"trailing data after JSON value"}` + "\n"
+			if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+				t.Errorf("POST %s %q: %d %q, want 400 %q", tc.path, tc.body+tail, rec.Code, rec.Body, want)
+			}
+		}
+		if rec := callRec(t, h, "POST", tc.path, nil, tc.body+" \r\n\t"); rec.Code == http.StatusBadRequest {
+			t.Errorf("POST %s with trailing whitespace: 400 %s", tc.path, rec.Body)
+		}
 	}
 }

@@ -8,9 +8,13 @@
 // failures so robustness is drivable from tests.
 //
 // Concurrency model: every request is serialized through a single
-// state-machine goroutine (request closures in, results out), so the
-// scheduler core — which is single-threaded by design — stays data-race
-// free by construction. The instrumentation registry (internal/obs) and the
+// state-machine goroutine, so the scheduler core — which is single-threaded
+// by design — stays data-race free by construction. A request hops onto it
+// with a pooled call value (its state-touching section in, its result out,
+// one reused done channel), so the hop allocates nothing. Request bodies are
+// decoded strictly before the hop: a canonical flat object by a
+// non-allocating scanner, anything else by encoding/json, whose verdict
+// stands. The instrumentation registry (internal/obs) and the
 // lock-guarded cache of per-endpoint request instruments in front of it are
 // the only state touched from handler goroutines.
 // The cluster and promise gauges are computed when /metrics or /snapshot
@@ -152,7 +156,7 @@ type Service struct {
 	encOp     walOp
 	snapParts [][]byte
 
-	reqs chan func()
+	reqs chan *loopCall
 	quit chan struct{}
 	done chan struct{}
 	stop atomic.Bool
@@ -214,7 +218,7 @@ func New(cfg Config) (*Service, error) {
 		machine: m,
 		reg:     cfg.Registry,
 		tracer:  cfg.Tracer,
-		reqs:    make(chan func()),
+		reqs:    make(chan *loopCall),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 		reqMetrics: requestMetrics{
@@ -250,20 +254,39 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
+// loopCall is one hop onto the state-machine goroutine: either a plain
+// fn, or a request's state-touching section (handler, run under the
+// request's trace scope sc) and the result it produced. Calls are drawn
+// from loopCalls and reused, done included, so a hop allocates nothing.
+type loopCall struct {
+	fn      func()
+	handler func() (int, any, error)
+	sc      *trace.Scope
+	code    int
+	body    any
+	err     error
+	// done is signalled (buffer 1) once the loop has run the call.
+	done chan struct{}
+}
+
+var loopCalls = sync.Pool{New: func() any {
+	return &loopCall{done: make(chan struct{}, 1)}
+}}
+
 // loop is the state-machine goroutine: it owns the engine, the session
-// book, and the virtual clock, executing request closures one at a time.
-// After quit it drains already-queued closures, then exits.
+// book, and the virtual clock, running calls one at a time. After quit it
+// drains already-queued calls, then exits.
 func (s *Service) loop() {
 	defer close(s.done)
 	for {
 		select {
-		case fn := <-s.reqs:
-			fn()
+		case c := <-s.reqs:
+			s.run(c)
 		case <-s.quit:
 			for {
 				select {
-				case fn := <-s.reqs:
-					fn()
+				case c := <-s.reqs:
+					s.run(c)
 				default:
 					return
 				}
@@ -272,18 +295,49 @@ func (s *Service) loop() {
 	}
 }
 
-// do runs fn on the state-machine goroutine and waits for it. It returns
-// errClosed once shutdown has begun.
-func (s *Service) do(fn func()) error {
-	ran := make(chan struct{})
-	wrapped := func() { fn(); close(ran) }
+// run executes one call on the loop goroutine and signals its done. A
+// request's section runs with its trace scope installed as curScope, so
+// loop-side spans (WAL appends, snapshots, engine advances) land in the
+// request's trace, after a tick of the clock; a tick failure answers with
+// errCode.
+func (s *Service) run(c *loopCall) {
+	if c.fn != nil {
+		c.fn()
+	} else {
+		s.curScope = c.sc
+		if c.err = s.tick(); c.err != nil {
+			c.code = errCode(c.err)
+		} else {
+			c.code, c.body, c.err = c.handler()
+		}
+		s.curScope = nil
+	}
+	c.done <- struct{}{}
+}
+
+// hop hands c to the state-machine goroutine and waits until it has run.
+// It returns errClosed, with c not run, once shutdown has begun. The
+// channel operations order every access to c between the caller and the
+// loop goroutine.
+func (s *Service) hop(c *loopCall) error {
 	select {
-	case s.reqs <- wrapped:
+	case s.reqs <- c:
 	case <-s.quit:
 		return errClosed
 	}
-	<-ran
+	<-c.done
 	return nil
+}
+
+// do runs fn on the state-machine goroutine and waits for it. It returns
+// errClosed once shutdown has begun.
+func (s *Service) do(fn func()) error {
+	c := loopCalls.Get().(*loopCall)
+	c.fn = fn
+	err := s.hop(c)
+	c.fn = nil
+	loopCalls.Put(c)
+	return err
 }
 
 // tick advances the virtual clock for one request: in speedup mode the
@@ -338,30 +392,18 @@ func (s *Service) advanceTo(t units.Time) error {
 	return nil
 }
 
-// onLoop runs one request's state-touching section on the state-machine
-// goroutine: it installs the request's trace scope as curScope, so
-// loop-side spans (WAL appends, snapshots, engine advances) land in the
-// request's trace, ticks the clock, then runs fn for the response. Shutdown
-// and tick failures answer with errCode. The scope handoff is safe without
-// locks: do's channel operations order every access between the handler
-// and the loop goroutine.
+// onLoop runs one request's state-touching section fn on the
+// state-machine goroutine (see run) and returns its response. Shutdown
+// answers with errCode.
 func (s *Service) onLoop(sc *trace.Scope, fn func() (int, any, error)) (int, any, error) {
-	var (
-		code int
-		body any
-		err  error
-	)
-	if doErr := s.do(func() {
-		s.curScope = sc
-		if err = s.tick(); err != nil {
-			code = errCode(err)
-		} else {
-			code, body, err = fn()
-		}
-		s.curScope = nil
-	}); doErr != nil {
-		return errCode(doErr), nil, doErr
+	c := loopCalls.Get().(*loopCall)
+	c.handler, c.sc = fn, sc
+	if err := s.hop(c); err != nil {
+		c.code, c.err = errCode(err), err
 	}
+	code, body, err := c.code, c.body, c.err
+	*c = loopCall{done: c.done}
+	loopCalls.Put(c)
 	return code, body, err
 }
 
