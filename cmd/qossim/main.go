@@ -121,15 +121,8 @@ func run(out io.Writer, args []string) error {
 	cfg.Negotiate = !*noNegotiate
 	cfg.BaseRateFloor = !*pureForecast
 	cfg.PredictionHalfLife = probqos.Duration(*horizonHours * 3600)
-	switch *policyName {
-	case "risk":
-		cfg.Policy = probqos.PolicyRiskBased
-	case "periodic":
-		cfg.Policy = probqos.PolicyPeriodic
-	case "never":
-		cfg.Policy = probqos.PolicyNever
-	default:
-		return fmt.Errorf("unknown policy %q", *policyName)
+	if cfg.Policy, err = probqos.ParsePolicy(*policyName); err != nil {
+		return err
 	}
 
 	var journal interface {

@@ -79,8 +79,8 @@ func TestRunPolicyAndVariantFlags(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if err := run(&sb, []string{"-policy", "bogus"}); err == nil {
-		t.Error("bogus policy accepted")
+	if err := run(&sb, []string{"-policy", "bogus"}); err == nil || !strings.Contains(err.Error(), "one of risk, periodic, never") {
+		t.Errorf("bogus policy: err = %v, want it refused with the valid names", err)
 	}
 	if err := run(&sb, []string{"-log", "/does/not/exist.swf"}); err == nil {
 		t.Error("missing SWF accepted")

@@ -6,6 +6,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"strings"
 
 	"probqos/internal/units"
 )
@@ -88,6 +89,30 @@ func (Never) ShouldCheckpoint(Request) bool { return false }
 
 // Name implements Policy.
 func (Never) Name() string { return "never" }
+
+// policies names the policies ParsePolicy selects, in the order its error
+// lists them.
+var policies = []struct {
+	name   string
+	policy Policy
+}{
+	{"risk", RiskBased{}},
+	{"periodic", Periodic{}},
+	{"never", Never{}},
+}
+
+// ParsePolicy returns the policy a short name selects: "risk" (the
+// paper's Equation 1), "periodic", or "never".
+func ParsePolicy(name string) (Policy, error) {
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		if p.name == name {
+			return p.policy, nil
+		}
+		names[i] = p.name
+	}
+	return nil, fmt.Errorf("unknown policy %q (one of %s)", name, strings.Join(names, ", "))
+}
 
 // RiskBased is the paper's risk-based cooperative policy (Equation 1):
 // perform the checkpoint iff the expected loss from skipping exceeds its

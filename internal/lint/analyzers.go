@@ -53,6 +53,9 @@ var deterministicDirs = map[string]bool{
 	// The paper's metrics and the promise ledger, which qosd carries
 	// through WAL replay and snapshots.
 	"metrics": true,
+	// The op-applying core that qosd's live path, its crash recovery and
+	// the scenario runner all drive the engine through.
+	"journal": true,
 }
 
 // IsDeterministicPkg reports whether the import path lies in (or under) one

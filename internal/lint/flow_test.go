@@ -142,7 +142,7 @@ func TestWalSwitchRealReplaySwitchesExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	var targets []*Package
-	for _, ip := range []string{"probqos/internal/service", "probqos/internal/sim"} {
+	for _, ip := range []string{"probqos/internal/journal", "probqos/internal/service", "probqos/internal/sim"} {
 		pkg, err := l.LoadDir(filepath.Join(root, strings.TrimPrefix(ip, "probqos/")), ip)
 		if err != nil {
 			t.Fatal(err)
@@ -208,16 +208,19 @@ func loadMutatedPackage(t *testing.T, relDir, importPath, file, old, new string)
 	return pkg, NewProgram(l.Packages(), Names())
 }
 
-// TestWalSwitchCatchesDeletedReplayCase deletes one replay case from the
-// real service switch (by making the case expression a
-// non-constant so it no longer counts as coverage) and asserts walswitch
-// reports exactly the missing kind.
+// TestWalSwitchCatchesDeletedReplayCase deletes one replay case from a
+// real replay switch — the journal machine's Apply, and qosd's replay of
+// its session-book kinds — (by making the case expression a non-constant
+// so it no longer counts as coverage) and asserts walswitch reports
+// exactly the missing kind.
 func TestWalSwitchCatchesDeletedReplayCase(t *testing.T) {
 	cases := []struct {
 		name, relDir, importPath, file, old, missing string
 	}{
+		{"journal-apply", "internal/journal", "probqos/internal/journal",
+			"journal.go", "case Fault:", `case Fault + "-disabled":`},
 		{"service-apply", "internal/service", "probqos/internal/service",
-			"durable.go", "case opFault:", `case opFault + "-disabled":`},
+			"durable.go", "case opDrain:", `case opDrain + "-disabled":`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

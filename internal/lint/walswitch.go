@@ -9,8 +9,9 @@ import (
 )
 
 // WalSwitch pins the crash-safety contract that every journaled record kind
-// is replayable: the service's walOp kinds are string constants switched
-// over by the one apply path that both WAL and snapshot replay use, and
+// is replayable: the journal's engine-op kinds and qosd's session-book
+// kinds are string constants switched over by the apply path that live
+// requests, WAL and snapshot replay, and the scenario runner share, and
 // adding a kind without extending every switch must fail lint, not fail at
 // the first post-crash boot.
 //

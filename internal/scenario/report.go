@@ -70,16 +70,17 @@ type AssertionResult struct {
 // state and assembles the run report. Calling it mid-run is allowed (the
 // CLI does not, but tests may); assertions then see the partial state.
 func (r *Runner) Report() *Report {
+	eng := r.m.Engine()
 	rep := &Report{
 		Scenario:   r.scn.Name,
 		Seed:       r.scn.Seed,
-		FinalClock: r.eng.Now(),
+		FinalClock: eng.Now(),
 		Jobs: JobsReport{
 			Submitted:        r.submitted,
 			Rejected:         r.rejected,
 			InjectedFailures: r.injected,
 		},
-		Conformance: r.ledger.Stats(),
+		Conformance: r.m.Ledger().Stats(),
 	}
 
 	var (
@@ -89,8 +90,8 @@ func (r *Runner) Report() *Report {
 		promised  float64
 		span      units.Time
 	)
-	for _, id := range r.eng.JobIDs() {
-		js, ok := r.eng.Job(id)
+	for _, id := range eng.JobIDs() {
+		js, ok := eng.Job(id)
 		if !ok {
 			continue
 		}

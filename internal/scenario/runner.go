@@ -2,9 +2,10 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"probqos/internal/checkpoint"
-	"probqos/internal/metrics"
+	"probqos/internal/journal"
 	"probqos/internal/negotiate"
 	"probqos/internal/sim"
 	"probqos/internal/stats"
@@ -17,33 +18,23 @@ import (
 // user's risk threshold before giving up (a rejected submission).
 const maxQuoteOffers = 64
 
-// policyFor maps a scenario policy name to the checkpoint policy it selects.
-func policyFor(name string) (checkpoint.Policy, error) {
-	switch name {
-	case "risk":
-		return checkpoint.RiskBased{}, nil
-	case "periodic":
-		return checkpoint.Periodic{}, nil
-	case "never":
-		return checkpoint.Never{}, nil
-	}
-	return nil, fmt.Errorf("unknown policy %q (one of risk, periodic, never)", name)
-}
-
-// Runner executes one scenario on a sim.Engine, step by step. A step is one
-// timeline event; a final implicit step drains the engine and settles the
-// last promises. The runner is a pure function of the scenario, so its
-// state after k steps is the scenario plus k: Resume re-runs those steps.
+// Runner executes one scenario step by step, applying the ops each step
+// implies to a journal.Machine as qosd does. A step is one timeline event;
+// a final implicit step drains the engine and settles the last promises.
+// The runner is a pure function of the scenario, so its state after k
+// steps is the scenario plus k: Resume re-runs those steps.
 type Runner struct {
-	scn    *Scenario
-	eng    *sim.Engine
-	ledger *metrics.Ledger
+	scn *Scenario
+	m   *journal.Machine
 
 	step      int // next timeline step; len(scn.Events)+1 total (final drain)
-	nextJobID int
 	submitted int
 	rejected  int
 	injected  int
+
+	// applied, when set, sees each op before it is applied; tests record
+	// the ops through it.
+	applied func(journal.Op)
 }
 
 // NewRunner validates the scenario, generates its background failure trace,
@@ -56,7 +47,7 @@ func NewRunner(s *Scenario) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy, err := policyFor(s.Fleet.Policy)
+	policy, err := checkpoint.ParsePolicy(s.Fleet.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -70,15 +61,23 @@ func NewRunner(s *Scenario) (*Runner, error) {
 	cfg.FaultAware = s.Fleet.FaultAware
 	cfg.DeadlineSkip = s.Fleet.DeadlineSkip
 	cfg.BaseRateFloor = s.Fleet.BaseRateFloor
-	eng, err := sim.NewEngine(cfg)
+	m, err := journal.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	return &Runner{scn: s, eng: eng, ledger: metrics.NewLedger(0), nextJobID: 1}, nil
+	return &Runner{scn: s, m: m}, nil
 }
 
 // Done reports whether every step (including the final drain) has run.
 func (r *Runner) Done() bool { return r.step > len(r.scn.Events) }
+
+// apply applies one op to the machine.
+func (r *Runner) apply(op journal.Op) error {
+	if r.applied != nil {
+		r.applied(op)
+	}
+	return r.m.Apply(op, nil)
+}
 
 // Step applies the next timeline event (or, past the last event, the final
 // drain-and-settle). It returns an error only for engine-level failures; a
@@ -90,32 +89,26 @@ func (r *Runner) Step() error {
 	i := r.step
 	r.step++
 	if i == len(r.scn.Events) {
-		if err := r.eng.Drain(); err != nil {
+		if err := r.m.Drain(); err != nil {
 			return fmt.Errorf("scenario %s: drain: %w", r.scn.Name, err)
 		}
-		r.ledger.Settle(r.eng)
 		return nil
 	}
 	ev := r.scn.Events[i]
 	// Events are ordered, but an earlier burst's spread may already have
 	// carried the clock past this event's instant; never rewind.
-	at := ev.At.Max(r.eng.Now())
-	if err := r.eng.AdvanceTo(at); err != nil {
+	at := ev.At.Max(r.m.Engine().Now())
+	if err := r.apply(journal.Op{Kind: journal.Advance, To: at}); err != nil {
 		return fmt.Errorf("scenario %s: events[%d]: %w", r.scn.Name, i, err)
 	}
-	r.ledger.Settle(r.eng)
 	switch ev.Action {
 	case ActionArrivalBurst:
-		if err := r.burst(i, ev); err != nil {
-			return err
-		}
+		return r.burst(i, ev)
 	case ActionInjectFail:
 		for k, node := range ev.Inject.Nodes {
-			failAt := at.Add(ev.Inject.Stagger * units.Duration(k))
-			if err := r.eng.InjectFailure(node, failAt); err != nil {
-				return fmt.Errorf("scenario %s: events[%d]: %w", r.scn.Name, i, err)
+			if err := r.fault(i, node, at.Add(ev.Inject.Stagger*units.Duration(k))); err != nil {
+				return err
 			}
-			r.injected++
 		}
 	case ActionMaintenance:
 		// The cluster keeps the longest outage per node, so re-failing the
@@ -123,21 +116,28 @@ func (r *Runner) Step() error {
 		m := ev.Maintenance
 		for _, node := range m.Nodes {
 			for off := units.Duration(0); off < m.Duration; off += r.scn.Fleet.Downtime {
-				if err := r.eng.InjectFailure(node, at.Add(off)); err != nil {
-					return fmt.Errorf("scenario %s: events[%d]: %w", r.scn.Name, i, err)
+				if err := r.fault(i, node, at.Add(off)); err != nil {
+					return err
 				}
-				r.injected++
 			}
 		}
 	case ActionMTBFShift:
 		// Already folded into the background trace at generation time;
 		// nothing to do at runtime.
 	case ActionDrain:
-		if err := r.eng.Drain(); err != nil {
+		if err := r.m.Drain(); err != nil {
 			return fmt.Errorf("scenario %s: events[%d]: drain: %w", r.scn.Name, i, err)
 		}
-		r.ledger.Settle(r.eng)
 	}
+	return nil
+}
+
+// fault injects, for event i, one failure of node at instant at.
+func (r *Runner) fault(i, node int, at units.Time) error {
+	if err := r.apply(journal.Op{Kind: journal.Fault, Node: node, At: at}); err != nil {
+		return fmt.Errorf("scenario %s: events[%d]: %w", r.scn.Name, i, err)
+	}
+	r.injected++
 	return nil
 }
 
@@ -154,37 +154,28 @@ func (r *Runner) burst(i int, ev Event) error {
 		u = r.scn.Fleet.UserRisk
 	}
 	user := negotiate.User{U: u}
+	eng := r.m.Engine()
 	for k := 0; k < b.Jobs; k++ {
 		nodes := b.MinNodes + rng.Intn(b.MaxNodes-b.MinNodes+1)
 		exec := b.MinExec + units.Duration(rng.Int63n(int64(b.MaxExec-b.MinExec)+1))
-		var arriveAt units.Time
+		arriveAt := ev.At
 		if b.Jobs > 1 {
 			arriveAt = ev.At.Add(b.Spread * units.Duration(k) / units.Duration(b.Jobs-1))
-		} else {
-			arriveAt = ev.At
 		}
-		if err := r.eng.AdvanceTo(arriveAt.Max(r.eng.Now())); err != nil {
+		if err := r.apply(journal.Op{Kind: journal.Advance, To: arriveAt.Max(eng.Now())}); err != nil {
 			return fmt.Errorf("scenario %s: events[%d] job %d: %w", r.scn.Name, i, k, err)
 		}
-		r.ledger.Settle(r.eng)
 		r.submitted++
-		quotes := r.eng.Quotes(nodes, exec, maxQuoteOffers)
-		admitted := false
-		for rank, q := range quotes {
-			if !user.Accepts(q.Success) {
-				continue
-			}
-			job := workload.Job{ID: r.nextJobID, Arrival: r.eng.Now(), Nodes: nodes, Exec: exec}
-			if err := r.eng.Admit(job, q, rank+1); err != nil {
-				return fmt.Errorf("scenario %s: events[%d] job %d: %w", r.scn.Name, i, k, err)
-			}
-			r.ledger.Admit(job.ID, "", q.Success, q.Deadline, r.eng.Now())
-			r.nextJobID++
-			admitted = true
-			break
-		}
-		if !admitted {
+		quotes := eng.Quotes(nodes, exec, maxQuoteOffers)
+		rank := slices.IndexFunc(quotes, func(q negotiate.Quote) bool { return user.Accepts(q.Success) })
+		if rank < 0 {
 			r.rejected++
+			continue
+		}
+		job := workload.Job{ID: r.m.NextJobID(), Arrival: eng.Now(), Nodes: nodes, Exec: exec}
+		op := journal.Op{Kind: journal.Admit, Job: &job, Quote: &quotes[rank], Offers: rank + 1}
+		if err := r.apply(op); err != nil {
+			return fmt.Errorf("scenario %s: events[%d] job %d: %w", r.scn.Name, i, k, err)
 		}
 	}
 	return nil

@@ -205,7 +205,7 @@ func (s *Scenario) Validate() error {
 	if err := f.Checkpoint.Validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	if _, err := policyFor(f.Policy); err != nil {
+	if _, err := checkpoint.ParsePolicy(f.Policy); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	fm := f.Failures

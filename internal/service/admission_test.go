@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"probqos/internal/failure"
+	"probqos/internal/journal"
 	"probqos/internal/negotiate"
 	"probqos/internal/units"
 	"probqos/internal/workload"
@@ -44,7 +45,7 @@ func TestLedgerOpenCountsQueuedAndRunning(t *testing.T) {
 		case k < 4:
 			size := 1 + rng.Intn(nodes/2)
 			exec := units.Duration(600 + rng.Intn(4*3600))
-			if qs := m.eng.Quotes(size, exec, 4); len(qs) > 0 {
+			if qs := m.Engine().Quotes(size, exec, 4); len(qs) > 0 {
 				pending = append(pending, quoted{size, exec, qs})
 			}
 		case k < 8:
@@ -61,31 +62,31 @@ func TestLedgerOpenCountsQueuedAndRunning(t *testing.T) {
 			pending = append(pending[:i], pending[i+1:]...)
 			offer := 1 + rng.Intn(len(q.quotes))
 			jobID++
-			job := workload.Job{ID: jobID, Arrival: m.eng.Now(), Nodes: q.size, Exec: q.exec}
+			job := workload.Job{ID: jobID, Arrival: m.Engine().Now(), Nodes: q.size, Exec: q.exec}
 			// A quote the clock or another accept overtook is refused; the
 			// ledger must then stay as it was.
-			if m.applyAdmit(walOp{Kind: opAdmit, Job: &job, Quote: &q.quotes[offer-1], Offers: offer}, nil) == nil {
+			if m.admit(journal.Op{Kind: journal.Admit, Job: &job, Quote: &q.quotes[offer-1], Offers: offer}, nil) == nil {
 				admitted++
 			}
 		case k < 9:
-			if err := m.applyAdvance(m.eng.Now().Add(units.Duration(rng.Intn(3600))), nil); err != nil {
+			if err := m.advance(m.Engine().Now().Add(units.Duration(rng.Intn(3600))), nil); err != nil {
 				t.Fatalf("step %d: advance: %v", step, err)
 			}
 		default:
-			at := m.eng.Now().Add(units.Duration(rng.Intn(3600)))
-			if err := m.applyFault(walOp{Kind: opFault, Node: rng.Intn(nodes), At: at}, nil); err != nil {
+			at := m.Engine().Now().Add(units.Duration(rng.Intn(3600)))
+			if err := m.Apply(journal.Op{Kind: journal.Fault, Node: rng.Intn(nodes), At: at}, nil); err != nil {
 				t.Fatalf("step %d: fault: %v", step, err)
 			}
 		}
-		st := m.eng.Stats()
-		open := m.ledger.Stats().Open
+		st := m.Engine().Stats()
+		open := m.Ledger().Stats().Open
 		if open != st.Queued+st.Running {
 			t.Fatalf("step %d: ledger has %d open promises, engine has %d queued + %d running",
 				step, open, st.Queued, st.Running)
 		}
 		maxOpen = max(maxOpen, open)
 	}
-	ls := m.ledger.Stats()
+	ls := m.Ledger().Stats()
 	if admitted < 100 || maxOpen < 5 || ls.Broken == 0 {
 		t.Fatalf("the mix is too tame: %d admitted, at most %d open, %+v", admitted, maxOpen, ls)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"probqos/internal/durability"
 	"probqos/internal/failure"
+	"probqos/internal/journal"
 	"probqos/internal/negotiate"
 	"probqos/internal/sched"
 	"probqos/internal/sim"
@@ -59,19 +60,19 @@ func crash(s *Service) {
 func fingerprint(t *testing.T, m *machine) string {
 	t.Helper()
 	jobs := map[int]sim.JobStatus{}
-	for _, id := range m.eng.JobIDs() {
-		js, _ := m.eng.Job(id)
+	for _, id := range m.Engine().JobIDs() {
+		js, _ := m.Engine().Job(id)
 		jobs[id] = js
 	}
 	data, err := json.Marshal(map[string]any{
-		"journal":     string(bytes.Join(m.journal.chunks, nil)),
-		"now":         m.eng.Now(),
-		"stats":       m.eng.Stats(),
+		"journal":     string(bytes.Join(m.Journal(), nil)),
+		"now":         m.Engine().Now(),
+		"stats":       m.Engine().Stats(),
 		"jobs":        jobs,
 		"book":        m.book.Export(),
-		"next_id":     m.nextJobID,
-		"ledger":      m.ledger.Entries(0),
-		"conformance": m.ledger.Stats(),
+		"next_id":     m.NextJobID(),
+		"ledger":      m.Ledger().Entries(0),
+		"conformance": m.Ledger().Stats(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,11 +196,7 @@ func TestKillAtEveryRecordBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rec := range recs[:c.records] {
-				var op walOp
-				if err := json.Unmarshal(rec.Payload, &op); err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.apply(op, rec.Payload); err != nil {
+				if err := ref.replay(rec.Payload); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -465,7 +462,7 @@ func TestDegradedModeServesReadsAndHeals(t *testing.T) {
 	if got := fingerprint(t, &s2.machine); got != want {
 		t.Errorf("post-heal restart diverges:\n got %s\nwant %s", got, want)
 	}
-	if st := s2.eng.Stats(); st.Queued+st.Running+st.Completed != 2 {
+	if st := s2.Engine().Stats(); st.Queued+st.Running+st.Completed != 2 {
 		t.Errorf("expected 2 live jobs after restart, got %+v", st)
 	}
 }
@@ -481,7 +478,7 @@ func TestPromiseLedgerSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveDialog(t, s.Handler())
-	before := s.ledger.Entries(0)
+	before := s.Ledger().Entries(0)
 	if len(before) != 3 {
 		t.Fatalf("dialog admitted %d promises, want 3", len(before))
 	}
@@ -493,7 +490,7 @@ func TestPromiseLedgerSurvivesCrash(t *testing.T) {
 	}
 	defer s2.Close()
 	b1, _ := json.Marshal(before)
-	b2, _ := json.Marshal(s2.ledger.Entries(0))
+	b2, _ := json.Marshal(s2.Ledger().Entries(0))
 	if string(b1) != string(b2) {
 		t.Errorf("recovered ledger diverges:\n got %s\nwant %s", b2, b1)
 	}
@@ -504,14 +501,14 @@ func TestPromiseLedgerSurvivesCrash(t *testing.T) {
 		map[string]any{"by_seconds": 7 * 86400}, nil); code != http.StatusOK {
 		t.Fatalf("advance after recovery: %d", code)
 	}
-	st := s2.ledger.Stats()
+	st := s2.Ledger().Stats()
 	if st.Open != 0 || st.Settled != 3 {
 		t.Fatalf("after a week: %+v, want all 3 promises settled", st)
 	}
 	if st.Kept+st.Broken != st.Settled {
 		t.Errorf("kept %d + broken %d != settled %d", st.Kept, st.Broken, st.Settled)
 	}
-	for _, p := range s2.ledger.Entries(0) {
+	for _, p := range s2.Ledger().Entries(0) {
 		if p.Outcome == "pending" {
 			t.Errorf("job %d still pending after a week", p.JobID)
 		}
@@ -527,7 +524,7 @@ func TestPromiseLedgerSurvivesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveDialog(t, s.Handler())
-	before := s.ledger.Entries(0)
+	before := s.Ledger().Entries(0)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +538,7 @@ func TestPromiseLedgerSurvivesSnapshot(t *testing.T) {
 		t.Fatalf("expected clean snapshot-only restart, got %+v", info)
 	}
 	b1, _ := json.Marshal(before)
-	b2, _ := json.Marshal(s2.ledger.Entries(0))
+	b2, _ := json.Marshal(s2.Ledger().Entries(0))
 	if string(b1) != string(b2) {
 		t.Errorf("snapshot-restored ledger diverges:\n got %s\nwant %s", b2, b1)
 	}
@@ -624,7 +621,7 @@ func TestConformanceSurvivesRestart(t *testing.T) {
 	forecastDialog(t, twin.Handler(), 0, cut)
 	// The dialog must reach the case: promises below 1, settled out of
 	// admit order, before the cut.
-	rows := twin.ledger.Entries(0)
+	rows := twin.Ledger().Entries(0)
 	subOne, outOfOrder := 0, false
 	for i, p := range rows {
 		if p.Outcome != "pending" && p.Promised < 1 {
@@ -688,15 +685,15 @@ func TestConformanceSurvivesRestart(t *testing.T) {
 // raw JSON. Call it only while the loop is idle.
 func snapshotOracle(t *testing.T, s *Service, lsn uint64, clean bool) []byte {
 	t.Helper()
-	var ops []walOp
-	if len(s.journal.chunks) > 0 {
-		list := append(append([]byte{'['}, bytes.Join(s.journal.chunks, nil)...), ']')
+	var ops []journal.Op
+	if len(s.Journal()) > 0 {
+		list := append(append([]byte{'['}, bytes.Join(s.Journal(), nil)...), ']')
 		if err := json.Unmarshal(list, &ops); err != nil {
 			t.Fatalf("journal does not decode as a list of ops: %v", err)
 		}
 	}
 	state, err := json.Marshal(struct {
-		Ops   []walOp             `json:"ops"`
+		Ops   []journal.Op        `json:"ops"`
 		Book  negotiate.BookState `json:"book"`
 		Clean bool                `json:"clean"`
 	}{ops, s.book.Export(), clean})
@@ -852,32 +849,6 @@ func TestScrapeNeitherTicksNorJournals(t *testing.T) {
 	}
 }
 
-// TestJournalChunks: the journal's chunks concatenate to its ops joined by
-// commas, whether an op fits the current chunk, starts a new one, or is
-// larger than a chunk, and each chunk keeps the capacity it started with,
-// so nothing is copied as the journal grows. An op without bytes adds
-// nothing.
-func TestJournalChunks(t *testing.T) {
-	var j journal
-	var ops [][]byte
-	for i, n := range []int{10, journalChunk / 2, journalChunk / 2, journalChunk * 2, 3} {
-		op := bytes.Repeat([]byte{'a' + byte(i)}, n)
-		j.add(op)
-		ops = append(ops, op)
-	}
-	j.add(nil)
-	if got, want := bytes.Join(j.chunks, nil), bytes.Join(ops, []byte{','}); !bytes.Equal(got, want) {
-		t.Errorf("journal holds %d bytes, want the %d of the ops joined by commas", len(got), len(want))
-	}
-	var caps []int
-	for _, c := range j.chunks {
-		caps = append(caps, cap(c))
-	}
-	if want := []int{journalChunk, journalChunk, 2*journalChunk + 1, journalChunk}; fmt.Sprint(caps) != fmt.Sprint(want) {
-		t.Errorf("chunk capacities %v, want %v", caps, want)
-	}
-}
-
 // recordingFS is the non-syncing filesystem that also keeps a copy of
 // every snapshot file as it is renamed into place.
 type recordingFS struct {
@@ -926,7 +897,7 @@ func TestSnapshotBytesAcrossRestart(t *testing.T) {
 		t.Fatal("the crash left no WAL tail to recover")
 	}
 	for _, rec := range recs {
-		var op walOp
+		var op journal.Op
 		if err := json.Unmarshal(rec.Payload, &op); err != nil {
 			t.Fatal(err)
 		}
@@ -955,7 +926,7 @@ func TestSnapshotBytesAcrossRestart(t *testing.T) {
 			LSN     uint64 `json:"lsn"`
 			Config  string `json:"config"`
 			State   struct {
-				Ops   []walOp             `json:"ops"`
+				Ops   []journal.Op        `json:"ops"`
 				Book  negotiate.BookState `json:"book"`
 				Clean bool                `json:"clean"`
 			} `json:"state"`
@@ -1048,9 +1019,9 @@ func TestLogOpAllocatesNothing(t *testing.T) {
 		Deadline:  600,
 		Success:   0.875,
 	}
-	for _, op := range []walOp{
-		{Kind: opAdvance, To: 60},
-		{Kind: opAdmit, SessionID: "q-1", Job: &job, Quote: &quote, Offers: 1},
+	for _, op := range []journal.Op{
+		{Kind: journal.Advance, To: 60},
+		{Kind: journal.Admit, SessionID: "q-1", Job: &job, Quote: &quote, Offers: 1},
 	} {
 		var allocs float64
 		s.do(func() {

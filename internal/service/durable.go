@@ -11,12 +11,11 @@ import (
 	"time"
 
 	"probqos/internal/durability"
-	"probqos/internal/metrics"
+	"probqos/internal/journal"
 	"probqos/internal/negotiate"
 	"probqos/internal/obs"
 	"probqos/internal/sim"
 	"probqos/internal/units"
-	"probqos/internal/workload"
 )
 
 // Crash safety for qosd. Every state-mutating operation — clock advances,
@@ -44,90 +43,27 @@ import (
 // unavailable. Reads and quotes still work; admits must wait.
 var errDegraded = errors.New("service: degraded, write-ahead log unavailable; retry later")
 
-// WAL operation kinds.
+// Service-side WAL operation kinds, beside the engine ops of journal.Op:
+// the session book's changes and the clean-shutdown marker.
 const (
-	opAdvance = "advance"
 	opSession = "session"
 	opTake    = "take"
-	opAdmit   = "admit"
-	opFault   = "fault"
 	opDrain   = "drain"
 )
 
-// walOp is one journaled state mutation, JSON-encoded as a WAL record
-// payload.
-type walOp struct {
-	Kind string `json:"kind"`
-	// advance
-	To units.Time `json:"to,omitempty"`
-	// session (the full session, so replay reproduces it verbatim)
-	Session *negotiate.Session `json:"session,omitempty"`
-	// take and admit
-	SessionID string `json:"session_id,omitempty"`
-	// admit (self-contained: replay needs no session record to exist,
-	// which keeps admits of degraded-mode memory-only sessions replayable)
-	Job    *workload.Job    `json:"job,omitempty"`
-	Quote  *negotiate.Quote `json:"quote,omitempty"`
-	Offers int              `json:"offers,omitempty"`
-	// fault (node 0 is valid, so no omitempty)
-	Node int        `json:"node"`
-	At   units.Time `json:"at,omitempty"`
-}
-
-// machine is the replayable core of qosd: the engine, the session book,
-// the job-ID counter, and the promise ledger. Live requests and recovery
-// mutate it through the same apply helpers, so recovery is the normal code
-// path re-run, not a parallel implementation that can drift — including
-// the conformance record, which a restart must not be able to launder.
+// machine is the replayable core of qosd: the journal machine (engine,
+// job-ID counter, promise ledger, journal) plus the session book. Live
+// requests and recovery mutate it through the same apply code, so recovery
+// is the normal code path re-run, not a parallel implementation that can
+// drift — including the conformance record, which a restart must not be
+// able to launder.
 type machine struct {
-	eng       *sim.Engine
-	book      *negotiate.Book
-	nextJobID int
-	ledger    *metrics.Ledger
-	// journal is every advance, admit (accepted or rejected) and fault
-	// applied, in order, as the bytes of its WAL record. Applied again to
-	// a fresh machine it rebuilds the engine, the job-ID counter and the
-	// ledger exactly; the session book is the only state a snapshot stores
-	// besides it. A machine without a data dir has no record bytes and so
-	// keeps no journal.
-	journal journal
-}
-
-// journalChunk is the size of one journal chunk.
-const journalChunk = 64 << 10
-
-// journal holds encoded ops as the elements of a JSON array without its
-// brackets: each op's bytes, comma-separated, in chunks of journalChunk
-// bytes (or one op, if larger). A chunk is never regrown, so appending
-// never copies what is already there, and a snapshot writes the chunks as
-// they are.
-type journal struct {
-	chunks [][]byte
-}
-
-// add appends one encoded op; nil (no record bytes) adds nothing.
-func (j *journal) add(op []byte) {
-	if op == nil {
-		return
-	}
-	sep := len(j.chunks) > 0 // a comma goes before every op but the first
-	need := len(op)
-	if sep {
-		need++
-	}
-	last := len(j.chunks) - 1
-	if last < 0 || cap(j.chunks[last])-len(j.chunks[last]) < need {
-		j.chunks = append(j.chunks, make([]byte, 0, max(journalChunk, need)))
-		last++
-	}
-	if sep {
-		j.chunks[last] = append(j.chunks[last], ',')
-	}
-	j.chunks[last] = append(j.chunks[last], op...)
+	*journal.Machine
+	book *negotiate.Book
 }
 
 func newMachine(cfg Config) (machine, error) {
-	eng, err := sim.NewEngine(sim.Config{
+	m, err := journal.New(sim.Config{
 		Failures:      cfg.Failures,
 		Nodes:         cfg.Nodes,
 		Accuracy:      cfg.Accuracy,
@@ -145,72 +81,55 @@ func newMachine(cfg Config) (machine, error) {
 	if err != nil {
 		return machine{}, err
 	}
-	return machine{eng: eng, book: book, ledger: metrics.NewLedger(metrics.DefaultBins)}, nil
+	return machine{Machine: m, book: book}, nil
 }
 
-// applyAdvance moves the clock, sweeps lapsed sessions, and settles every
-// promise the advance drove to a terminal state: the transition behind
-// both /v1/advance and the speedup clock. Settlement happens here — on
-// the journaled clock, inside the replayed path — so a recovered ledger
-// is identical to the one the crash interrupted. raw, here and in the
-// other apply helpers, is the op's WAL record payload, which the journal
-// keeps; nil without a data dir.
-func (m *machine) applyAdvance(to units.Time, raw []byte) error {
-	m.journal.add(raw)
-	if err := m.eng.AdvanceTo(to); err != nil {
+// advance applies a clock advance and sweeps the sessions it lapsed. raw,
+// here and in admit, is the op's WAL record payload; nil without a data
+// dir.
+func (m *machine) advance(to units.Time, raw []byte) error {
+	if err := m.Apply(journal.Op{Kind: journal.Advance, To: to}, raw); err != nil {
 		return err
 	}
-	m.book.Sweep(m.eng.Now())
-	m.ledger.Settle(m.eng)
+	m.book.Sweep(m.Engine().Now())
 	return nil
 }
 
-// applyAdmit consumes the session (if any still exists), burns the job ID,
-// and admits. The ID is consumed even when admission then fails — live
-// and on replay alike — so the counter never reissues an ID. A successful
-// admit files the quoted promise in the ledger.
-func (m *machine) applyAdmit(op walOp, raw []byte) error {
-	m.journal.add(raw)
+// admit consumes the op's session, if one still stands, and applies the
+// admit.
+func (m *machine) admit(op journal.Op, raw []byte) error {
 	if op.SessionID != "" {
-		m.book.Take(op.SessionID, m.eng.Now())
+		m.book.Take(op.SessionID, m.Engine().Now())
 	}
-	if op.Job.ID > m.nextJobID {
-		m.nextJobID = op.Job.ID
-	}
-	if err := m.eng.Admit(*op.Job, *op.Quote, op.Offers); err != nil {
-		return err
-	}
-	m.ledger.Admit(op.Job.ID, op.SessionID, op.Quote.Success, op.Quote.Deadline, m.eng.Now())
-	return nil
+	return m.Apply(op, raw)
 }
 
-func (m *machine) applyFault(op walOp, raw []byte) error {
-	m.journal.add(raw)
-	return m.eng.InjectFailure(op.Node, op.At)
-}
-
-// apply replays one journaled operation, decoded from raw. Admit and fault
-// rejections are deterministic re-enactments of what the live request saw,
-// so they are benign; an advance failure is an engine invariant violation
-// and fatal.
-func (m *machine) apply(op walOp, raw []byte) error {
+// replay applies one journaled operation from its record bytes. Admit and
+// fault rejections are deterministic re-enactments of what the live
+// request saw, so they are benign; an advance failure is an engine
+// invariant violation and fatal.
+func (m *machine) replay(raw []byte) error {
+	var op journal.Op
+	if err := json.Unmarshal(raw, &op); err != nil {
+		return fmt.Errorf("undecodable payload: %w", err)
+	}
 	switch op.Kind {
-	case opAdvance:
-		return m.applyAdvance(op.To, raw)
+	case journal.Advance:
+		return m.advance(op.To, raw)
+	case journal.Admit:
+		if op.Job == nil || op.Quote == nil {
+			return fmt.Errorf("service: admit record without job or quote")
+		}
+		m.admit(op, raw)
+	case journal.Fault:
+		m.Apply(op, raw)
 	case opSession:
 		if op.Session == nil {
 			return fmt.Errorf("service: session record without a session")
 		}
 		m.book.Insert(op.Session)
 	case opTake:
-		m.book.Take(op.SessionID, m.eng.Now())
-	case opAdmit:
-		if op.Job == nil || op.Quote == nil {
-			return fmt.Errorf("service: admit record without job or quote")
-		}
-		m.applyAdmit(op, raw)
-	case opFault:
-		m.applyFault(op, raw)
+		m.book.Take(op.SessionID, m.Engine().Now())
 	case opDrain:
 		// Clean-shutdown marker; state unchanged.
 	default:
@@ -220,7 +139,7 @@ func (m *machine) apply(op walOp, raw []byte) error {
 }
 
 // persistedState is what a snapshot's State field holds: the machine
-// journal and the open sessions. Recovery replays Ops through apply, then
+// journal and the open sessions. Recovery replays Ops through replay, then
 // imports Book, then replays the WAL tail. Ops stay raw, so the journal
 // keeps each op's bytes as they were written.
 type persistedState struct {
@@ -247,11 +166,11 @@ var (
 // book, the encoded session book. An empty journal encodes as null, as a
 // nil slice does.
 func (m *machine) stateParts(dst [][]byte, book []byte, clean bool) [][]byte {
-	if len(m.journal.chunks) == 0 {
+	if ops := m.Journal(); len(ops) == 0 {
 		dst = append(dst, stateOpsNull)
 	} else {
 		dst = append(dst, stateOpsOpen)
-		dst = append(dst, m.journal.chunks...)
+		dst = append(dst, ops...)
 		dst = append(dst, stateOpsClose)
 	}
 	dst = append(dst, book)
@@ -304,7 +223,7 @@ var fsyncBounds = []float64{0.00005, 0.0002, 0.0008, 0.0032, 0.0128, 0.0512, 0.2
 var snapshotBounds = []float64{0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096}
 
 // recoverState opens the data dir, replays the snapshot's journal and
-// imports its sessions, replays the WAL tail, both through machine.apply,
+// imports its sessions, replays the WAL tail, both through machine.replay,
 // and leaves the store ready for appends. Called from
 // New before the state machine starts, so it owns all state unlocked.
 func (s *Service) recoverState() error {
@@ -344,12 +263,7 @@ func (s *Service) recoverState() error {
 			return fmt.Errorf("service: decode snapshot state: %w", err)
 		}
 		for i, raw := range ps.Ops {
-			var op walOp
-			if err := json.Unmarshal(raw, &op); err != nil {
-				store.Close()
-				return fmt.Errorf("service: decode snapshot op %d: %w", i, err)
-			}
-			if err := s.machine.apply(op, raw); err != nil {
+			if err := s.replay(raw); err != nil {
 				store.Close()
 				return fmt.Errorf("service: replay snapshot op %d: %w", i, err)
 			}
@@ -365,12 +279,7 @@ func (s *Service) recoverState() error {
 		// The frame checksum passed, so an undecodable or unappliable
 		// payload is not a torn tail to skip: it is corruption (or a
 		// version skew) that silently dropping would turn into divergence.
-		var op walOp
-		if err := json.Unmarshal(rec.Payload, &op); err != nil {
-			store.Close()
-			return fmt.Errorf("service: wal record lsn %d: undecodable payload: %w", rec.LSN, err)
-		}
-		if err := s.machine.apply(op, rec.Payload); err != nil {
+		if err := s.replay(rec.Payload); err != nil {
 			store.Close()
 			return fmt.Errorf("service: replay wal record lsn %d: %w", rec.LSN, err)
 		}
@@ -414,11 +323,11 @@ func (s *Service) recoverState() error {
 }
 
 // logOp journals op ahead of applying it and returns the record's payload,
-// the bytes the apply helpers keep in the machine journal. They are valid
+// the bytes the machine keeps in its journal. They are valid
 // until the next encode. A write failure flips the service into degraded
 // mode and means the operation must not happen. Runs on the state-machine
 // goroutine. Without a data dir it is a no-op and returns no bytes.
-func (s *Service) logOp(op walOp) ([]byte, error) {
+func (s *Service) logOp(op journal.Op) ([]byte, error) {
 	if s.store == nil {
 		return nil, nil
 	}

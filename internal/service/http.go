@@ -16,6 +16,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"probqos/internal/journal"
 	"probqos/internal/metrics"
 	"probqos/internal/sim"
 	"probqos/internal/trace"
@@ -532,13 +533,13 @@ func (s *Service) handleQuote(r *http.Request, sc *trace.Scope) (int, any, error
 
 	return s.onLoop(sc, func() (int, any, error) {
 		qs := sc.Start("quote")
-		quotes := s.eng.Quotes(req.Nodes, units.Duration(req.ExecSeconds), max)
+		quotes := s.Engine().Quotes(req.Nodes, units.Duration(req.ExecSeconds), max)
 		if qs.Recording() {
 			qs.Annotate("nodes", strconv.Itoa(req.Nodes))
 			qs.Annotate("offers", strconv.Itoa(len(quotes)))
 		}
 		qs.End()
-		resp := quoteResponse{Now: s.eng.Now(), Quotes: make([]wireQuote, len(quotes))}
+		resp := quoteResponse{Now: s.Engine().Now(), Quotes: make([]wireQuote, len(quotes))}
 		for i, q := range quotes {
 			resp.Quotes[i] = wireQuote{
 				Offer:    i + 1,
@@ -549,14 +550,14 @@ func (s *Service) handleQuote(r *http.Request, sc *trace.Scope) (int, any, error
 		}
 		if len(quotes) > 0 {
 			bs := sc.Start("book.open")
-			sess := s.book.Open(s.eng.Now(), req.Nodes, units.Duration(req.ExecSeconds), quotes)
+			sess := s.book.Open(s.Engine().Now(), req.Nodes, units.Duration(req.ExecSeconds), quotes)
 			bs.Annotate("session", sess.ID)
 			bs.End()
 			// Journaled after the fact, deliberately: losing a session
 			// record (crash here, or a degraded log) costs the client a 404
 			// on accept — renegotiate — never a broken promise. A degraded
 			// log thus still quotes; the session is just memory-only.
-			s.logOp(walOp{Kind: opSession, Session: sess})
+			s.logOp(journal.Op{Kind: opSession, Session: sess})
 			resp.SessionID = sess.ID
 			resp.Expires = sess.Expires
 			s.loopCounter(&s.sessionsOpened, "qosd_sessions_opened_total",
@@ -587,14 +588,14 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		expiredBefore := s.book.Expired()
 		ts := sc.Start("book.take")
 		ts.Annotate("session", req.SessionID)
-		sess, ok := s.book.Take(req.SessionID, s.eng.Now())
+		sess, ok := s.book.Take(req.SessionID, s.Engine().Now())
 		ts.End()
 		if !ok {
 			if s.book.Expired() != expiredBefore {
 				// The take lapsed a real session (not a bogus ID): journal
 				// the state change. If the log just failed, replay converges
 				// anyway — the next advance sweeps the lapsed session.
-				s.logOp(walOp{Kind: opTake, SessionID: req.SessionID})
+				s.logOp(journal.Op{Kind: opTake, SessionID: req.SessionID})
 			}
 			s.countAccept("expired")
 			return http.StatusNotFound, nil,
@@ -604,7 +605,7 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		// journaled; on a log failure put it back and refuse, as if the
 		// request never happened.
 		if req.Offer < 1 || req.Offer > len(sess.Quotes) {
-			if _, lerr := s.logOp(walOp{Kind: opTake, SessionID: sess.ID}); lerr != nil {
+			if _, lerr := s.logOp(journal.Op{Kind: opTake, SessionID: sess.ID}); lerr != nil {
 				s.book.Insert(sess)
 				return http.StatusServiceUnavailable, nil, lerr
 			}
@@ -615,8 +616,8 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		// Every clock move settles the ledger, so its open promises are
 		// exactly the queued and running jobs, counted without a walk over
 		// every job ever admitted.
-		if s.cfg.MaxOutstanding > 0 && s.ledger.Open() >= s.cfg.MaxOutstanding {
-			if _, lerr := s.logOp(walOp{Kind: opTake, SessionID: sess.ID}); lerr != nil {
+		if s.cfg.MaxOutstanding > 0 && s.Ledger().Open() >= s.cfg.MaxOutstanding {
+			if _, lerr := s.logOp(journal.Op{Kind: opTake, SessionID: sess.ID}); lerr != nil {
 				s.book.Insert(sess)
 				return http.StatusServiceUnavailable, nil, lerr
 			}
@@ -626,15 +627,17 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		}
 		quote := sess.Quotes[req.Offer-1]
 		job := workload.Job{
-			ID:      s.nextJobID + 1,
-			Arrival: s.eng.Now(),
+			ID:      s.NextJobID(),
+			Arrival: s.Engine().Now(),
 			Nodes:   sess.Size,
 			Exec:    sess.Exec,
 		}
 		// The admit record carries the full job and quote, so replay never
 		// depends on a session record existing (memory-only sessions from a
-		// degraded window stay admittable after healing).
-		op := walOp{Kind: opAdmit, SessionID: sess.ID, Job: &job, Quote: &quote, Offers: req.Offer}
+		// degraded window stay admittable after healing). It points at
+		// copies in the loop's encode scratch, so job and quote stay local.
+		s.encJob, s.encQuote = job, quote
+		op := journal.Op{Kind: journal.Admit, SessionID: sess.ID, Job: &s.encJob, Quote: &s.encQuote, Offers: req.Offer}
 		raw, lerr := s.logOp(op)
 		if lerr != nil {
 			s.book.Insert(sess)
@@ -644,7 +647,7 @@ func (s *Service) handleAccept(r *http.Request, sc *trace.Scope) (int, any, erro
 		if as.Recording() {
 			as.Annotate("job", strconv.Itoa(job.ID))
 		}
-		admitErr := s.applyAdmit(op, raw)
+		admitErr := s.admit(op, raw)
 		as.End()
 		if admitErr != nil {
 			// The quoted slot is gone: the clock moved past its start, or a
@@ -670,7 +673,7 @@ func (s *Service) handleJob(r *http.Request, sc *trace.Scope) (int, any, error) 
 		return http.StatusBadRequest, nil, fmt.Errorf("job id %q is not an integer", r.PathValue("id"))
 	}
 	return s.onLoop(sc, func() (int, any, error) {
-		status, ok := s.eng.Job(id)
+		status, ok := s.Engine().Job(id)
 		if !ok {
 			return http.StatusNotFound, nil, fmt.Errorf("no job %d", id)
 		}
@@ -680,10 +683,10 @@ func (s *Service) handleJob(r *http.Request, sc *trace.Scope) (int, any, error) 
 
 func (s *Service) handleJobs(r *http.Request, sc *trace.Scope) (int, any, error) {
 	return s.onLoop(sc, func() (int, any, error) {
-		ids := s.eng.JobIDs()
+		ids := s.Engine().JobIDs()
 		list := make([]sim.JobStatus, 0, len(ids))
 		for _, id := range ids {
-			if st, ok := s.eng.Job(id); ok {
+			if st, ok := s.Engine().Job(id); ok {
 				list = append(list, st)
 			}
 		}
@@ -712,17 +715,17 @@ func (s *Service) handleFault(r *http.Request, sc *trace.Scope) (int, any, error
 		}
 		at := req.At
 		if req.AfterSeconds > 0 {
-			at = s.eng.Now().Add(units.Duration(req.AfterSeconds))
+			at = s.Engine().Now().Add(units.Duration(req.AfterSeconds))
 		}
-		if at < s.eng.Now() {
-			at = s.eng.Now()
+		if at < s.Engine().Now() {
+			at = s.Engine().Now()
 		}
-		op := walOp{Kind: opFault, Node: req.Node, At: at}
+		op := journal.Op{Kind: journal.Fault, Node: req.Node, At: at}
 		raw, lerr := s.logOp(op)
 		if lerr != nil {
 			return http.StatusServiceUnavailable, nil, lerr
 		}
-		if injErr := s.applyFault(op, raw); injErr != nil {
+		if injErr := s.Apply(op, raw); injErr != nil {
 			return http.StatusBadRequest, nil, injErr
 		}
 		s.reg.Counter("qosd_faults_injected_total", "failures injected via the API", nil).Inc()
@@ -745,19 +748,19 @@ func (s *Service) handleAdvance(r *http.Request, sc *trace.Scope) (int, any, err
 	return s.onLoop(sc, func() (int, any, error) {
 		target := req.To
 		if req.BySeconds > 0 {
-			target = s.eng.Now().Add(units.Duration(req.BySeconds))
+			target = s.Engine().Now().Add(units.Duration(req.BySeconds))
 		}
 		if err := s.advanceTo(target); err != nil {
 			return errCode(err), nil, err
 		}
-		return http.StatusOK, advanceResponse{Now: s.eng.Now()}, nil
+		return http.StatusOK, advanceResponse{Now: s.Engine().Now()}, nil
 	})
 }
 
 func (s *Service) handleState(r *http.Request, sc *trace.Scope) (int, any, error) {
 	return s.onLoop(sc, func() (int, any, error) {
 		return http.StatusOK, stateResponse{
-			Stats:           s.eng.Stats(),
+			Stats:           s.Engine().Stats(),
 			OpenSessions:    s.book.Len(),
 			ExpiredSessions: s.book.Expired(),
 		}, nil
@@ -779,8 +782,8 @@ func (s *Service) handleConformance(r *http.Request, sc *trace.Scope) (int, any,
 	}
 	return s.onLoop(sc, func() (int, any, error) {
 		return http.StatusOK, conformanceResponse{
-			ConformanceStats: s.ledger.Stats(),
-			Entries:          s.ledger.Entries(tail),
+			ConformanceStats: s.Ledger().Stats(),
+			Entries:          s.Ledger().Entries(tail),
 		}, nil
 	})
 }

@@ -38,9 +38,12 @@ import (
 	"probqos/internal/checkpoint"
 	"probqos/internal/durability"
 	"probqos/internal/failure"
+	"probqos/internal/journal"
+	"probqos/internal/negotiate"
 	"probqos/internal/obs"
 	"probqos/internal/trace"
 	"probqos/internal/units"
+	"probqos/internal/workload"
 )
 
 // Config assembles one qosd instance.
@@ -150,10 +153,13 @@ type Service struct {
 
 	// The state-machine goroutine's encoding scratch: WAL payloads and the
 	// snapshot's session book are encoded through enc into encBuf (encOp
-	// holds the op being encoded), and snapParts lists a snapshot's parts.
+	// holds the op being encoded, encJob and encQuote the job and quote an
+	// admit op points at), and snapParts lists a snapshot's parts.
 	enc       *json.Encoder
 	encBuf    bytes.Buffer
-	encOp     walOp
+	encOp     journal.Op
+	encJob    workload.Job
+	encQuote  negotiate.Quote
 	snapParts [][]byte
 
 	reqs chan *loopCall
@@ -235,7 +241,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 	}
-	s.clockBase = s.eng.Now()
+	s.clockBase = s.Engine().Now()
 	s.clockMark = time.Now()
 	s.obsSrv = obs.NewServer(s.reg, nil)
 	s.obsSrv.SetOnScrape(func() {
@@ -354,13 +360,13 @@ func (s *Service) tick() error {
 	if s.cfg.Speedup > 0 {
 		elapsed := time.Since(s.clockMark).Seconds()
 		target := s.clockBase.Add(units.Duration(elapsed * s.cfg.Speedup))
-		if target > s.eng.Now() {
+		if target > s.Engine().Now() {
 			if err := s.advanceTo(target); err != nil && !errors.Is(err, errDegraded) {
 				return err
 			}
 		}
 	}
-	s.book.Sweep(s.eng.Now())
+	s.book.Sweep(s.Engine().Now())
 	return nil
 }
 
@@ -370,10 +376,10 @@ func (s *Service) tick() error {
 // forward advance can process anything — which keeps every state change
 // journaled and snapshot replay exact. Runs on the loop goroutine.
 func (s *Service) advanceTo(t units.Time) error {
-	if t <= s.eng.Now() {
+	if t <= s.Engine().Now() {
 		return nil
 	}
-	raw, err := s.logOp(walOp{Kind: opAdvance, To: t})
+	raw, err := s.logOp(journal.Op{Kind: journal.Advance, To: t})
 	if err != nil {
 		return err
 	}
@@ -381,13 +387,13 @@ func (s *Service) advanceTo(t units.Time) error {
 	if sp.Recording() {
 		sp.Annotate("to", t.String())
 	}
-	err = s.applyAdvance(t, raw)
+	err = s.advance(t, raw)
 	sp.End()
 	if err != nil {
 		s.broken = fmt.Errorf("service: engine failed: %w", err)
 		return s.broken
 	}
-	s.clockBase = s.eng.Now()
+	s.clockBase = s.Engine().Now()
 	s.clockMark = time.Now()
 	return nil
 }
@@ -450,7 +456,7 @@ func (s *Service) Close() error {
 	// a snapshot with the WAL truncated, so the next boot replays nothing.
 	if s.store != nil {
 		if s.broken == nil && s.degraded == nil {
-			if _, lerr := s.logOp(walOp{Kind: opDrain}); lerr == nil {
+			if _, lerr := s.logOp(journal.Op{Kind: opDrain}); lerr == nil {
 				s.compact(true)
 			}
 		}
@@ -530,7 +536,7 @@ func (s *Service) countAccept(outcome string) {
 // gauges and runs only from the scrape hook, on the loop goroutine. It does
 // not tick, so the gauges show the state as of the last request.
 func (s *Service) publishGauges() {
-	st := s.eng.Stats()
+	st := s.Engine().Stats()
 	s.reg.Gauge("qosd_virtual_time_seconds", "virtual clock, seconds since trace start", nil).
 		Set(float64(st.Now))
 	s.reg.Gauge("qosd_busy_nodes", "nodes occupied by running jobs", nil).Set(float64(st.BusyNodes))
@@ -552,7 +558,7 @@ func (s *Service) publishGauges() {
 			"spans overwritten in the trace ring before export", nil).
 			Set(float64(s.tracer.Dropped()))
 	}
-	cs := s.ledger.Stats()
+	cs := s.Ledger().Stats()
 	for outcome, n := range map[string]int{
 		"pending": cs.Open,
 		"kept":    cs.Kept,

@@ -131,6 +131,10 @@ var (
 	PolicyNever CheckpointPolicy = checkpoint.Never{}
 )
 
+// ParsePolicy returns the checkpoint policy a short name selects: "risk",
+// "periodic", or "never".
+func ParsePolicy(name string) (CheckpointPolicy, error) { return checkpoint.ParsePolicy(name) }
+
 // GenerateNASAWorkload returns a synthetic job log in the NASA iPSC/860
 // regime of Table 1 (power-of-two sizes, short runtimes, lighter load).
 func GenerateNASAWorkload(cfg WorkloadConfig) *JobLog { return workload.GenerateNASA(cfg) }

@@ -6,7 +6,13 @@
 //	jq '.runs[] | {label, benchmarks}' BENCH_sweep.json
 //	jq -r '.runs[0].benchfmt[]' BENCH_sweep.json > old.txt   # then benchstat old.txt new.txt
 //
-// Usage: go test -bench ... | go run ./scripts/benchjson -label after -out BENCH_sweep.json
+// Before it writes, it checks the input against the allocation gates (see
+// gates): every gated benchmark must be present, and every sample line of
+// one with an allocation bound must meet it. A failed gate exits 1 and
+// leaves the trajectory as it was. The input is therefore the full output
+// of scripts/bench.sh, which pipes it here:
+//
+//	go test -bench ... | go run ./scripts/benchjson -label after -out BENCH_sweep.json
 package main
 
 import (
@@ -62,6 +68,10 @@ func main() {
 	r, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	if err := checkGates(r.Benchfmt); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson: FAIL:", err)
 		os.Exit(1)
 	}
 	r.Label = *label
