@@ -9,15 +9,17 @@ import (
 	"probqos/internal/units"
 )
 
-// NoJob is the occupant value of a free node.
-const NoJob = 0
+// NoJob is the occupant value of a free node. Occupants are the caller's
+// job keys (the simulator's job-table slots), so any non-negative value is
+// a job.
+const NoJob = -1
 
 // Cluster tracks node up/down state and job occupancy. It is driven by the
 // simulator: failures mark nodes down for the configured downtime, job
 // starts occupy nodes, job completions and failures release them.
 type Cluster struct {
 	downUntil []units.Time // node is down while now < downUntil[i]
-	occupant  []int        // job ID occupying each node, NoJob if free
+	occupant  []int        // job occupying each node, NoJob if free
 }
 
 // New creates a cluster of n homogeneous, initially idle, up nodes.
@@ -25,10 +27,14 @@ func New(n int) *Cluster {
 	if n <= 0 {
 		panic(fmt.Sprintf("cluster: need a positive node count, got %d", n))
 	}
-	return &Cluster{
+	c := &Cluster{
 		downUntil: make([]units.Time, n),
 		occupant:  make([]int, n),
 	}
+	for i := range c.occupant {
+		c.occupant[i] = NoJob
+	}
+	return c
 }
 
 // Fail marks the node down from at until at+downtime. If the node is
@@ -58,31 +64,32 @@ func (c *Cluster) RecoverTime(node int) units.Time { return c.downUntil[node] }
 // Occupant returns the job occupying the node, or NoJob.
 func (c *Cluster) Occupant(node int) int { return c.occupant[node] }
 
-// Occupy assigns the nodes to a job. It returns an error if any node is
-// already occupied — that would mean the scheduler double-booked, which is
-// a bug worth surfacing loudly rather than mis-accounting silently.
-func (c *Cluster) Occupy(nodes []int, jobID int) error {
-	if jobID == NoJob {
-		return fmt.Errorf("cluster: job ID %d is reserved for free nodes", NoJob)
+// Occupy assigns the nodes to a job. It returns an error if job is negative
+// or any node is already occupied — that would mean the scheduler
+// double-booked, which is a bug worth surfacing loudly rather than
+// mis-accounting silently.
+func (c *Cluster) Occupy(nodes []int, job int) error {
+	if job < 0 {
+		return fmt.Errorf("cluster: job %d is negative; %d marks free nodes", job, NoJob)
 	}
 	for _, n := range nodes {
 		if c.occupant[n] != NoJob {
 			return fmt.Errorf("cluster: node %d already occupied by job %d (placing job %d)",
-				n, c.occupant[n], jobID)
+				n, c.occupant[n], job)
 		}
 	}
 	for _, n := range nodes {
-		c.occupant[n] = jobID
+		c.occupant[n] = job
 	}
 	return nil
 }
 
 // Release frees the nodes held by the job. It returns an error if any of
 // the nodes is not held by that job.
-func (c *Cluster) Release(nodes []int, jobID int) error {
+func (c *Cluster) Release(nodes []int, job int) error {
 	for _, n := range nodes {
-		if c.occupant[n] != jobID {
-			return fmt.Errorf("cluster: node %d occupied by job %d, not %d", n, c.occupant[n], jobID)
+		if c.occupant[n] != job {
+			return fmt.Errorf("cluster: node %d occupied by job %d, not %d", n, c.occupant[n], job)
 		}
 	}
 	for _, n := range nodes {

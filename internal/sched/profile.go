@@ -62,6 +62,11 @@ type profile struct {
 	moved []interval
 }
 
+// nodeIntervals is each node's first interval capacity. newProfile carves
+// every node's list out of one allocation of that many per node; a list
+// that outgrows its share moves to its own array, as append grows it.
+const nodeIntervals = 32
+
 func newProfile(n int) *profile {
 	p := &profile{
 		nodes:     make([][]interval, n),
@@ -70,7 +75,11 @@ func newProfile(n int) *profile {
 		headStart: make([]units.Time, n),
 		headEnd:   make([]units.Time, n),
 	}
+	slab := make([]interval, n*nodeIntervals)
 	for i := range n {
+		// The three-index slice caps each share, so an append past it
+		// reallocates instead of writing into the next node's.
+		p.nodes[i] = slab[i*nodeIntervals : i*nodeIntervals : (i+1)*nodeIntervals]
 		p.headStart[i], p.headEnd[i] = units.Forever, units.Forever
 	}
 	return p

@@ -3,7 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"probqos/internal/negotiate"
@@ -61,7 +61,7 @@ func (s *Engine) Admit(job workload.Job, q negotiate.Quote, offers int) error {
 	if err := job.Validate(s.cfg.Nodes); err != nil {
 		return err
 	}
-	if _, dup := s.jobs[job.ID]; dup {
+	if _, dup := s.slotOf(job.ID); dup {
 		return fmt.Errorf("sim: job %d already admitted", job.ID)
 	}
 	if len(q.Candidate.Nodes) != job.Nodes {
@@ -75,10 +75,17 @@ func (s *Engine) Admit(job workload.Job, q negotiate.Quote, offers int) error {
 	if err := s.scheduler.Reserve(job.ID, q.Candidate, duration); err != nil {
 		return err
 	}
-	js := &jobState{job: job}
-	s.jobs[job.ID] = js
-	s.commit(js, q, offers)
+	a := new(admittedJob)
+	a.state.fill(job, &a.rec)
+	s.file(&a.state) // cannot refuse: the ID was checked above
+	s.commit(len(s.slots)-1, q, offers)
 	return nil
+}
+
+// admittedJob is an admitted job's state and record, allocated together.
+type admittedJob struct {
+	state jobState
+	rec   JobRecord
 }
 
 // InjectFailure schedules a node failure at the given instant, no earlier
@@ -174,49 +181,57 @@ type JobStatus struct {
 
 // Job reports the status of one admitted job.
 func (s *Engine) Job(id int) (JobStatus, bool) {
-	js, ok := s.jobs[id]
+	slot, ok := s.slotOf(id)
 	if !ok {
 		return JobStatus{}, false
 	}
-	st := JobStatus{
+	js := s.slots[slot]
+	r := js.rec
+	return JobStatus{
 		ID:       id,
-		Nodes:    js.job.Nodes,
-		Exec:     js.job.Exec,
-		Arrival:  js.job.Arrival,
-		Deadline: js.deadline,
-		Promised: js.promised,
+		State:    s.stateOf(js),
+		Nodes:    r.Nodes,
+		Exec:     r.Exec,
+		Arrival:  r.Arrival,
+		Deadline: r.Deadline,
+		Promised: r.Promised,
 
-		Attempts:           js.rec.Attempts,
-		FailuresSuffered:   js.rec.FailuresSuffered,
-		CheckpointsDone:    js.rec.CheckpointsDone,
-		CheckpointsSkipped: js.rec.CheckpointsSkipped,
-		StartSlips:         js.rec.StartSlips,
-		LostWork:           js.rec.LostWork,
-		Finish:             js.rec.Finish,
-		MetDeadline:        js.rec.MetDeadline,
-	}
+		Attempts:           r.Attempts,
+		FailuresSuffered:   r.FailuresSuffered,
+		CheckpointsDone:    r.CheckpointsDone,
+		CheckpointsSkipped: r.CheckpointsSkipped,
+		StartSlips:         r.StartSlips,
+		LostWork:           r.LostWork,
+		Finish:             r.Finish,
+		MetDeadline:        r.MetDeadline,
+	}, true
+}
+
+// stateOf places a job in its lifecycle at the current clock.
+func (s *Engine) stateOf(js *jobState) JobState {
 	switch {
 	case js.completed && js.rec.MetDeadline:
-		st.State = JobCompleted
-	case js.completed || s.now.After(js.deadline):
-		st.State = JobMissed
+		return JobCompleted
+	case js.completed || s.now.After(js.rec.Deadline):
+		return JobMissed
 	case js.running && (js.hasCkpt || js.doneWork > 0):
-		st.State = JobCheckpointed
+		return JobCheckpointed
 	case js.running:
-		st.State = JobRunning
+		return JobRunning
 	default:
-		st.State = JobQueued
+		return JobQueued
 	}
-	return st, true
 }
 
 // JobIDs lists every admitted job in ascending ID order.
 func (s *Engine) JobIDs() []int {
-	ids := make([]int, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
+	ids := make([]int, len(s.slots))
+	for i, js := range s.slots {
+		ids[i] = js.rec.ID
 	}
-	sort.Ints(ids)
+	if s.byID != nil {
+		slices.Sort(ids)
+	}
 	return ids
 }
 
@@ -236,7 +251,7 @@ type Stats struct {
 	MeanPromise     float64    `json:"mean_promise"`
 }
 
-// Stats snapshots the engine. It walks the jobs map, so it is meant for a
+// Stats snapshots the engine. It walks the job table, so it is meant for a
 // metrics scrape or a state query (qosd's /v1/state), not a per-request
 // path or the event hot path (the Probe serves that).
 func (s *Engine) Stats() Stats {
@@ -244,7 +259,7 @@ func (s *Engine) Stats() Stats {
 		Now:             s.now,
 		Nodes:           s.cfg.Nodes,
 		BusyNodes:       s.busyNodes,
-		Jobs:            len(s.jobs),
+		Jobs:            len(s.slots),
 		LostWork:        s.lostWork,
 		EventsProcessed: s.res.EventsProcessed,
 		PendingEvents:   s.queue.len(),
@@ -252,9 +267,8 @@ func (s *Engine) Stats() Stats {
 	if s.promisedJobs > 0 {
 		st.MeanPromise = s.promiseSum / float64(s.promisedJobs)
 	}
-	for id := range s.jobs {
-		j, _ := s.Job(id)
-		switch j.State {
+	for _, js := range s.slots {
+		switch s.stateOf(js) {
 		case JobQueued:
 			st.Queued++
 		case JobRunning, JobCheckpointed:

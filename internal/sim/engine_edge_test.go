@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -193,6 +194,77 @@ func TestAdmitEdges(t *testing.T) {
 			// and nothing in the replay journal.
 			if _, ok := eng.Job(job.ID); ok && tc.wantErr != "sim: job 1 already admitted" {
 				t.Fatalf("rejected job %d is tracked", job.ID)
+			}
+		})
+	}
+}
+
+// TestJobTableLooksUpByID drives the job table's two lookups: a binary
+// search while IDs strictly increase in admission order, and the ID map
+// built when one does not. Both must find every job, list IDs ascending,
+// and refuse a duplicate wherever it appears.
+func TestJobTableLooksUpByID(t *testing.T) {
+	tr, err := failure.NewTrace(8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logJob := func(id int, at units.Time) workload.Job {
+		return workload.Job{ID: id, Arrival: at, Nodes: 1, Exec: 100}
+	}
+	for _, tc := range []struct {
+		name    string
+		log     []int // IDs, arriving 10 s apart
+		admit   []int // IDs admitted after the log, in order
+		wantIDs []int
+		wantErr string // the first error, from NewEngine or Admit
+	}{
+		{name: "ascending", log: []int{2, 4, 7}, admit: []int{8, 20}, wantIDs: []int{2, 4, 7, 8, 20}},
+		{name: "log not ascending", log: []int{5, 3, 9}, admit: []int{4, 10}, wantIDs: []int{3, 4, 5, 9, 10}},
+		{name: "admit below the last ID", log: []int{2, 4}, admit: []int{9, 3}, wantIDs: []int{2, 3, 4, 9}},
+		{name: "admit only", admit: []int{3, 1, 2}, wantIDs: []int{1, 2, 3}},
+		{name: "duplicate in ascending log", log: []int{1, 2, 2}, wantErr: "sim: duplicate job ID 2 in workload"},
+		{name: "duplicate in log", log: []int{4, 1, 4}, wantErr: "sim: duplicate job ID 4 in workload"},
+		{name: "duplicate of a log job", log: []int{1, 3}, admit: []int{5, 3}, wantErr: "sim: job 3 already admitted"},
+		{name: "duplicate after the map", log: []int{3, 1}, admit: []int{2, 2}, wantErr: "sim: job 2 already admitted"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var jobs []workload.Job
+			for i, id := range tc.log {
+				jobs = append(jobs, logJob(id, units.Time(10*i)))
+			}
+			cfg := DefaultConfig(&workload.Log{Jobs: jobs}, tr)
+			cfg.Nodes = 8
+			eng, err := NewEngine(cfg)
+			for _, id := range tc.admit {
+				if err != nil {
+					break
+				}
+				err = eng.Admit(logJob(id, 0), liveQuote(t, eng, 1), 1)
+			}
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("error = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.JobIDs(); !slices.Equal(got, tc.wantIDs) {
+				t.Errorf("JobIDs = %v, want %v", got, tc.wantIDs)
+			}
+			for _, id := range tc.wantIDs {
+				if st, ok := eng.Job(id); !ok || st.ID != id {
+					t.Errorf("Job(%d) = %+v, %v", id, st, ok)
+				}
+			}
+			for _, id := range []int{0, 6, 11} {
+				if _, ok := eng.Job(id); ok {
+					t.Errorf("Job(%d) found a job never admitted", id)
+				}
+			}
+			if got := eng.Stats().Jobs; got != len(tc.wantIDs) {
+				t.Errorf("Stats().Jobs = %d, want %d", got, len(tc.wantIDs))
 			}
 		})
 	}

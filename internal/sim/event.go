@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"cmp"
-	"slices"
-
 	"probqos/internal/failure"
 	"probqos/internal/units"
 	"probqos/internal/workload"
@@ -44,15 +41,15 @@ func (k Kind) String() string {
 }
 
 // event is one entry in the simulation's event queue. Job events carry the
-// job's attempt epoch so that events scheduled for an attempt that has since
-// failed are recognized as stale and dropped. An event holds no pointers,
-// so the queue's heap is a plain value slice the garbage collector never
-// scans.
+// job's slot in the engine's job table and its attempt epoch, so that
+// events scheduled for an attempt that has since failed are recognized as
+// stale and dropped. An event holds no pointers, so the queue's heap is a
+// plain value slice the garbage collector never scans.
 type event struct {
 	time  units.Time
 	seq   int64 // tie-breaker: arrivals and trace failures by log position, then insertion order
 	kind  Kind
-	jobID int // job events
+	slot  int // job events: the job's slot
 	epoch int // job events: attempt number the event belongs to
 	node  int // failure/recovery events
 }
@@ -70,9 +67,10 @@ func (e *event) before(o *event) bool {
 }
 
 // eventQueue is the engine's deterministic min-queue over (time, kind,
-// seq). It merges three sources. The workload's arrivals and the failure
-// trace's failures are already sorted, so each is read by a cursor and
-// never copied into the queue. Only the events the engine creates as it
+// seq). It merges three sources. The workload's arrivals (Config.validate
+// refuses a log out of arrival order) and the failure trace's failures are
+// already sorted, so each is read by a cursor and never copied into the
+// queue. Only the events the engine creates as it
 // runs — starts, checkpoint requests and finishes, finishes, recoveries,
 // and injected failures — go into a binary min-heap, and at most a few
 // hundred of those are pending at once.
@@ -83,10 +81,7 @@ func (e *event) before(o *event) bool {
 // in which a single heap holding everything would have stamped them, so
 // the merged dispatch order is the same.
 type eventQueue struct {
-	jobs []workload.Job
-	// order lists job indices in (arrival, index) order when the log is
-	// not sorted by arrival; nil when it is and jobs is read in place.
-	order   []int
+	jobs    []workload.Job
 	nextJob int
 
 	failures *failure.Trace
@@ -100,23 +95,16 @@ type eventQueue struct {
 // pending count of a Figure-1 run, so a batch run grows it rarely.
 const initialHeapCap = 256
 
-// newEventQueue builds the queue over a workload log (which may be empty)
-// and a failure trace.
+// newEventQueue builds the queue over a workload log sorted by arrival
+// (which may be empty) and a failure trace. An arrival's slot is its log
+// index.
 func newEventQueue(jobs []workload.Job, failures *failure.Trace) eventQueue {
-	q := eventQueue{
+	return eventQueue{
 		jobs:     jobs,
 		failures: failures,
 		heap:     make([]event, 0, initialHeapCap),
 		seq:      int64(len(jobs) + failures.Len()),
 	}
-	if !slices.IsSortedFunc(jobs, func(a, b workload.Job) int { return cmp.Compare(a.Arrival, b.Arrival) }) {
-		q.order = make([]int, len(jobs))
-		for i := range q.order {
-			q.order[i] = i
-		}
-		slices.SortStableFunc(q.order, func(a, b int) int { return cmp.Compare(jobs[a].Arrival, jobs[b].Arrival) })
-	}
-	return q
 }
 
 // len returns the number of pending events across all three sources.
@@ -141,11 +129,7 @@ func (q *eventQueue) peek() (event, queueSource) {
 	src := fromNone
 	if q.nextJob < len(q.jobs) {
 		i := q.nextJob
-		if q.order != nil {
-			i = q.order[i]
-		}
-		j := &q.jobs[i]
-		best = event{time: j.Arrival, seq: int64(i), kind: KindArrival, jobID: j.ID}
+		best = event{time: q.jobs[i].Arrival, seq: int64(i), kind: KindArrival, slot: i}
 		src = fromArrivals
 	}
 	if q.nextFail < q.failures.Len() {

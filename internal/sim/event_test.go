@@ -53,10 +53,10 @@ func TestEventQueueOrdering(t *testing.T) {
 
 func TestEventQueueSeqBreaksTies(t *testing.T) {
 	q := emptyQueue(t)
-	q.push(event{time: 10, kind: KindArrival, jobID: 1})
-	q.push(event{time: 10, kind: KindArrival, jobID: 2})
-	if first := q.pop(); first.jobID != 1 {
-		t.Errorf("insertion order not respected: job %d first", first.jobID)
+	q.push(event{time: 10, kind: KindArrival, slot: 1})
+	q.push(event{time: 10, kind: KindArrival, slot: 2})
+	if first := q.pop(); first.slot != 1 {
+		t.Errorf("insertion order not respected: slot %d first", first.slot)
 	}
 
 	// Across sources: a trace failure was numbered before any pushed event,
@@ -73,9 +73,10 @@ func TestEventQueueSeqBreaksTies(t *testing.T) {
 }
 
 // TestEventQueueMatchesSortedOrder is the queue's differential test: over
-// random logs (sorted or not, with tied arrival times) and random traces,
-// interleave pushes of every kind at tied times with pops. A push never
-// sorts before the last pop, so the events come out in one sorted run. Every pop must be the least
+// random logs (sorted by arrival, as Config.validate requires, with tied
+// arrival times) and random traces, interleave pushes of every kind at tied
+// times with pops. A push never sorts before the last pop, so the events
+// come out in one sorted run. Every pop must be the least
 // pending event, and the whole pop sequence must equal a sort of every
 // event by (time, kind, seq), with arrivals numbered by log index, trace
 // failures after them, and pushes after those.
@@ -90,9 +91,7 @@ func TestEventQueueMatchesSortedOrder(t *testing.T) {
 		for i := range jobs {
 			jobs[i] = workload.Job{ID: 100 + i, Arrival: units.Time(src.Intn(50)), Nodes: 1, Exec: 1}
 		}
-		if src.Bool(0.5) {
-			slices.SortStableFunc(jobs, func(a, b workload.Job) int { return cmp.Compare(a.Arrival, b.Arrival) })
-		}
+		slices.SortStableFunc(jobs, func(a, b workload.Job) int { return cmp.Compare(a.Arrival, b.Arrival) })
 		fevs := make([]failure.Event, src.Intn(40))
 		for i := range fevs {
 			fevs[i] = failure.Event{Time: units.Time(src.Intn(50)), Node: src.Intn(4)}
@@ -104,7 +103,7 @@ func TestEventQueueMatchesSortedOrder(t *testing.T) {
 
 		var all []event
 		for i, j := range jobs {
-			all = append(all, event{time: j.Arrival, seq: int64(i), kind: KindArrival, jobID: j.ID})
+			all = append(all, event{time: j.Arrival, seq: int64(i), kind: KindArrival, slot: i})
 		}
 		for i := 0; i < tr.Len(); i++ {
 			f := tr.At(i)
@@ -124,7 +123,7 @@ func TestEventQueueMatchesSortedOrder(t *testing.T) {
 				ev := event{
 					time:  last.time + units.Time(src.Intn(20)),
 					kind:  kinds[src.Intn(len(kinds))],
-					jobID: src.Intn(1000),
+					slot:  src.Intn(1000),
 					epoch: src.Intn(3),
 					node:  src.Intn(4),
 				}
@@ -170,28 +169,20 @@ func TestEventQueueMatchesSortedOrder(t *testing.T) {
 	}
 }
 
-// TestEventQueueUnsortedLog pins the arrival cursor on a log out of arrival
-// order: arrivals come out by (arrival, log index), ties in log order.
-func TestEventQueueUnsortedLog(t *testing.T) {
-	tr, err := failure.NewTrace(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestEngineRefusesLogOutOfArrivalOrder pins the contract the arrival
+// cursor relies on: Run and NewEngine both refuse a log whose arrivals go
+// backwards, so the queue never sees one.
+func TestEngineRefusesLogOutOfArrivalOrder(t *testing.T) {
 	jobs := []workload.Job{
-		{ID: 1, Arrival: 30}, {ID: 2, Arrival: 10}, {ID: 3, Arrival: 30},
-		{ID: 4, Arrival: 0}, {ID: 5, Arrival: 10},
+		{ID: 1, Arrival: 30, Nodes: 1, Exec: 100},
+		{ID: 2, Arrival: 10, Nodes: 1, Exec: 100},
 	}
-	q := newEventQueue(jobs, tr)
-	var ids []int
-	for q.len() > 0 {
-		ev := q.pop()
-		if ev.kind != KindArrival {
-			t.Fatalf("popped a %v from a log-only queue", ev.kind)
-		}
-		ids = append(ids, ev.jobID)
+	const want = "workload: job 2 arrives before its predecessor"
+	if _, err := Run(smallConfig(t, jobs, nil)); err == nil || err.Error() != want {
+		t.Errorf("Run = %v, want %q", err, want)
 	}
-	if want := []int{4, 2, 5, 1, 3}; !slices.Equal(ids, want) {
-		t.Errorf("arrival order = %v, want %v", ids, want)
+	if _, err := NewEngine(smallConfig(t, jobs, nil)); err == nil || err.Error() != want {
+		t.Errorf("NewEngine = %v, want %q", err, want)
 	}
 }
 
@@ -236,7 +227,7 @@ func BenchmarkEventQueue(b *testing.B) {
 	q := newEventQueue(nil, tr)
 	kinds := []Kind{KindStart, KindFinish, KindCheckpointRequest, KindCheckpointFinish, KindRecovery}
 	for i := 0; i < 128; i++ {
-		q.push(event{time: units.Time(i * 37 % 500), kind: kinds[i%len(kinds)], jobID: i})
+		q.push(event{time: units.Time(i * 37 % 500), kind: kinds[i%len(kinds)], slot: i})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

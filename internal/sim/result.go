@@ -42,7 +42,7 @@ type FailureRecord struct {
 type Result struct {
 	// ClusterNodes is N.
 	ClusterNodes int
-	// Jobs holds one record per completed job, in job-ID order.
+	// Jobs holds one record per completed job, in workload-log order.
 	Jobs []JobRecord
 	// Failures holds one record per trace failure processed.
 	Failures []FailureRecord

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"probqos/internal/checkpoint"
 	"probqos/internal/cluster"
@@ -14,37 +16,43 @@ import (
 )
 
 // jobState tracks one job through negotiation, (re)scheduling, execution,
-// checkpointing, and failures.
+// checkpointing, and failures. Its record carries the job's identity, its
+// promise and its outcome as they happen; the fields here are the
+// bookkeeping of the attempt under way.
 type jobState struct {
-	job   workload.Job
-	rec   JobRecord
+	rec   *JobRecord
+	plan  units.Duration // the runtime reservations plan for (Job.PlanExec)
 	epoch int
-
-	deadline units.Time
-	promised float64
 
 	// doneWork is the checkpointed execution baseline carried across
 	// attempts: a restart resumes from here.
 	doneWork units.Duration
 
 	// Fields below describe the current attempt and are reset on restart.
-	running      bool
 	nodes        []int
 	attemptStart units.Time
 	lastMark     units.Time     // when progress accounting last advanced
 	curProgress  units.Duration // execution progress within this attempt
 	skippedSince int            // requests skipped since the last performed checkpoint
-	inCheckpoint bool
 	ckptStarted  units.Time
-	hasCkpt      bool       // a checkpoint completed in this attempt
-	lastCkptAt   units.Time // start instant of that checkpoint (c_j reference)
+	lastCkptAt   units.Time // start instant of the last completed checkpoint (c_j reference)
+	running      bool
+	inCheckpoint bool
+	hasCkpt      bool // a checkpoint completed in this attempt
 	completed    bool
+}
+
+// fill points js at rec and records job's identity there.
+func (js *jobState) fill(job workload.Job, rec *JobRecord) {
+	rec.ID, rec.Nodes, rec.Exec, rec.Arrival = job.ID, job.Nodes, job.Exec, job.Arrival
+	js.rec = rec
+	js.plan = job.PlanExec()
 }
 
 // remaining returns the execution time still owed after the attempt's
 // current progress.
 func (js *jobState) remaining() units.Duration {
-	return js.job.Exec - js.doneWork - js.curProgress
+	return js.rec.Exec - js.doneWork - js.curProgress
 }
 
 // rollbackRef returns c_j: the instant the job's work would roll back to if
@@ -79,8 +87,15 @@ type Engine struct {
 	queue      eventQueue
 	now        units.Time
 	dispatched int // events dispatched, for periodic profile GC
-	jobs       map[int]*jobState
 	res        Result
+
+	// slots is the job table, indexed by admission order: the workload's
+	// jobs in log order, then each admitted job. Events and cluster
+	// occupants carry the slot; job IDs appear only at the API edge. While
+	// IDs strictly increase in slot order a lookup by ID is a binary
+	// search; byID maps ID to slot once they stop doing so.
+	slots []*jobState
+	byID  map[int]int
 
 	// Occupancy integration: busy node count and the instant it last
 	// changed.
@@ -111,6 +126,8 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Without injected failures the run processes exactly the trace's.
+	s.res.Failures = make([]FailureRecord, 0, cfg.Failures.Len())
 	if err := s.Drain(); err != nil {
 		return nil, err
 	}
@@ -146,7 +163,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cluster: cluster.New(cfg.Nodes),
 		pred:    pred,
 		queue:   newEventQueue(jobs, cfg.Failures),
-		jobs:    make(map[int]*jobState, len(jobs)),
 		probe:   cfg.Probe,
 	}
 	if cfg.BaseRateFloor {
@@ -164,18 +180,52 @@ func NewEngine(cfg Config) (*Engine, error) {
 		s.user = negotiate.User{U: 0} // every first quote accepted
 	}
 
-	// One slab for every job state: the map's values all point into it,
-	// replacing a per-job allocation. Jobs admitted later (online service)
-	// still allocate individually.
+	// The workload's jobs fill the first slots from one slab of states and
+	// one of records. The records are built in place as the run goes, in
+	// log order, and Run returns that slab as Result.Jobs. Jobs admitted
+	// later (online service) allocate state and record together.
 	states := make([]jobState, len(jobs))
+	s.res.Jobs = make([]JobRecord, len(jobs))
+	s.slots = make([]*jobState, 0, len(jobs))
 	for i, j := range jobs {
-		if _, dup := s.jobs[j.ID]; dup {
+		states[i].fill(j, &s.res.Jobs[i])
+		if !s.file(&states[i]) {
 			return nil, fmt.Errorf("sim: duplicate job ID %d in workload", j.ID)
 		}
-		states[i].job = j
-		s.jobs[j.ID] = &states[i]
 	}
 	return s, nil
+}
+
+// file gives js the next slot. It reports false, filing nothing, if a job
+// with the same ID already holds one. The first ID that does not exceed
+// its predecessor's builds the ID map over every slot.
+func (s *Engine) file(js *jobState) bool {
+	id, slot := js.rec.ID, len(s.slots)
+	if s.byID == nil && slot > 0 && id <= s.slots[slot-1].rec.ID {
+		s.byID = make(map[int]int, slot+1)
+		for i, o := range s.slots {
+			s.byID[o.rec.ID] = i
+		}
+	}
+	if s.byID != nil {
+		if _, dup := s.byID[id]; dup {
+			return false
+		}
+		s.byID[id] = slot
+	}
+	s.slots = append(s.slots, js)
+	return true
+}
+
+// slotOf returns the slot of the job with the given ID.
+func (s *Engine) slotOf(id int) (int, bool) {
+	if s.byID != nil {
+		slot, ok := s.byID[id]
+		return slot, ok
+	}
+	return slices.BinarySearchFunc(s.slots, id, func(js *jobState, id int) int {
+		return cmp.Compare(js.rec.ID, id)
+	})
 }
 
 // Drain processes events until the queue is empty, however far into the
@@ -234,8 +284,8 @@ func (s *Engine) step() error {
 
 // stale reports whether a job event belongs to a superseded attempt.
 func (s *Engine) stale(ev event) bool {
-	js, ok := s.jobs[ev.jobID]
-	if !ok || js.epoch != ev.epoch || js.completed {
+	js := s.slots[ev.slot]
+	if js.epoch != ev.epoch || js.completed {
 		s.res.StaleEventsDropped++
 		return true
 	}
@@ -243,48 +293,49 @@ func (s *Engine) stale(ev event) bool {
 }
 
 func (s *Engine) onArrival(ev event) error {
-	js := s.jobs[ev.jobID]
-	duration := plannedDuration(js.job.PlanExec(), s.cfg.Checkpoint)
+	js := s.slots[ev.slot]
+	duration := plannedDuration(js.plan, s.cfg.Checkpoint)
 	t0 := s.phaseStart()
-	quote, offers, err := s.negotiator.Negotiate(s.now, js.job.Nodes, duration, s.user)
+	quote, offers, err := s.negotiator.Negotiate(s.now, js.rec.Nodes, duration, s.user)
 	s.phaseEnd(PhaseNegotiate, t0)
 	if err != nil {
-		return fmt.Errorf("sim: job %d: %w", js.job.ID, err)
+		return fmt.Errorf("sim: job %d: %w", js.rec.ID, err)
 	}
-	s.decide(Decision{Kind: DecisionQuote, JobID: js.job.ID, N: offers})
+	s.decide(Decision{Kind: DecisionQuote, JobID: js.rec.ID, N: offers})
 	t0 = s.phaseStart()
-	err = s.scheduler.Reserve(js.job.ID, quote.Candidate, duration)
+	err = s.scheduler.Reserve(js.rec.ID, quote.Candidate, duration)
 	s.phaseEnd(PhaseSchedule, t0)
 	if err != nil {
-		return fmt.Errorf("sim: job %d: %w", js.job.ID, err)
+		return fmt.Errorf("sim: job %d: %w", js.rec.ID, err)
 	}
-	s.commit(js, quote, offers)
+	s.commit(ev.slot, quote, offers)
 	return nil
 }
 
-// commit files the promise of a reserved quote on its job — the one path
-// for workload arrivals and admitted jobs alike: the deadline and promised
-// probability, the dialog length, the queue and promise counters, the
-// start event, and the Reserve decision.
-func (s *Engine) commit(js *jobState, q negotiate.Quote, offers int) {
-	js.deadline = q.Deadline
-	js.promised = q.Success
+// commit files the promise of a reserved quote on the job in slot — the
+// one path for workload arrivals and admitted jobs alike: the deadline and
+// promised probability, the dialog length, the queue and promise counters,
+// the start event, and the Reserve decision.
+func (s *Engine) commit(slot int, q negotiate.Quote, offers int) {
+	js := s.slots[slot]
+	js.rec.Deadline = q.Deadline
+	js.rec.Promised = q.Success
 	js.rec.Quotes = offers
 	s.queueDepth++
 	s.promiseSum += q.Success
 	s.promisedJobs++
-	s.queue.push(event{time: q.Candidate.Start, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
-	s.decide(Decision{Kind: DecisionReserve, JobID: js.job.ID, Deadline: q.Deadline, Promise: q.Success})
+	s.queue.push(event{time: q.Candidate.Start, kind: KindStart, slot: slot, epoch: js.epoch})
+	s.decide(Decision{Kind: DecisionReserve, JobID: js.rec.ID, Deadline: q.Deadline, Promise: q.Success})
 }
 
 func (s *Engine) onStart(ev event) error {
 	if s.stale(ev) {
 		return nil
 	}
-	js := s.jobs[ev.jobID]
-	r, ok := s.scheduler.Reservation(js.job.ID)
+	js := s.slots[ev.slot]
+	r, ok := s.scheduler.Reservation(js.rec.ID)
 	if !ok {
-		return fmt.Errorf("sim: job %d has a start event but no reservation", js.job.ID)
+		return fmt.Errorf("sim: job %d has a start event but no reservation", js.rec.ID)
 	}
 
 	// A node may be down (recent failure) or still running a slipped
@@ -296,22 +347,22 @@ func (s *Engine) onStart(ev event) error {
 			retry = up
 		}
 		if occ := s.cluster.Occupant(n); occ != cluster.NoJob {
-			if est := s.estimateFinish(s.jobs[occ]); est > retry {
+			if est := s.estimateFinish(s.slots[occ]); est > retry {
 				retry = est
 			}
 		}
 	}
 	if retry > s.now {
-		if err := s.scheduler.Slip(js.job.ID, retry); err != nil {
+		if err := s.scheduler.Slip(js.rec.ID, retry); err != nil {
 			return err
 		}
 		js.rec.StartSlips++
-		s.decide(Decision{Kind: DecisionStartSlip, JobID: js.job.ID, SlipTo: retry})
-		s.queue.push(event{time: retry, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
+		s.decide(Decision{Kind: DecisionStartSlip, JobID: js.rec.ID, SlipTo: retry})
+		s.queue.push(event{time: retry, kind: KindStart, slot: ev.slot, epoch: js.epoch})
 		return nil
 	}
 
-	if err := s.cluster.Occupy(r.Nodes, js.job.ID); err != nil {
+	if err := s.cluster.Occupy(r.Nodes, ev.slot); err != nil {
 		return err
 	}
 	s.accountOccupancy(len(r.Nodes))
@@ -331,8 +382,8 @@ func (s *Engine) onStart(ev event) error {
 		js.rec.FirstStart = s.now
 	}
 	js.rec.LastStart = s.now
-	s.decide(Decision{Kind: DecisionStart, JobID: js.job.ID, Width: len(js.nodes)})
-	s.scheduleNextWork(js)
+	s.decide(Decision{Kind: DecisionStart, JobID: js.rec.ID, Width: len(js.nodes)})
+	s.scheduleNextWork(ev.slot)
 	return nil
 }
 
@@ -352,18 +403,19 @@ func (s *Engine) estimateFinish(js *jobState) units.Time {
 	return est
 }
 
-// scheduleNextWork schedules the job's next progress milestone: its finish,
-// if no more checkpoint requests intervene, or the next checkpoint request
-// after a full interval of progress.
-func (s *Engine) scheduleNextWork(js *jobState) {
+// scheduleNextWork schedules the next progress milestone of the job in
+// slot: its finish, if no more checkpoint requests intervene, or the next
+// checkpoint request after a full interval of progress.
+func (s *Engine) scheduleNextWork(slot int) {
+	js := s.slots[slot]
 	rem := js.remaining()
 	if rem <= s.cfg.Checkpoint.Interval {
-		s.queue.push(event{time: s.now.Add(rem), kind: KindFinish, jobID: js.job.ID, epoch: js.epoch})
+		s.queue.push(event{time: s.now.Add(rem), kind: KindFinish, slot: slot, epoch: js.epoch})
 		return
 	}
 	s.queue.push(event{
 		time: s.now.Add(s.cfg.Checkpoint.Interval), kind: KindCheckpointRequest,
-		jobID: js.job.ID, epoch: js.epoch,
+		slot: slot, epoch: js.epoch,
 	})
 }
 
@@ -371,7 +423,7 @@ func (s *Engine) onCheckpointRequest(ev event) error {
 	if s.stale(ev) {
 		return nil
 	}
-	js := s.jobs[ev.jobID]
+	js := s.slots[ev.slot]
 	js.curProgress += s.now.Sub(js.lastMark)
 	js.lastMark = s.now
 
@@ -390,29 +442,29 @@ func (s *Engine) onCheckpointRequest(ev event) error {
 		PFail:              pf,
 		Params:             p,
 		AtRiskIntervals:    js.skippedSince + 1,
-		Deadline:           js.deadline,
+		Deadline:           js.rec.Deadline,
 		EstFinishIfPerform: estPerform,
 		EstFinishIfSkip:    estSkip,
 	}
 	perform := s.cfg.Policy.ShouldCheckpoint(req)
-	deadlineSkip := perform && s.cfg.DeadlineSkip && estPerform.After(js.deadline) && !estSkip.After(js.deadline)
+	deadlineSkip := perform && s.cfg.DeadlineSkip && estPerform.After(js.rec.Deadline) && !estSkip.After(js.rec.Deadline)
 	s.phaseEnd(PhaseCheckpoint, t0)
 	if deadlineSkip {
 		perform = false
 		js.rec.DeadlineSkips++
-		s.decide(Decision{Kind: DecisionCheckpointDeadlineSkip, JobID: js.job.ID, AtRisk: req.AtRiskIntervals})
+		s.decide(Decision{Kind: DecisionCheckpointDeadlineSkip, JobID: js.rec.ID, AtRisk: req.AtRiskIntervals})
 	}
 	if perform {
-		s.decide(Decision{Kind: DecisionCheckpointGrant, JobID: js.job.ID, AtRisk: req.AtRiskIntervals})
+		s.decide(Decision{Kind: DecisionCheckpointGrant, JobID: js.rec.ID, AtRisk: req.AtRiskIntervals})
 		js.inCheckpoint = true
 		js.ckptStarted = s.now
-		s.queue.push(event{time: s.now.Add(p.Overhead), kind: KindCheckpointFinish, jobID: js.job.ID, epoch: js.epoch})
+		s.queue.push(event{time: s.now.Add(p.Overhead), kind: KindCheckpointFinish, slot: ev.slot, epoch: js.epoch})
 		return nil
 	}
-	s.decide(Decision{Kind: DecisionCheckpointSkip, JobID: js.job.ID, AtRisk: req.AtRiskIntervals})
+	s.decide(Decision{Kind: DecisionCheckpointSkip, JobID: js.rec.ID, AtRisk: req.AtRiskIntervals})
 	js.rec.CheckpointsSkipped++
 	js.skippedSince++
-	s.scheduleNextWork(js)
+	s.scheduleNextWork(ev.slot)
 	return nil
 }
 
@@ -420,7 +472,7 @@ func (s *Engine) onCheckpointFinish(ev event) error {
 	if s.stale(ev) {
 		return nil
 	}
-	js := s.jobs[ev.jobID]
+	js := s.slots[ev.slot]
 	js.doneWork += js.curProgress
 	js.curProgress = 0
 	js.hasCkpt = true
@@ -430,8 +482,8 @@ func (s *Engine) onCheckpointFinish(ev event) error {
 	js.lastMark = s.now
 	js.rec.CheckpointsDone++
 	js.rec.CheckpointOverheads += s.cfg.Checkpoint.Overhead
-	s.decide(Decision{Kind: DecisionCheckpointDone, JobID: js.job.ID})
-	s.scheduleNextWork(js)
+	s.decide(Decision{Kind: DecisionCheckpointDone, JobID: js.rec.ID})
+	s.scheduleNextWork(ev.slot)
 	return nil
 }
 
@@ -439,23 +491,23 @@ func (s *Engine) onFinish(ev event) error {
 	if s.stale(ev) {
 		return nil
 	}
-	js := s.jobs[ev.jobID]
+	js := s.slots[ev.slot]
 	js.curProgress += s.now.Sub(js.lastMark)
 	js.lastMark = s.now
 	if got := js.remaining(); got != 0 {
-		return fmt.Errorf("sim: job %d finished with %v work remaining", js.job.ID, got)
+		return fmt.Errorf("sim: job %d finished with %v work remaining", js.rec.ID, got)
 	}
 	js.completed = true
 	js.running = false
 	js.rec.Finish = s.now
-	js.rec.MetDeadline = !s.now.After(js.deadline)
-	if err := s.cluster.Release(js.nodes, js.job.ID); err != nil {
+	js.rec.MetDeadline = !s.now.After(js.rec.Deadline)
+	if err := s.cluster.Release(js.nodes, ev.slot); err != nil {
 		return err
 	}
 	s.accountOccupancy(-len(js.nodes))
 	s.runningJobs--
-	s.scheduler.CompleteEarly(js.job.ID, s.now)
-	s.decide(Decision{Kind: DecisionFinish, JobID: js.job.ID, Width: len(js.nodes), Met: js.rec.MetDeadline})
+	s.scheduler.CompleteEarly(js.rec.ID, s.now)
+	s.decide(Decision{Kind: DecisionFinish, JobID: js.rec.ID, Width: len(js.nodes), Met: js.rec.MetDeadline})
 	return nil
 }
 
@@ -467,26 +519,27 @@ func (s *Engine) onFailure(ev event) error {
 
 	frec := FailureRecord{Time: s.now, Node: node}
 	if occ := s.cluster.Occupant(node); occ != cluster.NoJob {
-		js := s.jobs[occ]
-		lost := units.WorkFor(js.job.Nodes, s.now.Sub(js.rollbackRef()))
-		frec.JobID = occ
+		js := s.slots[occ]
+		id := js.rec.ID
+		lost := units.WorkFor(js.rec.Nodes, s.now.Sub(js.rollbackRef()))
+		frec.JobID = id
 		frec.LostWork = lost
 		js.rec.LostWork += lost
 		js.rec.FailuresSuffered++
 		s.lostWork += lost
-		s.decide(Decision{Kind: DecisionFailureKill, JobID: occ, Node: node, Width: js.job.Nodes, Lost: lost})
+		s.decide(Decision{Kind: DecisionFailureKill, JobID: id, Node: node, Width: js.rec.Nodes, Lost: lost})
 		if err := s.cluster.Release(js.nodes, occ); err != nil {
 			return err
 		}
 		s.accountOccupancy(-len(js.nodes))
 		s.runningJobs--
 		s.queueDepth++
-		s.scheduler.Release(occ)
+		s.scheduler.Release(id)
 		js.epoch++
 		js.running = false
 		js.inCheckpoint = false
 		js.curProgress = 0
-		if err := s.requeue(js); err != nil {
+		if err := s.requeue(occ); err != nil {
 			return err
 		}
 	} else {
@@ -503,21 +556,22 @@ func (s *Engine) onFailure(ev event) error {
 // restarted job takes the earliest slot the profile offers, which is
 // usually the tail of its own just-vacated reservation plus any backfill
 // hole it fits.
-func (s *Engine) requeue(js *jobState) error {
-	duration := plannedDuration(js.job.PlanExec()-js.doneWork, s.cfg.Checkpoint)
+func (s *Engine) requeue(slot int) error {
+	js := s.slots[slot]
+	duration := plannedDuration(js.plan-js.doneWork, s.cfg.Checkpoint)
 	t0 := s.phaseStart()
-	c, ok := s.scheduler.EarliestCandidate(s.now, js.job.Nodes, duration)
+	c, ok := s.scheduler.EarliestCandidate(s.now, js.rec.Nodes, duration)
 	if !ok {
 		s.phaseEnd(PhaseSchedule, t0)
-		return fmt.Errorf("sim: job %d cannot be rescheduled after failure", js.job.ID)
+		return fmt.Errorf("sim: job %d cannot be rescheduled after failure", js.rec.ID)
 	}
-	err := s.scheduler.Reserve(js.job.ID, c, duration)
+	err := s.scheduler.Reserve(js.rec.ID, c, duration)
 	s.phaseEnd(PhaseSchedule, t0)
 	if err != nil {
-		return fmt.Errorf("sim: job %d: %w", js.job.ID, err)
+		return fmt.Errorf("sim: job %d: %w", js.rec.ID, err)
 	}
-	s.decide(Decision{Kind: DecisionBackfill, JobID: js.job.ID})
-	s.queue.push(event{time: c.Start, kind: KindStart, jobID: js.job.ID, epoch: js.epoch})
+	s.decide(Decision{Kind: DecisionBackfill, JobID: js.rec.ID})
+	s.queue.push(event{time: c.Start, kind: KindStart, slot: slot, epoch: js.epoch})
 	return nil
 }
 
@@ -533,25 +587,14 @@ func (s *Engine) collect() (*Result, error) {
 	s.accountOccupancy(0) // flush the final busy stretch
 	s.res.BusyNodeSeconds = s.busyAccum
 	s.res.ClusterNodes = s.cfg.Nodes
-	s.res.Jobs = make([]JobRecord, 0, len(s.jobs))
-	for _, j := range s.cfg.Workload.Jobs {
-		js := s.jobs[j.ID]
-		if !js.completed {
-			return nil, fmt.Errorf("sim: job %d never completed", j.ID)
-		}
-		js.rec.ID = j.ID
-		js.rec.Nodes = j.Nodes
-		js.rec.Exec = j.Exec
-		js.rec.Arrival = j.Arrival
-		js.rec.Deadline = js.deadline
-		js.rec.Promised = js.promised
-		s.res.Jobs = append(s.res.Jobs, js.rec)
-	}
 	s.res.Start = s.res.Jobs[0].Arrival
 	s.res.End = s.res.Jobs[0].Finish
-	for _, r := range s.res.Jobs {
-		s.res.Start = s.res.Start.Min(r.Arrival)
-		s.res.End = s.res.End.Max(r.Finish)
+	for _, js := range s.slots {
+		if !js.completed {
+			return nil, fmt.Errorf("sim: job %d never completed", js.rec.ID)
+		}
+		s.res.Start = s.res.Start.Min(js.rec.Arrival)
+		s.res.End = s.res.End.Max(js.rec.Finish)
 	}
 	return &s.res, nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"probqos/internal/checkpoint"
@@ -82,6 +83,29 @@ func TestRunErrorsUnchanged(t *testing.T) {
 		cfg.Nodes = 8
 		if _, err := Run(cfg); err == nil || err.Error() != tt.want {
 			t.Errorf("%s: Run error = %v, want %q", tt.name, err, tt.want)
+		}
+	}
+}
+
+// TestResultJobsInLogOrder pins Result.Jobs to workload-log order on a log
+// whose IDs do not ascend.
+func TestResultJobsInLogOrder(t *testing.T) {
+	cfg := smallConfig(t, []workload.Job{
+		{ID: 5, Arrival: 0, Nodes: 2, Exec: 300},
+		{ID: 3, Arrival: 10, Nodes: 4, Exec: 200},
+		{ID: 9, Arrival: 20, Nodes: 8, Exec: 100},
+	}, nil)
+	res := run(t, cfg)
+	var ids []int
+	for _, j := range res.Jobs {
+		ids = append(ids, j.ID)
+	}
+	if want := []int{5, 3, 9}; !slices.Equal(ids, want) {
+		t.Errorf("Result.Jobs IDs = %v, want %v", ids, want)
+	}
+	for i, j := range res.Jobs {
+		if src := cfg.Workload.Jobs[i]; j.Arrival != src.Arrival || j.Nodes != src.Nodes || j.Exec != src.Exec {
+			t.Errorf("record %d = %+v, does not describe log job %+v", i, j, src)
 		}
 	}
 }

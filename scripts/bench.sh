@@ -54,27 +54,40 @@ else
 fi
 
 tmp=$(mktemp)
-trap 'rm -f "$tmp" "$tmp.json"' EXIT
+trap 'rm -f "$tmp" "$tmp.json" "$tmp.rc"' EXIT
+
+# gotest runs go test with the given arguments, shows its output and
+# appends it to $tmp. A pipeline's status is its last command's (tee's), so
+# go test's own status goes through $tmp.rc: a failing benchmark fails the
+# script.
+gotest() {
+    { rc=0; go test "$@" || rc=$?; echo "$rc" >"$tmp.rc"; } | tee -a "$tmp"
+    rc=$(cat "$tmp.rc")
+    if [ "$rc" -ne 0 ]; then
+        echo "bench.sh: go test $* failed (exit $rc)" >&2
+        exit "$rc"
+    fi
+}
 
 echo "== predictor micro-benchmarks"
-go test -run '^$' -bench 'PFail|FirstDetectable' -benchtime "$benchtime" -count "$count" ./internal/predict | tee -a "$tmp"
+gotest -run '^$' -bench 'PFail|FirstDetectable' -benchtime "$benchtime" -count "$count" ./internal/predict
 
 echo "== trace-scan and trace-generation micro-benchmarks"
-go test -run '^$' -bench 'TraceScan|GenerateAndFilter' -benchtime "$benchtime" -count "$count" ./internal/failure | tee -a "$tmp"
+gotest -run '^$' -bench 'TraceScan|GenerateAndFilter' -benchtime "$benchtime" -count "$count" ./internal/failure
 
 echo "== scheduler micro-benchmarks"
-go test -run '^$' -bench 'EarliestCandidate|ReserveRelease|Slip$' -benchtime "$benchtime" -count "$count" ./internal/sched | tee -a "$tmp"
+gotest -run '^$' -bench 'EarliestCandidate|ReserveRelease|Slip$' -benchtime "$benchtime" -count "$count" ./internal/sched
 
 echo "== simulator benchmarks"
-go test -run '^$' -bench 'BenchmarkRun(SDSC|NASA|SDSCInstrumented)$|BenchmarkEventQueue$' -benchtime "$benchtime" -count "$count" ./internal/sim | tee -a "$tmp"
+gotest -run '^$' -bench 'BenchmarkRun(SDSC|NASA|SDSCInstrumented)$|BenchmarkEventQueue$' -benchtime "$benchtime" -count "$count" ./internal/sim
 
 echo "== daemon micro-benchmarks"
-go test -run '^$' -bench 'BenchmarkCompact$|BenchmarkWALAppend$' -benchtime "$benchtime" -count "$count" ./internal/durability | tee -a "$tmp"
-go test -run '^$' -bench 'BenchmarkObserveRequest$|BenchmarkDecodeRequest$|BenchmarkPromiseInProcess$' -benchtime "$benchtime" -count "$count" ./internal/service | tee -a "$tmp"
+gotest -run '^$' -bench 'BenchmarkCompact$|BenchmarkWALAppend$' -benchtime "$benchtime" -count "$count" ./internal/durability
+gotest -run '^$' -bench 'BenchmarkObserveRequest$|BenchmarkDecodeRequest$|BenchmarkPromiseInProcess$' -benchtime "$benchtime" -count "$count" ./internal/service
 
 echo "== end-to-end sweep (Figure 1, jobs=$jobs)"
-PROBQOS_BENCH_JOBS="$jobs" go test -run '^$' -bench 'BenchmarkFig1QoSvsAccuracySDSC' \
-    -benchtime 1x -count "$count" . | tee -a "$tmp"
+PROBQOS_BENCH_JOBS="$jobs" gotest -run '^$' -bench 'BenchmarkFig1QoSvsAccuracySDSC' \
+    -benchtime 1x -count "$count" .
 
 if [ "$smoke" -eq 1 ]; then
     # Still exercise the parser and the gates, but throw the trajectory

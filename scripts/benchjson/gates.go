@@ -46,6 +46,10 @@ var gates = []gate{
 	{"BenchmarkEarliestCandidateSlipped", -1, ""},
 	// The engine's pushed-event heap holds plain values.
 	{"BenchmarkEventQueue", 0, ""},
+	// A whole 1000-job simulated point allocates the job table, the
+	// records its Result keeps, the profile's per-node slab and the node
+	// sets of the candidates the negotiator quotes: 1105 allocs/op.
+	{"BenchmarkRunSDSC", 1200, ""},
 	// BenchmarkRunSDSC with obs.Instrument attached as the Probe: the pair
 	// records the observability overhead.
 	{"BenchmarkRunSDSCInstrumented", -1, ""},
