@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/journal.golden.jsonl")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata")
 
 // journalGoldenArgs is a small seeded run whose journal holds every note
 // kind and every detail form; 32 nodes make starts contend enough to slip.

@@ -38,6 +38,7 @@ import (
 	"strings"
 
 	"probqos"
+	"probqos/internal/stats"
 )
 
 func main() {
@@ -216,22 +217,17 @@ func run(out io.Writer, args []string) error {
 	if *asJSON {
 		// Fold the optional sections in as nested objects so -breakdown,
 		// -calibration, and -profile compose with -json.
-		type calibrationJSON struct {
-			Bins           []probqos.CalibrationBin `json:"bins"`
-			Overconfidence float64                  `json:"overconfidence"`
-		}
 		payload := struct {
 			probqos.Report
 			Breakdown   []probqos.ClassReport `json:"breakdown,omitempty"`
-			Calibration *calibrationJSON      `json:"calibration,omitempty"`
+			Calibration *reliabilityReport    `json:"calibration,omitempty"`
 			Profile     []probqos.PhaseStat   `json:"profile,omitempty"`
 		}{Report: report}
 		if *breakdown {
 			payload.Breakdown = probqos.MetricsBySize(res)
 		}
 		if *calibration {
-			bins := probqos.Calibration(res, 10)
-			payload.Calibration = &calibrationJSON{Bins: bins, Overconfidence: probqos.Overconfidence(bins)}
+			payload.Calibration = reliability(res)
 		}
 		if *profile {
 			payload.Profile = instrument.Report()
@@ -272,16 +268,16 @@ func run(out io.Writer, args []string) error {
 		}
 	}
 	if *calibration {
-		bins := probqos.Calibration(res, 10)
+		rel := reliability(res)
 		fmt.Fprintln(out, "\npromise reliability (promised -> observed):")
-		for _, b := range bins {
-			if b.Jobs == 0 {
+		for _, b := range rel.Bins {
+			if b.Settled == 0 {
 				continue
 			}
 			fmt.Fprintf(out, "  [%.1f,%.1f)  %6d jobs  promised %.3f  observed %.3f  work share %.1f%%\n",
-				b.Lo, b.Hi, b.Jobs, b.PromisedMean, b.Observed, 100*b.WorkShare)
+				b.Lo, b.Hi, b.Settled, b.PromisedMean, b.Observed, 100*b.WorkShare)
 		}
-		fmt.Fprintf(out, "  worst overconfidence: %.4f\n", probqos.Overconfidence(bins))
+		fmt.Fprintf(out, "  worst overconfidence: %.4f\n", rel.Overconfidence)
 	}
 	if *profile {
 		fmt.Fprintln(out, "\nphase profile (wall-clock):")
@@ -290,6 +286,42 @@ func run(out io.Writer, args []string) error {
 		}
 	}
 	return holdOpen(out, *hold, *serveAddr)
+}
+
+// reliabilityReport is the promise reliability diagram: the promise
+// ledger's bins and its worst overconfidence.
+type reliabilityReport struct {
+	Bins           []reliabilityBin `json:"bins"`
+	Overconfidence float64          `json:"overconfidence"`
+}
+
+// reliabilityBin is one ledger bin with its share of the run's useful work
+// (node-seconds).
+type reliabilityBin struct {
+	probqos.ConformanceBin
+	WorkShare float64 `json:"work_share"`
+}
+
+// reliability settles the run's promises through the promise ledger into
+// ten bins.
+func reliability(res *probqos.Result) *reliabilityReport {
+	const bins = 10
+	st := probqos.PromiseLedgerOf(res, bins).Stats()
+	rel := &reliabilityReport{Bins: make([]reliabilityBin, bins)}
+	for i, b := range st.Bins {
+		rel.Bins[i].ConformanceBin = b
+	}
+	_, rel.Overconfidence = st.Worst()
+	var total float64
+	for _, j := range res.Jobs {
+		total += j.Exec.Seconds() * float64(j.Nodes)
+	}
+	if total > 0 {
+		for _, j := range res.Jobs {
+			rel.Bins[stats.BinIndex(j.Promised, bins)].WorkShare += j.Exec.Seconds() * float64(j.Nodes) / total
+		}
+	}
+	return rel
 }
 
 // holdOpen blocks forever when -serve -hold asked the endpoint to outlive

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,8 +133,15 @@ func TestRunJSONFoldsSections(t *testing.T) {
 		QoS         *float64         `json:"QoS"`
 		Breakdown   []map[string]any `json:"breakdown"`
 		Calibration *struct {
-			Bins           []map[string]any `json:"bins"`
-			Overconfidence *float64         `json:"overconfidence"`
+			Bins []struct {
+				Lo           *float64 `json:"lo"`
+				Hi           *float64 `json:"hi"`
+				Settled      *int     `json:"settled"`
+				PromisedMean *float64 `json:"promised_mean"`
+				Observed     *float64 `json:"observed"`
+				WorkShare    *float64 `json:"work_share"`
+			} `json:"bins"`
+			Overconfidence *float64 `json:"overconfidence"`
 		} `json:"calibration"`
 		Profile []struct {
 			Phase string `json:"phase"`
@@ -149,8 +157,22 @@ func TestRunJSONFoldsSections(t *testing.T) {
 	if len(payload.Breakdown) == 0 {
 		t.Error("breakdown not folded into JSON")
 	}
-	if payload.Calibration == nil || len(payload.Calibration.Bins) == 0 || payload.Calibration.Overconfidence == nil {
-		t.Errorf("calibration not folded into JSON: %+v", payload.Calibration)
+	if payload.Calibration == nil || len(payload.Calibration.Bins) != 10 || payload.Calibration.Overconfidence == nil {
+		t.Fatalf("calibration not folded into JSON: %+v", payload.Calibration)
+	}
+	// The bins carry the promise ledger's shape plus the work share, and
+	// between them hold every job's promise and all of the work.
+	var settled int
+	var share float64
+	for _, b := range payload.Calibration.Bins {
+		if b.Lo == nil || b.Hi == nil || b.Settled == nil || b.PromisedMean == nil || b.Observed == nil || b.WorkShare == nil {
+			t.Fatalf("calibration bin missing a key: %+v", b)
+		}
+		settled += *b.Settled
+		share += *b.WorkShare
+	}
+	if settled != 80 || math.Abs(share-1) > 1e-9 {
+		t.Errorf("calibration bins hold %d promises and %v of the work, want 80 and 1", settled, share)
 	}
 	if len(payload.Profile) == 0 || payload.Profile[0].Phase != "dispatch" || payload.Profile[0].Calls == 0 {
 		t.Errorf("profile not folded into JSON: %+v", payload.Profile)

@@ -6,14 +6,15 @@ import (
 	"probqos/internal/units"
 )
 
-// The promise ledger: the runtime answer to "does qosd keep the promises
-// it quotes?". Every successful admit files the quoted success
-// probability and deadline; every clock advance settles the promises the
-// engine has driven to a terminal state. From the settled rows the ledger
-// maintains streaming conformance statistics — promise-keeping rate,
-// Brier score, and reliability-diagram buckets on the same stats.BinIndex
-// rule as the offline Calibration diagram — exposed on /metrics and
-// /qos/conformance.
+// The promise ledger: the one answer to "are the quoted promises kept?".
+// Every successful admit files the quoted success probability and
+// deadline; every clock advance settles the promises the engine has driven
+// to a terminal state. From the settled rows the ledger maintains
+// streaming conformance statistics — promise-keeping rate, Brier score,
+// and reliability-diagram buckets on the stats.BinIndex rule — exposed on
+// qosd's /metrics and /qos/conformance. Offline runs settle through the
+// same ledger (LedgerOf), and ConformanceStats.Worst is the single honesty
+// check every reader applies to its bins.
 //
 // The ledger lives entirely on the virtual clock: it is deterministic
 // state, owned by the service's machine (and by the scenario runner), and
@@ -74,6 +75,25 @@ type ConformanceStats struct {
 	Bins  []ConformanceBin `json:"bins"`
 }
 
+// Worst returns the populated bin whose observed keeping rate falls
+// furthest below its mean promise, and that shortfall (PromisedMean -
+// Observed). Ties go to the first such bin. When every populated bin
+// over-delivers the shortfall is 0 and the bin is the zero value: an
+// honest diagram. It is the single-number honesty check.
+func (st ConformanceStats) Worst() (ConformanceBin, float64) {
+	var worst ConformanceBin
+	var short float64
+	for _, b := range st.Bins {
+		if b.Settled == 0 {
+			continue
+		}
+		if s := b.PromisedMean - b.Observed; s > short {
+			worst, short = b, s
+		}
+	}
+	return worst, short
+}
+
 // Ledger tracks promises from admission to settlement. It is not safe for
 // concurrent use; qosd drives it from the state-machine goroutine.
 type Ledger struct {
@@ -89,7 +109,7 @@ type Ledger struct {
 	binPromised  []float64
 }
 
-// DefaultBins matches the offline calibration diagram's usual resolution.
+// DefaultBins is the reliability diagram's usual resolution.
 const DefaultBins = 10
 
 // NewLedger returns an empty ledger with the given number of
@@ -139,6 +159,25 @@ func (l *Ledger) Settle(eng *sim.Engine) {
 		}
 		return st.State == sim.JobCompleted, st.State.Terminal()
 	})
+}
+
+// LedgerOf files and settles every row of a finished run, in workload-log
+// order: a promise is kept when its job met its deadline, and settles at
+// the job's finish. Filing in log order sums each bin's promises in the
+// order the run recorded them. A row whose job ID repeats an earlier one
+// is ignored, as Admit ignores it. A nil result gives an empty ledger.
+func LedgerOf(res *sim.Result, bins int) *Ledger {
+	l := NewLedger(bins)
+	if res == nil {
+		return l
+	}
+	for _, j := range res.Jobs {
+		// Every earlier row is already settled, so the open list holds at
+		// most this row, and nothing when Admit ignored a repeated ID.
+		l.Admit(j.ID, "", j.Promised, j.Deadline, j.Arrival)
+		l.settleBy(j.Finish, func(int) (kept, terminal bool) { return j.MetDeadline, true })
+	}
+	return l
 }
 
 // settleBy scans the open promises in admit order and asks judge for each

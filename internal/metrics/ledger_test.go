@@ -56,7 +56,7 @@ func TestLedgerLifecycle(t *testing.T) {
 	}
 }
 
-func TestLedgerBinsMatchCalibrationBucketing(t *testing.T) {
+func TestLedgerBucketing(t *testing.T) {
 	l := NewLedger(10)
 	// 0.95 -> bin 9, 0.90 -> bin 9, 1.0 -> closed final bin 9, 0.05 -> bin 0.
 	l.Admit(1, "", 0.95, 100, 0)

@@ -161,19 +161,12 @@ func evalAssertion(a Assertion, rep *Report) AssertionResult {
 		res.OK = float64(rep.Jobs.Completed) >= a.Min
 		res.Detail = fmt.Sprintf("completed %d (min %.0f)", rep.Jobs.Completed, a.Min)
 	case AssertHonestPromises:
-		res.OK = true
+		bin, short := rep.Conformance.Worst()
+		res.OK = short <= a.Slack
 		res.Detail = "every populated bin honest"
-		worst := 0.0
-		for _, bin := range rep.Conformance.Bins {
-			if bin.Settled == 0 {
-				continue
-			}
-			if short := bin.PromisedMean - bin.Observed; short > a.Slack && short > worst {
-				worst = short
-				res.OK = false
-				res.Detail = fmt.Sprintf("bin [%.1f,%.1f) observed %.6f below promised %.6f by %.6f (slack %.6f)",
-					bin.Lo, bin.Hi, bin.Observed, bin.PromisedMean, short, a.Slack)
-			}
+		if !res.OK {
+			res.Detail = fmt.Sprintf("bin [%.1f,%.1f) observed %.6f below promised %.6f by %.6f (slack %.6f)",
+				bin.Lo, bin.Hi, bin.Observed, bin.PromisedMean, short, a.Slack)
 		}
 	default:
 		// Validate rejects unknown types; reaching here means the report

@@ -8,8 +8,9 @@ import (
 // BinIndex maps a probability p onto one of bins uniform buckets:
 // [i/bins, (i+1)/bins), with the final bin closed so p = 1.0 lands in it
 // and out-of-range inputs clamp to the edge bins. It is the single
-// bucketing rule behind every reliability diagram in the repository
-// (metrics.Calibration offline, the trace package's promise ledger live).
+// bucketing rule behind every reliability diagram in the repository: the
+// promise ledger's (internal/metrics), live in qosd and offline through
+// metrics.LedgerOf.
 func BinIndex(p float64, bins int) int {
 	i := int(p * float64(bins))
 	if i >= bins {

@@ -271,18 +271,6 @@ func Run(cfg SimConfig) (*Result, error) { return sim.Run(cfg) }
 // Metrics computes the paper's evaluation metrics from a run.
 func Metrics(res *Result) Report { return metrics.Compute(res) }
 
-// CalibrationBin is one row of a promise reliability diagram.
-type CalibrationBin = metrics.CalibrationBin
-
-// Calibration computes a reliability diagram over the run's promised
-// success probabilities: the quantitative honesty check behind the paper's
-// "a system that makes unqualified performance guarantees is lying".
-func Calibration(res *Result, bins int) []CalibrationBin { return metrics.Calibration(res, bins) }
-
-// Overconfidence returns the largest shortfall of observed success below
-// the mean promise across populated calibration bins.
-func Overconfidence(bins []CalibrationBin) float64 { return metrics.Overconfidence(bins) }
-
 // ClassReport summarizes one job-size class of a run.
 type ClassReport = metrics.ClassReport
 
@@ -376,9 +364,17 @@ type (
 	// PromiseEntry is one promise row of the ledger.
 	PromiseEntry = metrics.Promise
 	// ConformanceStats are the ledger's streaming honesty statistics:
-	// keeping rate, Brier score, and reliability bins.
+	// keeping rate, Brier score, and reliability bins; Worst is the
+	// single-number honesty check.
 	ConformanceStats = metrics.ConformanceStats
+	// ConformanceBin is one reliability-diagram bin of settled promises.
+	ConformanceBin = metrics.ConformanceBin
 )
+
+// PromiseLedgerOf settles a finished run's promises through the same
+// ledger qosd keeps live: the reliability diagram behind the paper's "a
+// system that makes unqualified performance guarantees is lying".
+func PromiseLedgerOf(res *Result, bins int) *PromiseLedger { return metrics.LedgerOf(res, bins) }
 
 // NewTracer returns a tracer holding up to capacity completed spans
 // (<= 0 means the 8192-span default).

@@ -267,7 +267,7 @@ func TestPublicRoundTripsAndHelpers(t *testing.T) {
 		t.Errorf("Table 2 params = %+v", params)
 	}
 
-	// Calibration over a tiny run.
+	// The reliability diagram of a tiny run.
 	jobs := &probqos.JobLog{Name: "x", Jobs: []probqos.Job{{ID: 1, Arrival: 0, Nodes: 2, Exec: 50}}}
 	empty, err := probqos.NewFailureTrace(128, nil)
 	if err != nil {
@@ -277,9 +277,9 @@ func TestPublicRoundTripsAndHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bins := probqos.Calibration(res, 4)
-	if probqos.Overconfidence(bins) != 0 {
-		t.Errorf("failure-free run cannot be overconfident: %+v", bins)
+	st := probqos.PromiseLedgerOf(res, 4).Stats()
+	if _, short := st.Worst(); short != 0 || st.Settled != 1 {
+		t.Errorf("failure-free run cannot be overconfident: %+v", st)
 	}
 }
 
