@@ -274,8 +274,8 @@ func run(out io.Writer, args []string) error {
 			if b.Settled == 0 {
 				continue
 			}
-			fmt.Fprintf(out, "  [%.1f,%.1f)  %6d jobs  promised %.3f  observed %.3f  work share %.1f%%\n",
-				b.Lo, b.Hi, b.Settled, b.PromisedMean, b.Observed, 100*b.WorkShare)
+			fmt.Fprintf(out, "  %s  %6d jobs  promised %.3f  observed %.3f  work share %.1f%%\n",
+				b.Label(), b.Settled, b.PromisedMean, b.Observed, 100*b.WorkShare)
 		}
 		fmt.Fprintf(out, "  worst overconfidence: %.4f\n", rel.Overconfidence)
 	}

@@ -21,12 +21,12 @@ var testOnlyExports = map[string]string{
 	"checkpoint.EquationOneThreshold": "Eq. 1 derivation: the RiskBased tests compare the shipped rule against it",
 	"checkpoint.BreakEvenIntervals":   "Eq. 1 derivation: the RiskBased tests compare the shipped rule against it",
 	"durability.NewFaultFS":           "fault-injection seam the crash-recovery and degraded-mode tests build on",
-	"sched.WithMaxCandidates":         "test seam that forces the candidate-budget fallback",
 	"eventlog.Read":                   "reads back the journal qossim -journal writes; the journal tests check it with it",
 
 	// Methods.
 	"sched.Scheduler.BusyUntil":             "test oracle: the profile and scheduler tests read a node's last busy instant with it",
 	"sched.Scheduler.ValidateProfile":       "test oracle: the property tests check the availability profile's invariants with it",
+	"sched.Scheduler.ValidateEnds":          "test oracle: the engine test checks the profile's end index after every step with it",
 	"failure.Trace.GapCV":                   "test oracle: the stochastic-model tests check inter-failure burstiness with it",
 	"cluster.Cluster.IsUp":                  "test oracle: the cluster and event-ordering tests read node state with it",
 	"cluster.Cluster.RecoverTime":           "test oracle: the cluster tests read a node's recovery instant with it",

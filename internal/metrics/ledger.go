@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+
 	"probqos/internal/sim"
 	"probqos/internal/stats"
 	"probqos/internal/units"
@@ -48,7 +50,8 @@ type Promise struct {
 
 // ConformanceBin is one reliability-diagram bucket of settled promises.
 type ConformanceBin struct {
-	// Lo and Hi bound the promised-probability bin [Lo, Hi).
+	// Lo and Hi bound the promised-probability bin [Lo, Hi), or [Lo, Hi]
+	// for the top bin (Hi = 1), which stats.BinIndex closes.
 	Lo float64 `json:"lo"`
 	Hi float64 `json:"hi"`
 	// Settled is the number of settled promises in the bin.
@@ -58,6 +61,16 @@ type ConformanceBin struct {
 	// Observed is the fraction of those promises that were kept. Honesty
 	// is Observed >= PromisedMean in every populated bin.
 	Observed float64 `json:"observed"`
+}
+
+// Label renders the bin's interval, "[0.5,0.6)" or, for the top bin,
+// "[0.9,1.0]".
+func (b ConformanceBin) Label() string {
+	closing := ')'
+	if b.Hi >= 1 {
+		closing = ']'
+	}
+	return fmt.Sprintf("[%.1f,%.1f%c", b.Lo, b.Hi, closing)
 }
 
 // ConformanceStats is the ledger's streaming summary.

@@ -220,8 +220,8 @@ func TestSystemPromisesAreMostlyHonestEndToEnd(t *testing.T) {
 	bins := LedgerOf(res, 5).Stats().Bins
 	for _, b := range bins {
 		if b.Settled > 0 {
-			t.Logf("promise [%.1f,%.1f): %d jobs, promised %.3f, observed %.3f",
-				b.Lo, b.Hi, b.Settled, b.PromisedMean, b.Observed)
+			t.Logf("promise %s: %d jobs, promised %.3f, observed %.3f",
+				b.Label(), b.Settled, b.PromisedMean, b.Observed)
 		}
 	}
 	// The deterministic predictor makes doomed-window promises possible

@@ -21,7 +21,7 @@ func newScheduler(t *testing.T, a float64, events ...failure.Event) *sched.Sched
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sched.New(8, p)
+	return sched.New(8, p, true, 0)
 }
 
 func TestNewUserValidation(t *testing.T) {
@@ -197,7 +197,7 @@ func TestAcceptedPromiseAlwaysMeetsUProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s := sched.New(8, p)
+		s := sched.New(8, p, true, 0)
 		n := New(s)
 		sz := int(size)%8 + 1
 		dur := units.Duration(durRaw)/4 + 1
@@ -226,7 +226,7 @@ func TestFailureSlackOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.New(1, p, sched.WithQuoteSlack(120))
+	s := sched.New(1, p, true, 120)
 	n := New(s)
 	q, _, err := n.Negotiate(1000, 1, 500, User{U: 0.9})
 	if err != nil {
@@ -259,7 +259,7 @@ func TestWalkWithoutLocatorFallsBackToDeferral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(sched.New(8, nonLocating{p}))
+	n := New(sched.New(8, nonLocating{p}, true, 0))
 	q, offers, err := n.Negotiate(0, 8, 500, User{U: 0.9})
 	if err != nil {
 		t.Fatal(err)

@@ -165,8 +165,8 @@ func evalAssertion(a Assertion, rep *Report) AssertionResult {
 		res.OK = short <= a.Slack
 		res.Detail = "every populated bin honest"
 		if !res.OK {
-			res.Detail = fmt.Sprintf("bin [%.1f,%.1f) observed %.6f below promised %.6f by %.6f (slack %.6f)",
-				bin.Lo, bin.Hi, bin.Observed, bin.PromisedMean, short, a.Slack)
+			res.Detail = fmt.Sprintf("bin %s observed %.6f below promised %.6f by %.6f (slack %.6f)",
+				bin.Label(), bin.Observed, bin.PromisedMean, short, a.Slack)
 		}
 	default:
 		// Validate rejects unknown types; reaching here means the report

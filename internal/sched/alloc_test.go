@@ -13,7 +13,7 @@ func TestEarliestCandidateAllocationBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a failure trace")
 	}
-	s := benchScheduler(t, 300)
+	s, _ := benchScheduler(t, 300)
 
 	cases := []struct {
 		size int
@@ -41,28 +41,28 @@ func TestEarliestCandidateAllocationBounds(t *testing.T) {
 	}
 }
 
-// TestReservationChurnAllocatesNothing pins the by-value reservation map:
-// the reservation keeps the candidate's own node slice, so committing,
-// slipping and dropping a prebuilt candidate allocates nothing once the
-// profile and map have grown to their steady-state capacity.
+// TestReservationChurnAllocatesNothing pins caller-held reservations:
+// Reserve returns a value that keeps the candidate's own node slice, so
+// committing, slipping and dropping a prebuilt candidate allocates nothing
+// once the profile has grown to its steady-state capacity.
 func TestReservationChurnAllocatesNothing(t *testing.T) {
-	s := New(16, nil)
+	s := New(16, nil, true, 0)
 	c := Candidate{Start: 100, Nodes: []int{0, 3, 5, 9}}
 	churn := func() {
-		if err := s.Reserve(1, c, 600); err != nil {
+		r, err := s.Reserve(1, c, 600)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if r, ok := s.Reservation(1); !ok || len(r.Nodes) != 4 {
-			t.Fatalf("reservation = %+v, %v", r, ok)
+		if len(r.Nodes) != 4 {
+			t.Fatalf("reservation = %+v", r)
 		}
-		if err := s.Slip(1, c.Start+60); err != nil {
+		s.Slip(&r, c.Start+60)
+		s.CompleteEarly(r, c.Start+60)
+		r, err = s.Reserve(2, c, 600)
+		if err != nil {
 			t.Fatal(err)
 		}
-		s.CompleteEarly(1, c.Start+60)
-		if err := s.Reserve(2, c, 600); err != nil {
-			t.Fatal(err)
-		}
-		s.Release(2)
+		s.Release(r)
 	}
 	for i := 0; i < 3; i++ {
 		churn()

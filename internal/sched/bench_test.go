@@ -10,8 +10,9 @@ import (
 )
 
 // benchScheduler builds a 128-node scheduler loaded with a deep backlog of
-// reservations, the worst case for candidate searches.
-func benchScheduler(b testing.TB, backlog int) *Scheduler {
+// reservations, the worst case for candidate searches, and returns it with
+// the reservations in job order.
+func benchScheduler(b testing.TB, backlog int) (*Scheduler, []Reservation) {
 	b.Helper()
 	tr, err := failure.GenerateTrace(failure.RawConfig{Seed: 2}, failure.FilterConfig{})
 	if err != nil {
@@ -21,7 +22,8 @@ func benchScheduler(b testing.TB, backlog int) *Scheduler {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := New(128, p, WithQuoteSlack(2*units.Minute))
+	s := New(128, p, true, 2*units.Minute)
+	held := make([]Reservation, 0, backlog)
 	for job := 1; job <= backlog; job++ {
 		size := 1 + (job*7)%32
 		dur := units.Duration(600 + (job*97)%7200)
@@ -29,17 +31,19 @@ func benchScheduler(b testing.TB, backlog int) *Scheduler {
 		if !ok {
 			b.Fatal("no candidate")
 		}
-		if err := s.Reserve(job, c, dur); err != nil {
+		r, err := s.Reserve(job, c, dur)
+		if err != nil {
 			b.Fatal(err)
 		}
+		held = append(held, r)
 	}
-	return s
+	return s, held
 }
 
 // BenchmarkEarliestCandidateBacklogged measures the scheduling decision a
 // new arrival triggers against a 300-reservation profile.
 func BenchmarkEarliestCandidateBacklogged(b *testing.B) {
-	s := benchScheduler(b, 300)
+	s, _ := benchScheduler(b, 300)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,7 +55,7 @@ func BenchmarkEarliestCandidateBacklogged(b *testing.B) {
 
 // BenchmarkReserveRelease measures the reservation bookkeeping cycle.
 func BenchmarkReserveRelease(b *testing.B) {
-	s := benchScheduler(b, 100)
+	s, _ := benchScheduler(b, 100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,10 +63,11 @@ func BenchmarkReserveRelease(b *testing.B) {
 		if !ok {
 			b.Fatal("no candidate")
 		}
-		if err := s.Reserve(1000000+i, c, 1800); err != nil {
+		r, err := s.Reserve(1000000+i, c, 1800)
+		if err != nil {
 			b.Fatal(err)
 		}
-		s.Release(1000000 + i)
+		s.Release(r)
 	}
 }
 
@@ -71,20 +76,19 @@ func BenchmarkReserveRelease(b *testing.B) {
 // The reservation alternates between two starts so the profile stays the
 // same size over any number of iterations.
 func BenchmarkSlip(b *testing.B) {
-	s := benchScheduler(b, 100)
+	s, _ := benchScheduler(b, 100)
 	c, ok := s.EarliestCandidate(0, 8, 1800)
 	if !ok {
 		b.Fatal("no candidate")
 	}
-	if err := s.Reserve(1000000, c, 1800); err != nil {
+	r, err := s.Reserve(1000000, c, 1800)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Slip(1000000, c.Start.Add(units.Duration(i%2)*units.Minute)); err != nil {
-			b.Fatal(err)
-		}
+		s.Slip(&r, c.Start.Add(units.Duration(i%2)*units.Minute))
 	}
 }
 
@@ -93,12 +97,10 @@ func BenchmarkSlip(b *testing.B) {
 // most nodes' interval ends fall out of order and the query must ask them
 // directly at every start it steps through.
 func BenchmarkEarliestCandidateSlipped(b *testing.B) {
-	s := benchScheduler(b, 300)
+	s, held := benchScheduler(b, 300)
 	for job := 3; job <= 300; job += 3 {
-		r, _ := s.Reservation(job)
-		if err := s.Slip(job, r.Start.Add(30*units.Minute)); err != nil {
-			b.Fatal(err)
-		}
+		r := &held[job-1]
+		s.Slip(r, r.Start.Add(30*units.Minute))
 	}
 	for _, size := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {

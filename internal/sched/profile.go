@@ -408,9 +408,12 @@ func (p *profile) lastEnd(from units.Time) units.Time {
 	return from
 }
 
-// validate is a debugging aid: it returns an error if any node's job-owned
-// intervals overlap each other.
+// validate is a debugging aid: it returns an error if the end index is off
+// (see validateEnds) or any node's job-owned intervals overlap each other.
 func (p *profile) validate() error {
+	if err := p.validateEnds(); err != nil {
+		return err
+	}
 	for n, list := range p.nodes {
 		var jobs []interval
 		for _, iv := range list {
@@ -426,6 +429,22 @@ func (p *profile) validate() error {
 					jobs[i-1].owner, jobs[i-1].start, jobs[i-1].end)
 			}
 		}
+	}
+	return nil
+}
+
+// validateEnds returns an error unless ends counts exactly the listed
+// intervals' ends: the same instants, with the same count at each.
+func (p *profile) validateEnds() error {
+	var want endSet
+	for _, list := range p.nodes {
+		for _, iv := range list {
+			want.add(iv.end)
+		}
+	}
+	if !slices.Equal(p.ends.at, want.at) || !slices.Equal(p.ends.count, want.count) {
+		return fmt.Errorf("sched: end index %v×%v, listed intervals end %v×%v",
+			p.ends.at, p.ends.count, want.at, want.count)
 	}
 	return nil
 }

@@ -18,8 +18,8 @@ import (
 func TestRandomOperationSequencesKeepProfileConsistent(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		src := stats.NewSource(seed)
-		s := New(16, nil)
-		var reservations []int
+		s := New(16, nil, true, 0)
+		var reservations []Reservation
 		nextID := 1
 		now := units.Time(0)
 
@@ -33,19 +33,20 @@ func TestRandomOperationSequencesKeepProfileConsistent(t *testing.T) {
 				if !ok {
 					t.Fatalf("seed %d step %d: no candidate", seed, step)
 				}
-				if err := s.Reserve(nextID, c, dur); err != nil {
+				r, err := s.Reserve(nextID, c, dur)
+				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-				reservations = append(reservations, nextID)
+				reservations = append(reservations, r)
 				nextID++
 			case op < 7: // complete one early
 				if len(reservations) == 0 {
 					continue
 				}
 				k := src.Intn(len(reservations))
-				r, _ := s.Reservation(reservations[k])
+				r := reservations[k]
 				at := r.Start.Add(units.Duration(src.Intn(int(r.Duration) + 1)))
-				s.CompleteEarly(r.JobID, at)
+				s.CompleteEarly(r, at)
 				reservations = append(reservations[:k], reservations[k+1:]...)
 			case op < 8: // release one (failure path)
 				if len(reservations) == 0 {
@@ -58,19 +59,20 @@ func TestRandomOperationSequencesKeepProfileConsistent(t *testing.T) {
 				if len(reservations) == 0 {
 					continue
 				}
-				r, _ := s.Reservation(reservations[src.Intn(len(reservations))])
-				if err := s.Slip(r.JobID, r.Start.Add(units.Duration(1+src.Intn(600)))); err != nil {
-					t.Fatalf("seed %d step %d: slip: %v", seed, step, err)
-				}
+				r := &reservations[src.Intn(len(reservations))]
+				s.Slip(r, r.Start.Add(units.Duration(1+src.Intn(600))))
 			default: // a node outage
 				node := src.Intn(16)
 				s.AddDowntime(node, now, now.Add(units.Duration(30+src.Intn(300))))
 			}
 
 			// Slips may legally overlap job intervals (the simulator resolves
-			// them at start time); only validate on slip-free prefixes.
-			// Instead check the offer invariant, which must always hold: a
+			// them at start time), so the overlap check does not hold here.
+			// The end index and the offer invariant must always hold: a
 			// fresh candidate's nodes are free for its whole window.
+			if err := s.ValidateEnds(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 			c, ok := s.EarliestCandidate(now, 1+src.Intn(8), units.Duration(60+src.Intn(1000)))
 			if !ok {
 				t.Fatalf("seed %d step %d: no verification candidate", seed, step)
@@ -103,10 +105,10 @@ func TestEveryCandidateIsReservable(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		src := stats.NewSource(seed)
 		const nodes = 16
-		s := New(nodes, pred,
-			WithMaxCandidates(1+src.Intn(5)), // force the fallback path often
-			WithQuoteSlack(units.Duration(src.Intn(600))),
-		)
+		budget := 1 + src.Intn(5)
+		s := New(nodes, pred, true, units.Duration(src.Intn(600)))
+		s.maxCandidates = budget // force the fallback path often
+		var live []Reservation
 		nextID := 1
 		now := units.Time(0)
 		for step := 0; step < 120; step++ {
@@ -116,22 +118,20 @@ func TestEveryCandidateIsReservable(t *testing.T) {
 				size := 1 + src.Intn(nodes)
 				dur := units.Duration(60 + src.Intn(5000))
 				if c, ok := s.EarliestCandidate(now, size, dur); ok {
-					if err := s.Reserve(nextID, c, dur); err != nil {
+					r, err := s.Reserve(nextID, c, dur)
+					if err != nil {
 						t.Fatalf("seed %d step %d: reserve: %v", seed, step, err)
 					}
+					live = append(live, r)
 					nextID++
 				}
 			case 2: // a node outage, possibly overlapping reservations
 				n := src.Intn(nodes)
 				s.AddDowntime(n, now, now.Add(units.Duration(30+src.Intn(2000))))
 			default: // a start slip, overlapping whatever is there
-				if nextID > 1 {
-					id := 1 + src.Intn(nextID-1)
-					if r, ok := s.Reservation(id); ok {
-						if err := s.Slip(id, r.Start.Add(units.Duration(60+src.Intn(3000)))); err != nil {
-							t.Fatalf("seed %d step %d: slip: %v", seed, step, err)
-						}
-					}
+				if len(live) > 0 {
+					r := &live[src.Intn(len(live))]
+					s.Slip(r, r.Start.Add(units.Duration(60+src.Intn(3000))))
 				}
 			}
 
@@ -148,10 +148,11 @@ func TestEveryCandidateIsReservable(t *testing.T) {
 				if len(c.Nodes) != size {
 					t.Fatalf("seed %d step %d: candidate has %d nodes, want %d", seed, step, len(c.Nodes), size)
 				}
-				if err := s.Reserve(probeID, c, dur); err != nil {
+				r, err := s.Reserve(probeID, c, dur)
+				if err != nil {
 					t.Fatalf("seed %d step %d: yielded candidate at %v not reservable: %v", seed, step, c.Start, err)
 				}
-				s.Release(probeID)
+				s.Release(r)
 				return true // walk the whole budget so the fallback candidate is exercised
 			})
 		}
@@ -163,7 +164,7 @@ func TestEveryCandidateIsReservable(t *testing.T) {
 func TestRandomReservationsNeverOverlap(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
 		src := stats.NewSource(seed)
-		s := New(8, nil)
+		s := New(8, nil, true, 0)
 		now := units.Time(0)
 		for job := 1; job <= 150; job++ {
 			now = now.Add(units.Duration(src.Intn(200)))
@@ -173,7 +174,7 @@ func TestRandomReservationsNeverOverlap(t *testing.T) {
 			if !ok {
 				t.Fatal("no candidate")
 			}
-			if err := s.Reserve(job, c, dur); err != nil {
+			if _, err := s.Reserve(job, c, dur); err != nil {
 				t.Fatalf("seed %d job %d: %v", seed, job, err)
 			}
 			if err := s.ValidateProfile(); err != nil {
@@ -220,15 +221,12 @@ func TestEarliestCandidateMatchesWalk(t *testing.T) {
 		if seed%4 == 0 {
 			grain = 300
 		}
-		s := New(nodes, pred,
-			WithMaxCandidates(budgets[seed%int64(len(budgets))]),
-			WithQuoteSlack(slack),
-			WithFaultAware(seed%5 != 4),
-		)
+		s := New(nodes, pred, seed%5 != 4, slack)
+		s.maxCandidates = budgets[seed%int64(len(budgets))]
 		dur := func(lo, span int) units.Duration {
 			return grain * units.Duration(1+(lo+src.Intn(span))/int(grain))
 		}
-		var live []int
+		var live []Reservation
 		nextID := 1
 		now := units.Time(0)
 		for step := 0; step < 300; step++ {
@@ -241,26 +239,24 @@ func TestEarliestCandidateMatchesWalk(t *testing.T) {
 				if !ok {
 					t.Fatalf("seed %d step %d: no candidate", seed, step)
 				}
-				if err := s.Reserve(nextID, c, d); err != nil {
+				r, err := s.Reserve(nextID, c, d)
+				if err != nil {
 					t.Fatalf("seed %d step %d: reserve: %v", seed, step, err)
 				}
-				live = append(live, nextID)
+				live = append(live, r)
 				nextID++
 			case op < 6 && len(live) > 0: // complete early
 				k := src.Intn(len(live))
-				r, _ := s.Reservation(live[k])
-				s.CompleteEarly(live[k], r.Start.Add(units.Duration(src.Intn(int(r.Duration)+1))))
+				r := live[k]
+				s.CompleteEarly(r, r.Start.Add(units.Duration(src.Intn(int(r.Duration)+1))))
 				live = append(live[:k], live[k+1:]...)
 			case op < 7 && len(live) > 0: // release
 				k := src.Intn(len(live))
 				s.Release(live[k])
 				live = append(live[:k], live[k+1:]...)
 			case op < 9 && len(live) > 0: // slip, overlapping whatever is there
-				id := live[src.Intn(len(live))]
-				r, _ := s.Reservation(id)
-				if err := s.Slip(id, r.Start.Add(dur(1, 3000))); err != nil {
-					t.Fatalf("seed %d step %d: slip: %v", seed, step, err)
-				}
+				r := &live[src.Intn(len(live))]
+				s.Slip(r, r.Start.Add(dur(1, 3000)))
 			case op < 11: // an outage, often nested inside a reservation
 				at := now.Add(units.Duration(src.Intn(3000)))
 				s.AddDowntime(src.Intn(nodes), at, at.Add(dur(30, 1500)))
@@ -268,18 +264,13 @@ func TestEarliestCandidateMatchesWalk(t *testing.T) {
 				s.GC(now)
 			}
 
-			var ends endSet
 			for n, list := range s.profile.nodes {
 				if want := !endsNondecreasing(list); s.profile.odd[n] != want {
 					t.Fatalf("seed %d step %d: odd[%d] = %v, want %v", seed, step, n, s.profile.odd[n], want)
 				}
-				for _, iv := range list {
-					ends.add(iv.end)
-				}
 			}
-			if !slices.Equal(ends.at, s.profile.ends.at) || !slices.Equal(ends.count, s.profile.ends.count) {
-				t.Fatalf("seed %d step %d: ends = %v×%v, want %v×%v", seed, step,
-					s.profile.ends.at, s.profile.ends.count, ends.at, ends.count)
+			if err := s.profile.validateEnds(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 			checkHeads(t, s.profile, seed, step)
 			// Usually one query; sometimes a negotiation-like run of
@@ -377,7 +368,7 @@ func TestSelectNodesZeroRiskShortcut(t *testing.T) {
 			continue
 		}
 		size := 1 + src.Intn(len(free))
-		s := New(nodes, risks)
+		s := New(nodes, risks, true, 0)
 		freeRisks := risks.AppendPFailNodes(nil, free, 0, 1)
 		want := slices.Clone(s.lowestRisk(free, freeRisks, size))
 		got := s.selectNodes(free, 0, size, 1)
@@ -413,8 +404,8 @@ func sameCandidate(a, b Candidate) bool {
 // reservation then fails and the candidate moves to 1000); it flips every
 // assertion below.
 func TestFreeDuringNestedIntervalDefect(t *testing.T) {
-	s := New(1, nil)
-	if err := s.Reserve(1, Candidate{Start: 0, Nodes: []int{0}}, 1000); err != nil {
+	s := New(1, nil, true, 0)
+	if _, err := s.Reserve(1, Candidate{Start: 0, Nodes: []int{0}}, 1000); err != nil {
 		t.Fatal(err)
 	}
 	s.AddDowntime(0, 200, 300)
@@ -422,7 +413,7 @@ func TestFreeDuringNestedIntervalDefect(t *testing.T) {
 	if !ok || c.Start != 400 {
 		t.Fatalf("candidate = %+v, %v; the defect answers start 400", c, ok)
 	}
-	if err := s.Reserve(2, c, 100); err != nil {
+	if _, err := s.Reserve(2, c, 100); err != nil {
 		t.Fatalf("Reserve = %v; the defect accepts the double booking", err)
 	}
 	if err := s.ValidateProfile(); err == nil {

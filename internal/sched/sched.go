@@ -18,8 +18,9 @@ type Candidate struct {
 	PFail float64    `json:"pfail"`
 }
 
-// Reservation records a job's committed placement. The scheduler hands it
-// out by value: a copy is a snapshot, and only Slip moves the start.
+// Reservation records a job's committed placement. Reserve returns it and
+// the caller holds it: Release, CompleteEarly and Slip act on the
+// reservation they are handed, and only Slip moves its start.
 type Reservation struct {
 	JobID    int
 	Start    units.Time
@@ -27,54 +28,39 @@ type Reservation struct {
 	// Nodes is the committed candidate's node slice, shared with that
 	// candidate and with every copy of the reservation: read-only.
 	Nodes []int
-	PFail float64
 }
 
 // End returns the reserved end instant.
 func (r Reservation) End() units.Time { return r.Start.Add(r.Duration) }
 
-// Option configures a Scheduler.
-type Option interface{ apply(*Scheduler) }
-
-type optionFunc func(*Scheduler)
-
-func (f optionFunc) apply(s *Scheduler) { f(s) }
-
-// WithFaultAware toggles prediction-driven node selection. When disabled
-// the scheduler picks the lowest-numbered free nodes (first fit), the
-// non-fault-aware baseline.
-func WithFaultAware(enabled bool) Option {
-	return optionFunc(func(s *Scheduler) { s.faultAware = enabled })
-}
-
-// WithMaxCandidates bounds how many candidate start times a single
+// candidateBudget bounds how many candidate start times a single
 // EarliestCandidate query considers before falling back to the last
-// interval end. Defaults to 512.
-func WithMaxCandidates(n int) Option {
-	return optionFunc(func(s *Scheduler) { s.maxCandidates = n })
-}
-
-// WithQuoteSlack widens the risk window used for quoting and node selection
-// to [start-slack, start+duration). A failure shortly *before* a job's
-// start knocks its nodes down for the restart time and slips the start, so
-// quoting over the widened window makes the promise honest about that
-// hazard. The simulator sets the slack to the node downtime. Defaults to 0.
-func WithQuoteSlack(d units.Duration) Option {
-	return optionFunc(func(s *Scheduler) { s.quoteSlack = d })
-}
+// interval end.
+const candidateBudget = 512
 
 // Scheduler owns the availability profile and performs conservative
 // backfilling: jobs get the earliest reservation that does not disturb any
 // existing reservation, which implicitly backfills small jobs around the
-// head of the queue.
+// head of the queue. It holds no per-job state: the profile keys each busy
+// interval by its owner, and the caller keeps the Reservation.
 type Scheduler struct {
-	n             int
-	profile       *profile
-	predictor     predict.Predictor
-	reservations  map[int]Reservation
-	faultAware    bool
+	n         int
+	profile   *profile
+	predictor predict.Predictor
+	// faultAware toggles prediction-driven node selection; without it the
+	// scheduler picks the lowest-numbered free nodes (first fit), the
+	// non-fault-aware baseline.
+	faultAware bool
+	// quoteSlack widens the risk window used for quoting and node
+	// selection to [start-slack, start+duration). A failure shortly
+	// *before* a job's start knocks its nodes down for the restart time
+	// and slips the start, so quoting over the widened window makes the
+	// promise honest about that hazard. The simulator sets it to the node
+	// downtime.
+	quoteSlack units.Duration
+	// maxCandidates is candidateBudget; the package's tests lower it to
+	// force the fallback.
 	maxCandidates int
-	quoteSlack    units.Duration
 
 	// Scratch buffers reused across EarliestCandidate queries. The
 	// scheduler is single-threaded by design (the simulator and qosd both
@@ -96,33 +82,29 @@ type scoredNode struct {
 }
 
 // New creates a scheduler for a cluster of n nodes using the predictor for
-// fault-aware placement.
-func New(n int, p predict.Predictor, opts ...Option) *Scheduler {
+// placement (see Scheduler for faultAware and quoteSlack).
+func New(n int, p predict.Predictor, faultAware bool, quoteSlack units.Duration) *Scheduler {
 	if n <= 0 {
 		panic(fmt.Sprintf("sched: need a positive node count, got %d", n))
 	}
 	if p == nil {
 		p = predict.Null{}
 	}
-	s := &Scheduler{
+	return &Scheduler{
 		n:             n,
 		profile:       newProfile(n),
 		predictor:     p,
-		reservations:  make(map[int]Reservation),
-		faultAware:    true,
-		maxCandidates: 512,
+		faultAware:    faultAware,
+		quoteSlack:    quoteSlack,
+		maxCandidates: candidateBudget,
 	}
-	for _, o := range opts {
-		o.apply(s)
-	}
-	return s
 }
 
 // Predictor returns the predictor that prices the scheduler's candidates.
 func (s *Scheduler) Predictor() predict.Predictor { return s.predictor }
 
 // QuoteSlack returns how far before a candidate's start its risk window
-// opens (see WithQuoteSlack).
+// opens.
 func (s *Scheduler) QuoteSlack() units.Duration { return s.quoteSlack }
 
 // EarliestCandidate returns the first schedulable option at or after from:
@@ -262,21 +244,20 @@ func heapSiftDown(h []scoredNode, i int) {
 }
 
 // Reserve commits a candidate for a job, inserting its busy intervals into
-// the profile. It fails if the job already holds a reservation, the
-// candidate lists a node twice or one outside the cluster, or its nodes are
-// no longer free. The reservation keeps c.Nodes itself, not a copy: the
-// caller must not write to that slice afterwards.
-func (s *Scheduler) Reserve(jobID int, c Candidate, duration units.Duration) error {
-	if _, ok := s.reservations[jobID]; ok {
-		return fmt.Errorf("sched: job %d already holds a reservation", jobID)
-	}
+// the profile, and returns the reservation the caller holds from then on.
+// It fails if the candidate lists a node twice or one outside the cluster,
+// or its nodes are no longer free. It does not check the job ID: the
+// caller gives each job one live reservation. The reservation keeps
+// c.Nodes itself, not a copy: the caller must not write to that slice
+// afterwards.
+func (s *Scheduler) Reserve(jobID int, c Candidate, duration units.Duration) (Reservation, error) {
 	if err := s.checkNodes(c.Nodes); err != nil {
-		return fmt.Errorf("sched: job %d: %w", jobID, err)
+		return Reservation{}, fmt.Errorf("sched: job %d: %w", jobID, err)
 	}
 	end := c.Start.Add(duration)
 	for _, n := range c.Nodes {
 		if !s.profile.freeDuring(n, c.Start, end) {
-			return fmt.Errorf("sched: node %d is no longer free at %v for job %d", n, c.Start, jobID)
+			return Reservation{}, fmt.Errorf("sched: node %d is no longer free at %v for job %d", n, c.Start, jobID)
 		}
 	}
 	// Every node's interval shares the reservation's end: count it once.
@@ -287,8 +268,7 @@ func (s *Scheduler) Reserve(jobID int, c Candidate, duration units.Duration) err
 		}
 	}
 	s.profile.ends.addN(end, placed)
-	s.reservations[jobID] = Reservation{JobID: jobID, Start: c.Start, Duration: duration, Nodes: c.Nodes, PFail: c.PFail}
-	return nil
+	return Reservation{JobID: jobID, Start: c.Start, Duration: duration, Nodes: c.Nodes}, nil
 }
 
 // checkNodes rejects a node set that repeats a node or names one outside
@@ -337,65 +317,41 @@ func (s *Scheduler) checkUnsortedNodes(nodes []int) error {
 	return err
 }
 
-// Reservation returns a copy of the job's current reservation, if any. Its
-// Nodes slice is shared with the scheduler and read-only.
-func (s *Scheduler) Reservation(jobID int) (Reservation, bool) {
-	r, ok := s.reservations[jobID]
-	return r, ok
-}
-
-// Release drops the job's reservation entirely (job failed or was
-// cancelled); its profile intervals are removed so later jobs can use the
-// space. If at falls inside the reservation, the interval up to at is kept
-// implicitly free because the past does not matter for scheduling.
-func (s *Scheduler) Release(jobID int) {
-	r, ok := s.reservations[jobID]
-	if !ok {
-		return
-	}
+// Release drops the reservation entirely (job failed or was cancelled);
+// its profile intervals are removed so later jobs can use the space.
+// Releasing a reservation that holds no intervals any more is a no-op.
+func (s *Scheduler) Release(r Reservation) {
 	removed := 0
 	for _, n := range r.Nodes {
-		removed += s.profile.removeOwner(n, jobID)
+		removed += s.profile.removeOwner(n, r.JobID)
 	}
 	s.profile.ends.removeN(r.End(), removed)
-	delete(s.reservations, jobID)
 }
 
-// CompleteEarly truncates the job's reservation at the actual completion
-// instant (jobs that skip checkpoints finish before their reserved end) and
-// forgets the reservation.
-func (s *Scheduler) CompleteEarly(jobID int, at units.Time) {
-	r, ok := s.reservations[jobID]
-	if !ok {
-		return
-	}
+// CompleteEarly truncates the reservation at the actual completion instant
+// (jobs that skip checkpoints finish before their reserved end). The
+// profile then holds nothing of it past at.
+func (s *Scheduler) CompleteEarly(r Reservation, at units.Time) {
 	// The counts cover only the intervals still listed: a node whose
 	// interval gc already dropped (its end uncounted with it) adds nothing.
 	removed, cut := 0, 0
 	for _, n := range r.Nodes {
-		rm, c := s.profile.truncateOwner(n, jobID, at)
+		rm, c := s.profile.truncateOwner(n, r.JobID, at)
 		removed += rm
 		cut += c
 	}
 	s.profile.ends.removeN(r.End(), removed+cut)
 	s.profile.ends.addN(at, cut)
-	delete(s.reservations, jobID)
 }
 
-// Slip moves the job's reservation to a later start (its nodes were down at
-// start time). Following the paper there is no re-optimization: the node
-// set is kept, the interval just shifts.
-func (s *Scheduler) Slip(jobID int, newStart units.Time) error {
-	r, ok := s.reservations[jobID]
-	if !ok {
-		return fmt.Errorf("sched: job %d holds no reservation to slip", jobID)
-	}
+// Slip moves the reservation to a later start (its nodes were down at
+// start time) and writes the new start into *r. Following the paper there
+// is no re-optimization: the node set is kept, the interval just shifts.
+func (s *Scheduler) Slip(r *Reservation, newStart units.Time) {
 	for _, n := range r.Nodes {
-		s.profile.shiftOwner(n, jobID, newStart)
+		s.profile.shiftOwner(n, r.JobID, newStart)
 	}
 	r.Start = newStart
-	s.reservations[jobID] = r
-	return nil
 }
 
 // AddDowntime records a node outage in the profile so no new reservation is
@@ -414,6 +370,12 @@ func (s *Scheduler) BusyUntil(node int, at units.Time) units.Time {
 // periodically from the simulation loop.
 func (s *Scheduler) GC(now units.Time) { s.profile.gc(now) }
 
-// ValidateProfile checks internal invariants (no overlapping job
-// reservations on any node). Tests and the simulator's debug mode use it.
+// ValidateProfile checks the profile's invariants: its end index counts
+// exactly the listed intervals' ends, and no node holds overlapping job
+// reservations. Tests use it.
 func (s *Scheduler) ValidateProfile() error { return s.profile.validate() }
+
+// ValidateEnds checks only the end index, which holds after every
+// operation; a Slip may legitimately overlap the next reservation, so the
+// overlap check does not. Tests use it after every engine step.
+func (s *Scheduler) ValidateEnds() error { return s.profile.validateEnds() }

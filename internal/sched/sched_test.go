@@ -22,7 +22,7 @@ func newPredictor(t *testing.T, a float64, events ...failure.Event) *predict.Tra
 }
 
 func TestEarliestCandidateOnEmptyCluster(t *testing.T) {
-	s := New(8, nil)
+	s := New(8, nil, true, 0)
 	c, ok := s.EarliestCandidate(100, 4, 50)
 	if !ok {
 		t.Fatal("expected a candidate")
@@ -39,7 +39,7 @@ func TestEarliestCandidateOnEmptyCluster(t *testing.T) {
 }
 
 func TestCandidatesRejectsBadRequests(t *testing.T) {
-	s := New(8, nil)
+	s := New(8, nil, true, 0)
 	for _, tt := range []struct {
 		name string
 		size int
@@ -61,9 +61,9 @@ func TestCandidatesRejectsBadRequests(t *testing.T) {
 }
 
 func TestReserveBlocksOverlap(t *testing.T) {
-	s := New(4, nil)
+	s := New(4, nil, true, 0)
 	c, _ := s.EarliestCandidate(0, 4, 100)
-	if err := s.Reserve(1, c, 100); err != nil {
+	if _, err := s.Reserve(1, c, 100); err != nil {
 		t.Fatal(err)
 	}
 	// The whole machine is taken; the next job must start at 100.
@@ -80,15 +80,12 @@ func TestReserveBlocksOverlap(t *testing.T) {
 }
 
 func TestReserveErrors(t *testing.T) {
-	s := New(4, nil)
+	s := New(4, nil, true, 0)
 	c, _ := s.EarliestCandidate(0, 2, 100)
-	if err := s.Reserve(1, c, 100); err != nil {
+	if _, err := s.Reserve(1, c, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Reserve(1, c, 100); err == nil {
-		t.Error("double reservation for one job must fail")
-	}
-	if err := s.Reserve(2, c, 100); err == nil {
+	if _, err := s.Reserve(2, c, 100); err == nil {
 		t.Error("reserving occupied nodes must fail")
 	}
 }
@@ -116,8 +113,8 @@ func TestReserveRejectsBadNodeSets(t *testing.T) {
 		{name: "unsorted negative", nodes: []int{3, -2}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			s := New(8, nil)
-			err := s.Reserve(1, Candidate{Start: 10, Nodes: tt.nodes}, 100)
+			s := New(8, nil, true, 0)
+			_, err := s.Reserve(1, Candidate{Start: 10, Nodes: tt.nodes}, 100)
 			if tt.ok != (err == nil) {
 				t.Fatalf("Reserve(%v) error = %v, want ok=%v", tt.nodes, err, tt.ok)
 			}
@@ -127,12 +124,14 @@ func TestReserveRejectsBadNodeSets(t *testing.T) {
 			if tt.ok {
 				return
 			}
-			if _, held := s.Reservation(1); held {
-				t.Error("rejected candidate left a reservation")
+			for n, list := range s.profile.nodes {
+				if len(list) > 0 {
+					t.Fatalf("rejected candidate left node %d busy: %+v", n, list)
+				}
 			}
 			// The seen marks were cleared: every node is free again, and
 			// the same scheduler accepts a valid unsorted set.
-			if err := s.Reserve(2, Candidate{Start: 10, Nodes: []int{7, 6, 5, 4, 3, 2, 1, 0}}, 100); err != nil {
+			if _, err := s.Reserve(2, Candidate{Start: 10, Nodes: []int{7, 6, 5, 4, 3, 2, 1, 0}}, 100); err != nil {
 				t.Errorf("whole machine after a rejection: %v", err)
 			}
 		})
@@ -140,10 +139,10 @@ func TestReserveRejectsBadNodeSets(t *testing.T) {
 }
 
 func TestBackfillingAroundReservation(t *testing.T) {
-	s := New(4, nil)
+	s := New(4, nil, true, 0)
 	// Wide job takes the whole machine at [100, 200).
 	wide, _ := s.EarliestCandidate(100, 4, 100)
-	if err := s.Reserve(1, wide, 100); err != nil {
+	if _, err := s.Reserve(1, wide, 100); err != nil {
 		t.Fatal(err)
 	}
 	// A short narrow job fits in the hole before the wide job: backfilled.
@@ -165,7 +164,7 @@ func TestFaultAwareNodeSelection(t *testing.T) {
 		failure.Event{Time: 50, Node: 2, Detectability: 0.3},
 		failure.Event{Time: 50, Node: 5, Detectability: 0.9},
 	)
-	s := New(8, p)
+	s := New(8, p, true, 0)
 	c, ok := s.EarliestCandidate(0, 7, 100)
 	if !ok {
 		t.Fatal("expected candidate")
@@ -193,7 +192,7 @@ func TestFirstFitIgnoresRisk(t *testing.T) {
 	p := newPredictor(t, 1,
 		failure.Event{Time: 50, Node: 0, Detectability: 0.4},
 	)
-	s := New(8, p, WithFaultAware(false))
+	s := New(8, p, false, 0)
 	c, ok := s.EarliestCandidate(0, 2, 100)
 	if !ok {
 		t.Fatal("expected candidate")
@@ -207,14 +206,15 @@ func TestFirstFitIgnoresRisk(t *testing.T) {
 }
 
 func TestCompleteEarlyFreesTail(t *testing.T) {
-	s := New(2, nil)
+	s := New(2, nil, true, 0)
 	c, _ := s.EarliestCandidate(0, 2, 1000)
-	if err := s.Reserve(1, c, 1000); err != nil {
+	r, err := s.Reserve(1, c, 1000)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.CompleteEarly(1, 400)
-	if _, ok := s.Reservation(1); ok {
-		t.Error("reservation should be forgotten")
+	s.CompleteEarly(r, 400)
+	if err := s.ValidateProfile(); err != nil {
+		t.Fatal(err)
 	}
 	c2, ok := s.EarliestCandidate(0, 2, 100)
 	if !ok || c2.Start != 400 {
@@ -223,30 +223,33 @@ func TestCompleteEarlyFreesTail(t *testing.T) {
 }
 
 func TestReleaseFreesEverything(t *testing.T) {
-	s := New(2, nil)
+	s := New(2, nil, true, 0)
 	c, _ := s.EarliestCandidate(100, 2, 1000)
-	if err := s.Reserve(1, c, 1000); err != nil {
+	r, err := s.Reserve(1, c, 1000)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Release(1)
+	s.Release(r)
 	c2, ok := s.EarliestCandidate(0, 2, 100)
 	if !ok || c2.Start != 0 {
 		t.Fatalf("candidate after release = %+v, want start 0", c2)
 	}
 	// Releasing twice is a no-op.
-	s.Release(1)
+	s.Release(r)
+	if err := s.ValidateProfile(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSlipMovesReservation(t *testing.T) {
-	s := New(2, nil)
+	s := New(2, nil, true, 0)
 	c, _ := s.EarliestCandidate(100, 2, 100)
-	if err := s.Reserve(1, c, 100); err != nil {
+	r, err := s.Reserve(1, c, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Slip(1, 150); err != nil {
-		t.Fatal(err)
-	}
-	if r, _ := s.Reservation(1); r.Start != 150 || r.End() != 250 {
+	s.Slip(&r, 150)
+	if r.Start != 150 || r.End() != 250 {
 		t.Errorf("slipped reservation = [%v, %v)", r.Start, r.End())
 	}
 	// The vacated window opens up; the shifted window is busy.
@@ -256,41 +259,13 @@ func TestSlipMovesReservation(t *testing.T) {
 	if got, _ := s.EarliestCandidate(150, 2, 50); got.Start != 250 {
 		t.Errorf("post-slip slot start = %v, want 250", got.Start)
 	}
-	if err := s.Slip(99, 0); err == nil {
-		t.Error("slipping an unknown job must fail")
-	}
-}
-
-// TestReservationIsASnapshot pins the value semantics of Reservation: a
-// returned copy does not move the held reservation when edited, and a Slip
-// shows only on a fresh read.
-func TestReservationIsASnapshot(t *testing.T) {
-	s := New(2, nil)
-	c, _ := s.EarliestCandidate(100, 2, 100)
-	if err := s.Reserve(1, c, 100); err != nil {
+	if err := s.ValidateProfile(); err != nil {
 		t.Fatal(err)
-	}
-	r, _ := s.Reservation(1)
-	r.Start = 500
-	if got, _ := s.Reservation(1); got.Start != 100 {
-		t.Errorf("editing a copy moved the reservation to %v", got.Start)
-	}
-	if got, _ := s.EarliestCandidate(100, 2, 50); got.Start != 200 {
-		t.Errorf("editing a copy changed the profile: next start %v, want 200", got.Start)
-	}
-	if err := s.Slip(1, 150); err != nil {
-		t.Fatal(err)
-	}
-	if r.Start != 500 {
-		t.Errorf("Slip reached into an earlier copy: start %v", r.Start)
-	}
-	if got, _ := s.Reservation(1); got.Start != 150 || got.End() != 250 {
-		t.Errorf("re-read after Slip = [%v, %v), want [150, 250)", got.Start, got.End())
 	}
 }
 
 func TestAddDowntimeBlocksScheduling(t *testing.T) {
-	s := New(2, nil)
+	s := New(2, nil, true, 0)
 	s.AddDowntime(0, 0, 500)
 	c, ok := s.EarliestCandidate(0, 2, 100)
 	if !ok || c.Start != 500 {
@@ -307,7 +282,8 @@ func TestAddDowntimeBlocksScheduling(t *testing.T) {
 }
 
 func TestCandidateBudgetFallback(t *testing.T) {
-	s := New(2, nil, WithMaxCandidates(2))
+	s := New(2, nil, true, 0)
+	s.maxCandidates = 2
 	// Stack many short reservations so the walk exhausts its budget.
 	at := units.Time(0)
 	for job := 1; job <= 10; job++ {
@@ -315,7 +291,7 @@ func TestCandidateBudgetFallback(t *testing.T) {
 		if !ok {
 			t.Fatal("expected candidate")
 		}
-		if err := s.Reserve(job, c, 100); err != nil {
+		if _, err := s.Reserve(job, c, 100); err != nil {
 			t.Fatal(err)
 		}
 		at = c.Start
@@ -332,9 +308,9 @@ func TestCandidateBudgetFallback(t *testing.T) {
 }
 
 func TestGCKeepsFutureReservations(t *testing.T) {
-	s := New(2, nil)
+	s := New(2, nil, true, 0)
 	c, _ := s.EarliestCandidate(1000, 2, 100)
-	if err := s.Reserve(1, c, 100); err != nil {
+	if _, err := s.Reserve(1, c, 100); err != nil {
 		t.Fatal(err)
 	}
 	s.GC(500)
@@ -349,5 +325,5 @@ func TestNewPanicsOnBadClusterSize(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	New(0, nil)
+	New(0, nil, true, 0)
 }

@@ -72,11 +72,13 @@ func (s *Engine) Admit(job workload.Job, q negotiate.Quote, offers int) error {
 		return fmt.Errorf("%w: start %v, now %v", ErrStaleQuote, q.Candidate.Start, s.now)
 	}
 	duration := s.PlannedDuration(job.PlanExec())
-	if err := s.scheduler.Reserve(job.ID, q.Candidate, duration); err != nil {
+	res, err := s.scheduler.Reserve(job.ID, q.Candidate, duration)
+	if err != nil {
 		return err
 	}
 	a := new(admittedJob)
 	a.state.fill(job, &a.rec)
+	a.state.res = res
 	s.file(&a.state) // cannot refuse: the ID was checked above
 	s.commit(len(s.slots)-1, q, offers)
 	return nil

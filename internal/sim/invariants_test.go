@@ -119,6 +119,38 @@ func TestInvariantsUnderRandomFailureInjection(t *testing.T) {
 	}
 }
 
+// TestEndIndexHoldsEveryStep checks the scheduler profile's end index
+// after every engine step of random runs. The engine holds each job's
+// reservation and hands it back on every slip, finish and failure, so a
+// reservation it let go stale (a slipped start not written back, say)
+// would uncount the wrong end. The overlap check cannot run here: a slip
+// legitimately overlaps the next reservation until its start resolves it.
+func TestEndIndexHoldsEveryStep(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		log, events := randomScenario(seed)
+		tr, err := failure.NewTrace(8, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(log, tr)
+		cfg.Nodes = 8
+		cfg.Accuracy = 0.3
+		cfg.UserRisk = 0.5
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; e.queue.len() > 0; step++ {
+			if err := e.step(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if err := e.scheduler.ValidateEnds(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+		}
+	}
+}
+
 func TestInvariantsAcrossPolicies(t *testing.T) {
 	log, events := randomScenario(99)
 	tr, err := failure.NewTrace(8, events)

@@ -28,14 +28,22 @@ type jobState struct {
 	// attempts: a restart resumes from here.
 	doneWork units.Duration
 
+	// res is the job's one placement: its reserved start and node set. A
+	// slip moves the start; a failure releases it and the requeue
+	// reserves anew.
+	res sched.Reservation
+
 	// Fields below describe the current attempt and are reset on restart.
-	nodes        []int
-	attemptStart units.Time
-	lastMark     units.Time     // when progress accounting last advanced
-	curProgress  units.Duration // execution progress within this attempt
-	skippedSince int            // requests skipped since the last performed checkpoint
-	ckptStarted  units.Time
-	lastCkptAt   units.Time // start instant of the last completed checkpoint (c_j reference)
+	lastMark    units.Time     // when progress accounting last advanced
+	curProgress units.Duration // execution progress within this attempt
+	ckptStarted units.Time
+	// rollbackAt is c_j, the instant the job's work would roll back to if
+	// its partition failed now (§3.5 lost-work accounting): the attempt's
+	// start, then the start of its last completed checkpoint.
+	rollbackAt units.Time
+	// skippedSince counts requests skipped since the last performed
+	// checkpoint; an int32 shares a word with the flags below.
+	skippedSince int32
 	running      bool
 	inCheckpoint bool
 	hasCkpt      bool // a checkpoint completed in this attempt
@@ -53,15 +61,6 @@ func (js *jobState) fill(job workload.Job, rec *JobRecord) {
 // current progress.
 func (js *jobState) remaining() units.Duration {
 	return js.rec.Exec - js.doneWork - js.curProgress
-}
-
-// rollbackRef returns c_j: the instant the job's work would roll back to if
-// its partition failed now (§3.5 lost-work accounting).
-func (js *jobState) rollbackRef() units.Time {
-	if js.hasCkpt {
-		return js.lastCkptAt
-	}
-	return js.attemptStart
 }
 
 // Engine is the live cluster state machine shared by the batch simulator
@@ -170,10 +169,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		// alone is then the best available hazard.
 		s.floor, _ = predict.NewBaseRateFromTrace(cfg.Failures)
 	}
-	s.scheduler = sched.New(cfg.Nodes, pred,
-		sched.WithFaultAware(cfg.FaultAware),
-		sched.WithQuoteSlack(cfg.Downtime),
-	)
+	s.scheduler = sched.New(cfg.Nodes, pred, cfg.FaultAware, cfg.Downtime)
 	s.negotiator = negotiate.New(s.scheduler)
 	s.user = negotiate.User{U: cfg.UserRisk}
 	if !cfg.Negotiate {
@@ -303,11 +299,12 @@ func (s *Engine) onArrival(ev event) error {
 	}
 	s.decide(Decision{Kind: DecisionQuote, JobID: js.rec.ID, N: offers})
 	t0 = s.phaseStart()
-	err = s.scheduler.Reserve(js.rec.ID, quote.Candidate, duration)
+	res, err := s.scheduler.Reserve(js.rec.ID, quote.Candidate, duration)
 	s.phaseEnd(PhaseSchedule, t0)
 	if err != nil {
 		return fmt.Errorf("sim: job %d: %w", js.rec.ID, err)
 	}
+	js.res = res
 	s.commit(ev.slot, quote, offers)
 	return nil
 }
@@ -333,16 +330,12 @@ func (s *Engine) onStart(ev event) error {
 		return nil
 	}
 	js := s.slots[ev.slot]
-	r, ok := s.scheduler.Reservation(js.rec.ID)
-	if !ok {
-		return fmt.Errorf("sim: job %d has a start event but no reservation", js.rec.ID)
-	}
 
 	// A node may be down (recent failure) or still running a slipped
 	// predecessor; in either case the start slips — there is no dynamic
 	// re-optimization of placements (§3.3).
 	retry := s.now
-	for _, n := range r.Nodes {
+	for _, n := range js.res.Nodes {
 		if up := s.cluster.UpAt(n, s.now); up > retry {
 			retry = up
 		}
@@ -353,25 +346,21 @@ func (s *Engine) onStart(ev event) error {
 		}
 	}
 	if retry > s.now {
-		if err := s.scheduler.Slip(js.rec.ID, retry); err != nil {
-			return err
-		}
+		s.scheduler.Slip(&js.res, retry)
 		js.rec.StartSlips++
 		s.decide(Decision{Kind: DecisionStartSlip, JobID: js.rec.ID, SlipTo: retry})
 		s.queue.push(event{time: retry, kind: KindStart, slot: ev.slot, epoch: js.epoch})
 		return nil
 	}
 
-	if err := s.cluster.Occupy(r.Nodes, ev.slot); err != nil {
+	if err := s.cluster.Occupy(js.res.Nodes, ev.slot); err != nil {
 		return err
 	}
-	s.accountOccupancy(len(r.Nodes))
+	s.accountOccupancy(len(js.res.Nodes))
 	s.queueDepth--
 	s.runningJobs++
 	js.running = true
-	// Safe to alias: a reservation's node slice is never written or reused.
-	js.nodes = r.Nodes
-	js.attemptStart = s.now
+	js.rollbackAt = s.now
 	js.lastMark = s.now
 	js.curProgress = 0
 	js.skippedSince = 0
@@ -382,7 +371,7 @@ func (s *Engine) onStart(ev event) error {
 		js.rec.FirstStart = s.now
 	}
 	js.rec.LastStart = s.now
-	s.decide(Decision{Kind: DecisionStart, JobID: js.rec.ID, Width: len(js.nodes)})
+	s.decide(Decision{Kind: DecisionStart, JobID: js.rec.ID, Width: len(js.res.Nodes)})
 	s.scheduleNextWork(ev.slot)
 	return nil
 }
@@ -433,15 +422,15 @@ func (s *Engine) onCheckpointRequest(ev event) error {
 	estPerform := estSkip.Add(p.Overhead)
 	t0 := s.phaseStart()
 	riskTo := s.now.Add(p.Interval + p.Overhead)
-	pf := s.pred.PFail(js.nodes, s.now, riskTo)
+	pf := s.pred.PFail(js.res.Nodes, s.now, riskTo)
 	if s.floor != nil {
-		pf = max(pf, s.floor.PFail(js.nodes, s.now, riskTo))
+		pf = max(pf, s.floor.PFail(js.res.Nodes, s.now, riskTo))
 	}
 	req := checkpoint.Request{
 		Now:                s.now,
 		PFail:              pf,
 		Params:             p,
-		AtRiskIntervals:    js.skippedSince + 1,
+		AtRiskIntervals:    int(js.skippedSince) + 1,
 		Deadline:           js.rec.Deadline,
 		EstFinishIfPerform: estPerform,
 		EstFinishIfSkip:    estSkip,
@@ -476,7 +465,7 @@ func (s *Engine) onCheckpointFinish(ev event) error {
 	js.doneWork += js.curProgress
 	js.curProgress = 0
 	js.hasCkpt = true
-	js.lastCkptAt = js.ckptStarted
+	js.rollbackAt = js.ckptStarted
 	js.skippedSince = 0
 	js.inCheckpoint = false
 	js.lastMark = s.now
@@ -501,13 +490,13 @@ func (s *Engine) onFinish(ev event) error {
 	js.running = false
 	js.rec.Finish = s.now
 	js.rec.MetDeadline = !s.now.After(js.rec.Deadline)
-	if err := s.cluster.Release(js.nodes, ev.slot); err != nil {
+	if err := s.cluster.Release(js.res.Nodes, ev.slot); err != nil {
 		return err
 	}
-	s.accountOccupancy(-len(js.nodes))
+	s.accountOccupancy(-len(js.res.Nodes))
 	s.runningJobs--
-	s.scheduler.CompleteEarly(js.rec.ID, s.now)
-	s.decide(Decision{Kind: DecisionFinish, JobID: js.rec.ID, Width: len(js.nodes), Met: js.rec.MetDeadline})
+	s.scheduler.CompleteEarly(js.res, s.now)
+	s.decide(Decision{Kind: DecisionFinish, JobID: js.rec.ID, Width: len(js.res.Nodes), Met: js.rec.MetDeadline})
 	return nil
 }
 
@@ -521,20 +510,20 @@ func (s *Engine) onFailure(ev event) error {
 	if occ := s.cluster.Occupant(node); occ != cluster.NoJob {
 		js := s.slots[occ]
 		id := js.rec.ID
-		lost := units.WorkFor(js.rec.Nodes, s.now.Sub(js.rollbackRef()))
+		lost := units.WorkFor(js.rec.Nodes, s.now.Sub(js.rollbackAt))
 		frec.JobID = id
 		frec.LostWork = lost
 		js.rec.LostWork += lost
 		js.rec.FailuresSuffered++
 		s.lostWork += lost
 		s.decide(Decision{Kind: DecisionFailureKill, JobID: id, Node: node, Width: js.rec.Nodes, Lost: lost})
-		if err := s.cluster.Release(js.nodes, occ); err != nil {
+		if err := s.cluster.Release(js.res.Nodes, occ); err != nil {
 			return err
 		}
-		s.accountOccupancy(-len(js.nodes))
+		s.accountOccupancy(-len(js.res.Nodes))
 		s.runningJobs--
 		s.queueDepth++
-		s.scheduler.Release(id)
+		s.scheduler.Release(js.res)
 		js.epoch++
 		js.running = false
 		js.inCheckpoint = false
@@ -565,11 +554,12 @@ func (s *Engine) requeue(slot int) error {
 		s.phaseEnd(PhaseSchedule, t0)
 		return fmt.Errorf("sim: job %d cannot be rescheduled after failure", js.rec.ID)
 	}
-	err := s.scheduler.Reserve(js.rec.ID, c, duration)
+	res, err := s.scheduler.Reserve(js.rec.ID, c, duration)
 	s.phaseEnd(PhaseSchedule, t0)
 	if err != nil {
 		return fmt.Errorf("sim: job %d: %w", js.rec.ID, err)
 	}
+	js.res = res
 	s.decide(Decision{Kind: DecisionBackfill, JobID: js.rec.ID})
 	s.queue.push(event{time: c.Start, kind: KindStart, slot: slot, epoch: js.epoch})
 	return nil

@@ -35,20 +35,22 @@ var gates = []gate{
 	{"BenchmarkTraceFirstDetectable", 0, ""},
 	// Trace generation is the setup cost of every simulation.
 	{"BenchmarkGenerateAndFilter", -1, ""},
-	// A reservation is stored by value and keeps its candidate's node
-	// slice, so a quote-reserve-release cycle allocates only that slice.
+	// Reserve returns the reservation as a value the caller holds, and it
+	// keeps its candidate's node slice, so a quote-reserve-release cycle
+	// allocates only that slice.
 	{"BenchmarkReserveRelease", 1, ""},
-	// A slip moves the reservation's intervals through a reused scratch
-	// list.
+	// A slip moves the caller's reservation and its profile intervals,
+	// through a reused scratch list.
 	{"BenchmarkSlip", 0, ""},
 	// The odd-node worst case of EarliestCandidate (see
 	// internal/sched/bench_test.go).
 	{"BenchmarkEarliestCandidateSlipped", -1, ""},
 	// The engine's pushed-event heap holds plain values.
 	{"BenchmarkEventQueue", 0, ""},
-	// A whole 1000-job simulated point allocates the job table, the
-	// records its Result keeps, the profile's per-node slab and the node
-	// sets of the candidates the negotiator quotes: 1105 allocs/op.
+	// A whole 1000-job simulated point allocates the job table, which
+	// holds each job's reservation, the records its Result keeps, the
+	// profile's per-node slab and the node sets of the candidates the
+	// negotiator quotes: 1093 allocs/op.
 	{"BenchmarkRunSDSC", 1200, ""},
 	// BenchmarkRunSDSC with obs.Instrument attached as the Probe: the pair
 	// records the observability overhead.
