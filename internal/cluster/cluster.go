@@ -5,6 +5,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"probqos/internal/units"
 )
@@ -24,17 +25,23 @@ type Cluster struct {
 
 // New creates a cluster of n homogeneous, initially idle, up nodes.
 func New(n int) *Cluster {
+	c := new(Cluster)
+	c.Reset(n)
+	return c
+}
+
+// Reset makes c a cluster of n idle, up nodes, as New(n) would, reusing
+// its arrays where they are large enough.
+func (c *Cluster) Reset(n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("cluster: need a positive node count, got %d", n))
 	}
-	c := &Cluster{
-		downUntil: make([]units.Time, n),
-		occupant:  make([]int, n),
-	}
+	c.downUntil = slices.Grow(c.downUntil[:0], n)[:n]
+	c.occupant = slices.Grow(c.occupant[:0], n)[:n]
+	clear(c.downUntil)
 	for i := range c.occupant {
 		c.occupant[i] = NoJob
 	}
-	return c
 }
 
 // Fail marks the node down from at until at+downtime. If the node is

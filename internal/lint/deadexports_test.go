@@ -22,6 +22,8 @@ var testOnlyExports = map[string]string{
 	"checkpoint.BreakEvenIntervals":   "Eq. 1 derivation: the RiskBased tests compare the shipped rule against it",
 	"durability.NewFaultFS":           "fault-injection seam the crash-recovery and degraded-mode tests build on",
 	"eventlog.Read":                   "reads back the journal qossim -journal writes; the journal tests check it with it",
+	"sched.New":                       "allocate-then-Reset: the scheduler, negotiator and property tests build schedulers with it; the engine embeds one and calls Reset",
+	"cluster.New":                     "allocate-then-Reset: the cluster tests build clusters with it; the engine embeds one and calls Reset",
 
 	// Methods.
 	"sched.Scheduler.BusyUntil":             "test oracle: the profile and scheduler tests read a node's last busy instant with it",

@@ -8,6 +8,7 @@ package negotiate
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"probqos/internal/predict"
 	"probqos/internal/sched"
@@ -127,7 +128,8 @@ func (n *Negotiator) walk(now units.Time, size int, duration units.Duration, yie
 // Negotiate finds the earliest quote the user accepts for a job of the
 // given size and reserved duration, starting no earlier than now. It
 // returns the accepted quote and the number of quotes offered (1 means the
-// first offer was accepted).
+// first offer was accepted). The quote's nodes are the scheduler's
+// candidate scratch, valid until its next query (see sched.Candidate).
 //
 // Termination: the trace predictor never reports pf > a, so when U <= 1-a
 // the very first quote is accepted; otherwise the walk steps past predicted
@@ -162,11 +164,13 @@ func (n *Negotiator) Negotiate(now units.Time, size int, duration units.Duration
 // Quotes returns up to max successive quotes for a request without
 // reserving anything: the raw material of the user dialog, served through
 // sim.Engine.Quotes to qosd, the scenario runner, and the public System.
+// Each quote owns its node set: callers keep quotes across later queries.
 func (n *Negotiator) Quotes(now units.Time, size int, duration units.Duration, max int) []Quote {
 	var out []Quote
 	// The dialog is informational; ignore walk errors and return what we
 	// have.
 	_ = n.walk(now, size, duration, func(q Quote) bool {
+		q.Candidate.Nodes = slices.Clone(q.Candidate.Nodes)
 		out = append(out, q)
 		return len(out) < max
 	})

@@ -2,6 +2,7 @@ package negotiate
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -269,5 +270,43 @@ func TestWalkWithoutLocatorFallsBackToDeferral(t *testing.T) {
 	}
 	if q.Candidate.Start < units.Time(units.Day) {
 		t.Errorf("deferral start = %v, want at least one day jump", q.Candidate.Start)
+	}
+}
+
+// TestQuotesOwnTheirNodes pins the ownership rule of the dialog: candidate
+// nodes live in scheduler scratch until the next query, so Quotes copies
+// each quote's set. Later queries must leave every returned set as it was,
+// and no two quotes may share one.
+func TestQuotesOwnTheirNodes(t *testing.T) {
+	// Every node fails once, each at its own time, so successive quotes
+	// step past one failure after another and the size-1 queries below
+	// pick nodes other than the quotes' first ones.
+	var events []failure.Event
+	for node := 0; node < 8; node++ {
+		events = append(events, failure.Event{Time: units.Time(300 + 700*node), Node: node, Detectability: 0.7})
+	}
+	s := newScheduler(t, 1, events...)
+	quotes := New(s).Quotes(0, 7, 1500, 3)
+	if len(quotes) != 3 {
+		t.Fatalf("got %d quotes, want 3", len(quotes))
+	}
+	want := make([][]int, len(quotes))
+	for i, q := range quotes {
+		want[i] = append([]int(nil), q.Candidate.Nodes...)
+	}
+	for from := units.Time(0); from < 6000; from += 500 {
+		if _, ok := s.EarliestCandidate(from, 1+int(from/500)%3, 600); !ok {
+			t.Fatalf("no candidate at %v", from)
+		}
+	}
+	for i, q := range quotes {
+		if !slices.Equal(q.Candidate.Nodes, want[i]) {
+			t.Errorf("quote %d nodes = %v after later queries, want %v", i, q.Candidate.Nodes, want[i])
+		}
+		for j := range i {
+			if &q.Candidate.Nodes[0] == &quotes[j].Candidate.Nodes[0] {
+				t.Errorf("quotes %d and %d share a node slice", j, i)
+			}
+		}
 	}
 }

@@ -31,7 +31,7 @@ func benchScheduler(b testing.TB, backlog int) (*Scheduler, []Reservation) {
 		if !ok {
 			b.Fatal("no candidate")
 		}
-		r, err := s.Reserve(job, c, dur)
+		r, err := s.Reserve(job, owned(c), dur)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -62,27 +62,39 @@ type profile struct {
 	moved []interval
 }
 
-// nodeIntervals is each node's first interval capacity. newProfile carves
-// every node's list out of one allocation of that many per node; a list
-// that outgrows its share moves to its own array, as append grows it.
+// nodeIntervals is each node's first interval capacity. reset carves every
+// node's list out of one allocation of that many per node; a list that
+// outgrows its share moves to its own array, as append grows it.
 const nodeIntervals = 32
 
-func newProfile(n int) *profile {
-	p := &profile{
-		nodes:     make([][]interval, n),
-		odd:       make([]bool, n),
-		headPos:   make([]int32, n),
-		headStart: make([]units.Time, n),
-		headEnd:   make([]units.Time, n),
+// reset empties the profile for n nodes, keeping every node's list array
+// (its slab share or the array it grew into). The per-node arrays are
+// rebuilt only when n exceeds every size the profile has held, and then
+// for as many nodes as their capacity, so each list below it is carved.
+func (p *profile) reset(n int) {
+	if cap(p.nodes) < n {
+		p.nodes = make([][]interval, n)
+		p.odd = make([]bool, n)
+		p.headPos = make([]int32, n)
+		p.headStart = make([]units.Time, n)
+		p.headEnd = make([]units.Time, n)
+		slab := make([]interval, n*nodeIntervals)
+		for i := range n {
+			// The three-index slice caps each share, so an append past it
+			// reallocates instead of writing into the next node's.
+			p.nodes[i] = slab[i*nodeIntervals : i*nodeIntervals : (i+1)*nodeIntervals]
+		}
 	}
-	slab := make([]interval, n*nodeIntervals)
+	p.nodes, p.odd, p.headPos = p.nodes[:n], p.odd[:n], p.headPos[:n]
+	p.headStart, p.headEnd = p.headStart[:n], p.headEnd[:n]
 	for i := range n {
-		// The three-index slice caps each share, so an append past it
-		// reallocates instead of writing into the next node's.
-		p.nodes[i] = slab[i*nodeIntervals : i*nodeIntervals : (i+1)*nodeIntervals]
+		p.nodes[i] = p.nodes[i][:0]
+		p.odd[i] = false
+		p.headPos[i] = 0
 		p.headStart[i], p.headEnd[i] = units.Forever, units.Forever
 	}
-	return p
+	p.ends.at, p.ends.count = p.ends.at[:0], p.ends.count[:0]
+	p.mark = 0
 }
 
 // endSet is a multiset of instants: its distinct values ascending, each

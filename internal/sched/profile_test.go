@@ -8,6 +8,13 @@ import (
 	"probqos/internal/units"
 )
 
+// newProfile returns an empty profile of n nodes.
+func newProfile(n int) *profile {
+	p := new(profile)
+	p.reset(n)
+	return p
+}
+
 func TestProfileInsertAndFreeDuring(t *testing.T) {
 	p := newProfile(2)
 	p.insert(0, interval{start: 100, end: 200, owner: 1})

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -33,7 +34,7 @@ func TestRandomOperationSequencesKeepProfileConsistent(t *testing.T) {
 				if !ok {
 					t.Fatalf("seed %d step %d: no candidate", seed, step)
 				}
-				r, err := s.Reserve(nextID, c, dur)
+				r, err := s.Reserve(nextID, owned(c), dur)
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
@@ -118,7 +119,7 @@ func TestEveryCandidateIsReservable(t *testing.T) {
 				size := 1 + src.Intn(nodes)
 				dur := units.Duration(60 + src.Intn(5000))
 				if c, ok := s.EarliestCandidate(now, size, dur); ok {
-					r, err := s.Reserve(nextID, c, dur)
+					r, err := s.Reserve(nextID, owned(c), dur)
 					if err != nil {
 						t.Fatalf("seed %d step %d: reserve: %v", seed, step, err)
 					}
@@ -139,6 +140,7 @@ func TestEveryCandidateIsReservable(t *testing.T) {
 			dur := units.Duration(60 + src.Intn(4000))
 			probeID := 1_000_000 + step
 			earliest, ok := s.EarliestCandidate(now, size, dur)
+			earliest = owned(earliest) // the walk reuses the candidate scratch
 			first := true
 			s.Candidates(now, size, dur, func(c Candidate) bool {
 				if first && (!ok || !sameCandidate(earliest, c)) {
@@ -239,7 +241,7 @@ func TestEarliestCandidateMatchesWalk(t *testing.T) {
 				if !ok {
 					t.Fatalf("seed %d step %d: no candidate", seed, step)
 				}
-				r, err := s.Reserve(nextID, c, d)
+				r, err := s.Reserve(nextID, owned(c), d)
 				if err != nil {
 					t.Fatalf("seed %d step %d: reserve: %v", seed, step, err)
 				}
@@ -290,6 +292,7 @@ func TestEarliestCandidateMatchesWalk(t *testing.T) {
 				size := 1 + src.Intn(nodes)
 				d := dur(30, 4000)
 				got, ok := s.EarliestCandidate(from, size, d)
+				got = owned(got) // the walk reuses the candidate scratch
 				var want Candidate
 				s.Candidates(from, size, d, func(c Candidate) bool {
 					want = c
@@ -396,6 +399,14 @@ func sameCandidate(a, b Candidate) bool {
 		math.Float64bits(a.PFail) == math.Float64bits(b.PFail)
 }
 
+// owned returns c with its own copy of the nodes, for a test that keeps
+// the candidate, or the reservation made from it, past the scheduler's
+// next query.
+func owned(c Candidate) Candidate {
+	c.Nodes = slices.Clone(c.Nodes)
+	return c
+}
+
 // TestFreeDuringNestedIntervalDefect pins a known defect, not a wanted
 // behaviour: freeDuring binary-searches interval ends as if they were
 // sorted, so an outage nested inside a longer reservation hides the
@@ -419,4 +430,109 @@ func TestFreeDuringNestedIntervalDefect(t *testing.T) {
 	if err := s.ValidateProfile(); err == nil {
 		t.Fatal("ValidateProfile found no overlap; the defect leaves jobs 1 and 2 overlapping")
 	}
+}
+
+// TestResetMatchesNew checks that Reset leaves nothing of a scheduler's
+// earlier use: after random operations at one cluster size, a Reset to
+// another must give the profile New gives, and the same operations must
+// then offer the same candidates and leave the same profile as on a fresh
+// scheduler. Stale odd flags, heads or ends would not change the offers
+// (the query stays exact), so the profiles are compared field by field.
+func TestResetMatchesNew(t *testing.T) {
+	tr, err := failure.GenerateTrace(failure.RawConfig{Nodes: 24, Span: 2 * units.Day, Episodes: 300, Seed: 4}, failure.FilterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := predict.NewTrace(tr, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := New(24, pred, true, 120)
+	churn(t, used, 100, 200)
+	for seed, n := range []int{8, 24, 16, 4, 24} {
+		faultAware := seed%2 == 0
+		used.Reset(n, pred, faultAware, 120)
+		fresh := New(n, pred, faultAware, 120)
+		if err := sameProfile(used.profile, fresh.profile); err != nil {
+			t.Fatalf("reset to %d nodes: %v", n, err)
+		}
+		got, want := churn(t, used, int64(seed), 200), churn(t, fresh, int64(seed), 200)
+		for i := range want {
+			if !sameCandidate(got[i], want[i]) {
+				t.Fatalf("reset to %d nodes, offer %d = %+v, fresh scheduler offers %+v", n, i, got[i], want[i])
+			}
+		}
+		if err := sameProfile(used.profile, fresh.profile); err != nil {
+			t.Fatalf("%d nodes after the same operations: %v", n, err)
+		}
+	}
+}
+
+// churn drives s through steps random reservations, completions,
+// releases, slips, outages and collections, and returns every candidate
+// it was offered.
+func churn(t *testing.T, s *Scheduler, seed int64, steps int) []Candidate {
+	t.Helper()
+	src := stats.NewSource(seed)
+	var live []Reservation
+	var offers []Candidate
+	now := units.Time(0)
+	for step := 0; step < steps; step++ {
+		now = now.Add(units.Duration(src.Intn(300)))
+		switch op := src.Intn(10); {
+		case op < 5:
+			d := units.Duration(60 + src.Intn(5000))
+			c, ok := s.EarliestCandidate(now.Add(units.Duration(src.Intn(2000))), 1+src.Intn(s.n), d)
+			if !ok {
+				t.Fatalf("seed %d step %d: no candidate", seed, step)
+			}
+			c = owned(c)
+			offers = append(offers, c)
+			r, err := s.Reserve(step+1, c, d)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			live = append(live, r)
+		case op < 6 && len(live) > 0:
+			k := src.Intn(len(live))
+			s.CompleteEarly(live[k], live[k].Start.Add(units.Duration(src.Intn(int(live[k].Duration)+1))))
+			live = slices.Delete(live, k, k+1)
+		case op < 7 && len(live) > 0:
+			k := src.Intn(len(live))
+			s.Release(live[k])
+			live = slices.Delete(live, k, k+1)
+		case op < 8 && len(live) > 0:
+			r := &live[src.Intn(len(live))]
+			s.Slip(r, r.Start.Add(units.Duration(1+src.Intn(3000))))
+		case op < 9:
+			at := now.Add(units.Duration(src.Intn(3000)))
+			s.AddDowntime(src.Intn(s.n), at, at.Add(units.Duration(30+src.Intn(1500))))
+		default:
+			s.GC(now)
+		}
+	}
+	return offers
+}
+
+// sameProfile compares two profiles' contents, ignoring capacities.
+func sameProfile(a, b *profile) error {
+	if len(a.nodes) != len(b.nodes) {
+		return fmt.Errorf("%d nodes, want %d", len(a.nodes), len(b.nodes))
+	}
+	for n := range a.nodes {
+		if !slices.Equal(a.nodes[n], b.nodes[n]) {
+			return fmt.Errorf("node %d intervals %v, want %v", n, a.nodes[n], b.nodes[n])
+		}
+	}
+	switch {
+	case !slices.Equal(a.odd, b.odd):
+		return fmt.Errorf("odd flags %v, want %v", a.odd, b.odd)
+	case a.mark != b.mark:
+		return fmt.Errorf("mark %v, want %v", a.mark, b.mark)
+	case !slices.Equal(a.headPos, b.headPos) || !slices.Equal(a.headStart, b.headStart) || !slices.Equal(a.headEnd, b.headEnd):
+		return fmt.Errorf("heads %v %v %v, want %v %v %v", a.headPos, a.headStart, a.headEnd, b.headPos, b.headStart, b.headEnd)
+	case !slices.Equal(a.ends.at, b.ends.at) || !slices.Equal(a.ends.count, b.ends.count):
+		return fmt.Errorf("ends %v×%v, want %v×%v", a.ends.at, a.ends.count, b.ends.at, b.ends.count)
+	}
+	return nil
 }

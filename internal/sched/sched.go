@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"probqos/internal/predict"
 	"probqos/internal/units"
@@ -12,6 +12,11 @@ import (
 // node set, and the predicted probability that this partition fails during
 // the reservation window. The negotiation layer walks successive candidates
 // quoting (deadline, probability) pairs to the user.
+//
+// The Nodes of a candidate from EarliestCandidate live in scheduler
+// scratch and are valid only until the scheduler's next query: whoever
+// keeps them (a quote handed to a client, a committed reservation) copies
+// them first.
 type Candidate struct {
 	Start units.Time `json:"start"`
 	Nodes []int      `json:"nodes"`
@@ -26,7 +31,9 @@ type Reservation struct {
 	Start    units.Time
 	Duration units.Duration
 	// Nodes is the committed candidate's node slice, shared with that
-	// candidate and with every copy of the reservation: read-only.
+	// candidate and with every copy of the reservation: read-only. Reserve
+	// does not copy it, so a candidate straight from EarliestCandidate
+	// must have its nodes copied before it is reserved and kept.
 	Nodes []int
 }
 
@@ -67,11 +74,12 @@ type Scheduler struct {
 	// serialize access), so per-call allocation here is pure overhead: a
 	// quote runs once per arrival and scores every free node.
 	freeScratch   []int
+	picked        []int // the last candidate's nodes (Candidate.Nodes)
 	scoredScratch []scoredNode
 	riskScratch   []float64
 	gaps          gapCursors
 	// seen marks nodes while Reserve checks an unsorted node set for
-	// repeats; all false between calls, allocated on first need.
+	// repeats; all false between calls, grown on first need.
 	seen []bool
 }
 
@@ -84,20 +92,30 @@ type scoredNode struct {
 // New creates a scheduler for a cluster of n nodes using the predictor for
 // placement (see Scheduler for faultAware and quoteSlack).
 func New(n int, p predict.Predictor, faultAware bool, quoteSlack units.Duration) *Scheduler {
+	s := new(Scheduler)
+	s.Reset(n, p, faultAware, quoteSlack)
+	return s
+}
+
+// Reset empties the scheduler and sets it up as New(n, p, faultAware,
+// quoteSlack) would, keeping the memory its profile and scratch buffers
+// have grown: a batch simulator reuses one scheduler across runs.
+func (s *Scheduler) Reset(n int, p predict.Predictor, faultAware bool, quoteSlack units.Duration) {
 	if n <= 0 {
 		panic(fmt.Sprintf("sched: need a positive node count, got %d", n))
 	}
 	if p == nil {
 		p = predict.Null{}
 	}
-	return &Scheduler{
-		n:             n,
-		profile:       newProfile(n),
-		predictor:     p,
-		faultAware:    faultAware,
-		quoteSlack:    quoteSlack,
-		maxCandidates: candidateBudget,
+	if s.profile == nil {
+		s.profile = new(profile)
 	}
+	s.profile.reset(n)
+	s.n = n
+	s.predictor = p
+	s.faultAware = faultAware
+	s.quoteSlack = quoteSlack
+	s.maxCandidates = candidateBudget
 }
 
 // Predictor returns the predictor that prices the scheduler's candidates.
@@ -115,7 +133,8 @@ func (s *Scheduler) QuoteSlack() units.Duration { return s.quoteSlack }
 // interval end, after which the whole machine is free. The second return is
 // false only for invalid requests.
 //
-// The query reuses scheduler-owned scratch buffers and is not reentrant.
+// The query reuses scheduler-owned scratch buffers and is not reentrant;
+// the candidate's Nodes are valid until the next query (see Candidate).
 func (s *Scheduler) EarliestCandidate(from units.Time, size int, duration units.Duration) (Candidate, bool) {
 	if size <= 0 || size > s.n || duration <= 0 {
 		return Candidate{}, false
@@ -136,15 +155,16 @@ func (s *Scheduler) EarliestCandidate(from units.Time, size int, duration units.
 }
 
 // selectNodes chooses size of the free nodes (ascending IDs, at least size
-// of them) for [start, start+duration). With fault-awareness on, nodes with
-// no predicted failure in the window come first, then nodes whose first
-// detectable failure has the smallest reported probability; ties break on
-// node ID for determinism.
+// of them) for [start, start+duration), into the picked scratch. With
+// fault-awareness on, nodes with no predicted failure in the window come
+// first, then nodes whose first detectable failure has the smallest
+// reported probability; ties break on node ID for determinism.
 func (s *Scheduler) selectNodes(free []int, start units.Time, size int, duration units.Duration) []int {
 	end := start.Add(duration)
 	riskFrom := start.Add(-s.quoteSlack)
 	if !s.faultAware {
-		return append([]int(nil), free[:size]...)
+		s.picked = append(s.picked[:0], free[:size]...)
+		return s.picked
 	}
 	// Batched scoring: one predictor call prices every free node over the
 	// window (one pass over the trace index) instead of one call per node.
@@ -161,7 +181,7 @@ func (s *Scheduler) selectNodes(free []int, start units.Time, size int, duration
 		}
 	}
 	if zero >= size {
-		nodes := make([]int, 0, size)
+		nodes := s.picked[:0]
 		for i, n := range free {
 			if risks[i] <= 0 {
 				if nodes = append(nodes, n); len(nodes) == size {
@@ -169,6 +189,7 @@ func (s *Scheduler) selectNodes(free []int, start units.Time, size int, duration
 				}
 			}
 		}
+		s.picked = nodes
 		return nodes
 	}
 	return s.lowestRisk(free, risks, size)
@@ -193,11 +214,12 @@ func (s *Scheduler) lowestRisk(free []int, risks []float64, size int) []int {
 		}
 	}
 	s.scoredScratch = heap
-	nodes := make([]int, size)
-	for i, sc := range heap {
-		nodes[i] = sc.node
+	nodes := s.picked[:0]
+	for _, sc := range heap {
+		nodes = append(nodes, sc.node)
 	}
-	sort.Ints(nodes)
+	slices.Sort(nodes)
+	s.picked = nodes
 	return nodes
 }
 
@@ -249,7 +271,7 @@ func heapSiftDown(h []scoredNode, i int) {
 // or its nodes are no longer free. It does not check the job ID: the
 // caller gives each job one live reservation. The reservation keeps
 // c.Nodes itself, not a copy: the caller must not write to that slice
-// afterwards.
+// afterwards, and copies a candidate's scratch nodes before reserving it.
 func (s *Scheduler) Reserve(jobID int, c Candidate, duration units.Duration) (Reservation, error) {
 	if err := s.checkNodes(c.Nodes); err != nil {
 		return Reservation{}, fmt.Errorf("sched: job %d: %w", jobID, err)
@@ -294,7 +316,7 @@ func (s *Scheduler) checkNodes(nodes []int) error {
 }
 
 func (s *Scheduler) checkUnsortedNodes(nodes []int) error {
-	if s.seen == nil {
+	if len(s.seen) < s.n {
 		s.seen = make([]bool, s.n)
 	}
 	var err error

@@ -225,7 +225,7 @@ func TestCompleteEarlyFreesTail(t *testing.T) {
 func TestReleaseFreesEverything(t *testing.T) {
 	s := New(2, nil, true, 0)
 	c, _ := s.EarliestCandidate(100, 2, 1000)
-	r, err := s.Reserve(1, c, 1000)
+	r, err := s.Reserve(1, owned(c), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func (s *Engine) PlannedDuration(exec units.Duration) units.Duration {
 // Quotes previews up to max successive offers for a job of the given size
 // and execution time submitted now, without reserving anything: the system
 // side of the §3.5 dialog, quote k+1 trading a later deadline for a higher
-// promised success probability.
+// promised success probability. Each quote owns its node set.
 func (s *Engine) Quotes(size int, exec units.Duration, max int) []negotiate.Quote {
 	return s.negotiator.Quotes(s.now, size, s.PlannedDuration(exec), max)
 }
@@ -77,9 +77,9 @@ func (s *Engine) Admit(job workload.Job, q negotiate.Quote, offers int) error {
 		return err
 	}
 	a := new(admittedJob)
-	a.state.fill(job, &a.rec)
-	a.state.res = res
-	s.file(&a.state) // cannot refuse: the ID was checked above
+	a.state.fill(job, &a.rec, s.carve(job.Nodes))
+	a.state.hold(res) // a copy: the caller keeps its quote
+	s.file(&a.state)  // cannot refuse: the ID was checked above
 	s.commit(len(s.slots)-1, q, offers)
 	return nil
 }

@@ -457,3 +457,38 @@ func TestAdmitCommitsReservation(t *testing.T) {
 		})
 	}
 }
+
+// TestAdmitKeepsNoCallerNodes checks that the engine writes no node set it
+// did not allocate: a failed admitted job is requeued onto other nodes in
+// its own region of the node slab, and the quote the caller admitted, like
+// every quote Quotes returned, keeps the nodes it had.
+func TestAdmitKeepsNoCallerNodes(t *testing.T) {
+	eng := edgeTestEngine(t)
+	q := liveQuote(t, eng, 4)
+	held := eng.Quotes(2, 1*units.Hour, 1)
+	want, wantHeld := slices.Clone(q.Candidate.Nodes), slices.Clone(held[0].Candidate.Nodes)
+	job := workload.Job{ID: 1, Arrival: eng.Now(), Nodes: 4, Exec: 1 * units.Hour}
+	if err := eng.Admit(job, q, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Fail the job's first node: while it restarts, the requeue takes the
+	// earliest four free nodes, which leave it out.
+	at := eng.Now().Add(10 * units.Minute)
+	if err := eng.InjectFailure(q.Candidate.Nodes[0], at); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AdvanceTo(at.Add(1 * units.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := eng.Job(1); st.FailuresSuffered != 1 || st.Attempts != 2 {
+		t.Fatalf("job after the failure = %+v, want one failure and a restart", st)
+	}
+	if !slices.Equal(q.Candidate.Nodes, want) || !slices.Equal(held[0].Candidate.Nodes, wantHeld) {
+		t.Fatalf("caller's quotes now name nodes %v and %v, want %v and %v",
+			q.Candidate.Nodes, held[0].Candidate.Nodes, want, wantHeld)
+	}
+	js := eng.slots[0]
+	if slices.Equal(js.res.Nodes, want) {
+		t.Fatalf("requeued job kept nodes %v; the test needs a move", js.res.Nodes)
+	}
+}

@@ -95,14 +95,18 @@ type eventQueue struct {
 // pending count of a Figure-1 run, so a batch run grows it rarely.
 const initialHeapCap = 256
 
-// newEventQueue builds the queue over a workload log sorted by arrival
-// (which may be empty) and a failure trace. An arrival's slot is its log
-// index.
-func newEventQueue(jobs []workload.Job, failures *failure.Trace) eventQueue {
-	return eventQueue{
+// reset empties the queue and sets it over a workload log sorted by
+// arrival (which may be empty) and a failure trace, keeping the heap's
+// array. An arrival's slot is its log index.
+func (q *eventQueue) reset(jobs []workload.Job, failures *failure.Trace) {
+	heap := q.heap[:0]
+	if heap == nil {
+		heap = make([]event, 0, initialHeapCap)
+	}
+	*q = eventQueue{
 		jobs:     jobs,
 		failures: failures,
-		heap:     make([]event, 0, initialHeapCap),
+		heap:     heap,
 		seq:      int64(len(jobs) + failures.Len()),
 	}
 }

@@ -11,6 +11,13 @@ import (
 	"probqos/internal/workload"
 )
 
+// newEventQueue returns a queue over the log and trace.
+func newEventQueue(jobs []workload.Job, failures *failure.Trace) eventQueue {
+	var q eventQueue
+	q.reset(jobs, failures)
+	return q
+}
+
 // emptyQueue is a queue with no arrivals and no trace failures: only pushed
 // events.
 func emptyQueue(t *testing.T) eventQueue {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"probqos/internal/checkpoint"
 	"probqos/internal/cluster"
@@ -50,11 +51,23 @@ type jobState struct {
 	completed    bool
 }
 
-// fill points js at rec and records job's identity there.
-func (js *jobState) fill(job workload.Job, rec *JobRecord) {
+// fill starts js afresh for job: it points js at rec, records job's
+// identity there, and gives the job's reservations nodes, the job's region
+// of the engine's node slab, to hold their node set.
+func (js *jobState) fill(job workload.Job, rec *JobRecord, nodes []int) {
 	rec.ID, rec.Nodes, rec.Exec, rec.Arrival = job.ID, job.Nodes, job.Exec, job.Arrival
-	js.rec = rec
-	js.plan = job.PlanExec()
+	*js = jobState{rec: rec, plan: job.PlanExec(), res: sched.Reservation{Nodes: nodes}}
+}
+
+// hold makes res, just committed, the job's reservation. Its node set is
+// copied into the job's region of the node slab: Reserve keeps the
+// candidate's nodes, which may be scheduler scratch, valid only until the
+// next query (see sched.Candidate). A failed job's reservation is released
+// before it reserves again, so one region serves every attempt.
+func (js *jobState) hold(res sched.Reservation) {
+	copy(js.res.Nodes, res.Nodes)
+	res.Nodes = js.res.Nodes
+	js.res = res
 }
 
 // remaining returns the execution time still owed after the attempt's
@@ -71,10 +84,14 @@ func (js *jobState) remaining() units.Duration {
 // InjectFailure. An Engine is not safe for concurrent use: callers must
 // serialize access (the service routes every request through a single
 // state-machine goroutine).
+//
+// The cluster, the scheduler, the event heap, the workload's job states,
+// the slot table and the node slab are the engine's working set: Run
+// recycles them across runs through a pool (see reset and recycle).
 type Engine struct {
 	cfg       Config
-	cluster   *cluster.Cluster
-	scheduler *sched.Scheduler
+	cluster   cluster.Cluster
+	scheduler sched.Scheduler
 	// pred prices reservations and checkpoint decisions; floor, when
 	// non-nil, is the MTBF hazard that checkpoint decisions never price
 	// below (Config.BaseRateFloor).
@@ -95,6 +112,12 @@ type Engine struct {
 	// search; byID maps ID to slot once they stop doing so.
 	slots []*jobState
 	byID  map[int]int
+	// states holds the workload's jobs, slot by slot; admitted jobs
+	// allocate their own.
+	states []jobState
+	// nodes is the node slab: every job owns a region of it as wide as
+	// the job, in which each of its reservations keeps its node set.
+	nodes []int
 
 	// Occupancy integration: busy node count and the instant it last
 	// changed.
@@ -113,16 +136,28 @@ type Engine struct {
 	promisedJobs int
 }
 
+// enginePool holds the engines of finished runs, so that a sweep of
+// independent runs reuses one working set per worker instead of
+// allocating it per run.
+var enginePool = sync.Pool{New: func() any { return new(Engine) }}
+
 // Run executes the configured simulation to completion and returns the
 // collected result. The run is deterministic: equal configs yield equal
 // results. It needs a non-empty workload and leaves every other check to
-// NewEngine, so the log is validated once.
+// reset, so the log is validated once. The run's engine comes from a pool
+// and goes back to it; the Result shares no memory with it.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Workload == nil || len(cfg.Workload.Jobs) == 0 {
 		return nil, errors.New("sim: config needs a non-empty workload")
 	}
-	s, err := NewEngine(cfg)
-	if err != nil {
+	s := enginePool.Get().(*Engine)
+	defer s.recycle()
+	return s.run(cfg)
+}
+
+// run resets s to cfg, drains it and collects the result.
+func (s *Engine) run(cfg Config) (*Result, error) {
+	if err := s.reset(cfg); err != nil {
 		return nil, err
 	}
 	// Without injected failures the run processes exactly the trace's.
@@ -137,9 +172,22 @@ func Run(cfg Config) (*Result, error) {
 // workload's arrivals (if any) and the failure trace are pending, and the
 // clock sits at zero. Unlike Run, a nil or empty Workload is accepted —
 // the online service admits jobs one at a time instead of replaying a log.
+// The engine is the caller's for good: nothing returns it to Run's pool.
 func NewEngine(cfg Config) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
+	s := new(Engine)
+	if err := s.reset(cfg); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// reset readies s to run cfg from time zero. Every field starts from its
+// zero value but the working set, whose memory is kept and emptied: a new
+// engine has none yet and allocates it here, a recycled one allocates only
+// where cfg needs more than an earlier run did.
+func (s *Engine) reset(cfg Config) error {
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 	pred := cfg.Predictor
 	if pred == nil {
@@ -150,46 +198,89 @@ func NewEngine(cfg Config) (*Engine, error) {
 			pred, err = predict.NewTrace(cfg.Failures, cfg.Accuracy)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	var jobs []workload.Job
 	if cfg.Workload != nil {
 		jobs = cfg.Workload.Jobs
 	}
-	s := &Engine{
-		cfg:     cfg,
-		cluster: cluster.New(cfg.Nodes),
-		pred:    pred,
-		queue:   newEventQueue(jobs, cfg.Failures),
-		probe:   cfg.Probe,
-	}
+	s.clearRun()
+	s.cfg, s.pred, s.probe = cfg, pred, cfg.Probe
+	s.cluster.Reset(cfg.Nodes)
+	s.queue.reset(jobs, cfg.Failures)
 	if cfg.BaseRateFloor {
 		// An empty or degenerate trace has no estimable MTBF; the forecast
 		// alone is then the best available hazard.
 		s.floor, _ = predict.NewBaseRateFromTrace(cfg.Failures)
 	}
-	s.scheduler = sched.New(cfg.Nodes, pred, cfg.FaultAware, cfg.Downtime)
-	s.negotiator = negotiate.New(s.scheduler)
+	s.scheduler.Reset(cfg.Nodes, pred, cfg.FaultAware, cfg.Downtime)
+	s.negotiator = negotiate.New(&s.scheduler)
 	s.user = negotiate.User{U: cfg.UserRisk}
 	if !cfg.Negotiate {
 		s.user = negotiate.User{U: 0} // every first quote accepted
 	}
 
 	// The workload's jobs fill the first slots from one slab of states and
-	// one of records. The records are built in place as the run goes, in
-	// log order, and Run returns that slab as Result.Jobs. Jobs admitted
-	// later (online service) allocate state and record together.
-	states := make([]jobState, len(jobs))
+	// one of records, and their node regions from one stretch of the node
+	// slab. The records are built in place as the run goes, in log order,
+	// and Run returns that slab as Result.Jobs. Jobs admitted later (online
+	// service) allocate state and record together.
+	width := 0
+	for _, j := range jobs {
+		width += j.Nodes
+	}
+	s.nodes = slices.Grow(s.nodes, width)
+	s.states = slices.Grow(s.states, len(jobs))[:len(jobs)]
+	s.slots = slices.Grow(s.slots, len(jobs))
 	s.res.Jobs = make([]JobRecord, len(jobs))
-	s.slots = make([]*jobState, 0, len(jobs))
 	for i, j := range jobs {
-		states[i].fill(j, &s.res.Jobs[i])
-		if !s.file(&states[i]) {
-			return nil, fmt.Errorf("sim: duplicate job ID %d in workload", j.ID)
+		s.states[i].fill(j, &s.res.Jobs[i], s.carve(j.Nodes))
+		if !s.file(&s.states[i]) {
+			return fmt.Errorf("sim: duplicate job ID %d in workload", j.ID)
 		}
 	}
-	return s, nil
+	return nil
+}
+
+// clearRun zeroes every field of s but the working set, which it empties
+// (the lengths go to zero, the arrays stay).
+func (s *Engine) clearRun() {
+	*s = Engine{
+		cluster:   s.cluster,
+		scheduler: s.scheduler,
+		queue:     eventQueue{heap: s.queue.heap[:0]},
+		slots:     s.slots[:0],
+		states:    s.states[:0],
+		nodes:     s.nodes[:0],
+	}
+}
+
+// recycle returns a finished batch run's engine to the pool. It first
+// drops every pointer into what the run's caller keeps: each job state
+// points at its record in the returned Result.Jobs, so a pooled engine
+// would pin the whole Result. (The scheduler keeps its predictor until the
+// next reset; that references the trace, never the records.)
+func (s *Engine) recycle() {
+	clear(s.states)
+	s.clearRun()
+	enginePool.Put(s)
+}
+
+// nodeChunk is how many nodes the slab takes at a time once admitted jobs
+// outgrow it. A new stretch, not a grown copy, leaves the earlier regions
+// where they are: jobs still hold them.
+const nodeChunk = 1024
+
+// carve takes the next k nodes of the node slab: the region of one job,
+// which all its reservations reuse in turn.
+func (s *Engine) carve(k int) []int {
+	if cap(s.nodes)-len(s.nodes) < k {
+		s.nodes = make([]int, 0, max(k, nodeChunk))
+	}
+	n := len(s.nodes)
+	s.nodes = s.nodes[:n+k]
+	return s.nodes[n : n+k : n+k]
 }
 
 // file gives js the next slot. It reports false, filing nothing, if a job
@@ -304,7 +395,7 @@ func (s *Engine) onArrival(ev event) error {
 	if err != nil {
 		return fmt.Errorf("sim: job %d: %w", js.rec.ID, err)
 	}
-	js.res = res
+	js.hold(res)
 	s.commit(ev.slot, quote, offers)
 	return nil
 }
@@ -559,7 +650,7 @@ func (s *Engine) requeue(slot int) error {
 	if err != nil {
 		return fmt.Errorf("sim: job %d: %w", js.rec.ID, err)
 	}
-	js.res = res
+	js.hold(res)
 	s.decide(Decision{Kind: DecisionBackfill, JobID: js.rec.ID})
 	s.queue.push(event{time: c.Start, kind: KindStart, slot: slot, epoch: js.epoch})
 	return nil
@@ -586,5 +677,6 @@ func (s *Engine) collect() (*Result, error) {
 		s.res.Start = s.res.Start.Min(js.rec.Arrival)
 		s.res.End = s.res.End.Max(js.rec.Finish)
 	}
-	return &s.res, nil
+	res := s.res
+	return &res, nil
 }
