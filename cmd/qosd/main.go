@@ -24,7 +24,7 @@
 //
 // API: POST /v1/quote, POST /v1/accept, GET /v1/jobs, GET /v1/jobs/{id},
 // POST /v1/faults, POST /v1/advance, GET /v1/state, GET /qos/conformance,
-// GET /debug/trace, plus /metrics, /healthz, and /snapshot from the
+// GET /qos/report, GET /debug/trace, plus /metrics, /healthz, and /snapshot from the
 // instrumentation layer. See cmd/qosctl for a command-line client and
 // README.md for a curl walkthrough.
 package main

@@ -38,6 +38,7 @@ import (
 	"strings"
 
 	"probqos"
+	"probqos/internal/metrics"
 	"probqos/internal/stats"
 )
 
@@ -173,45 +174,16 @@ func run(out io.Writer, args []string) error {
 		instrument.Flush()
 	}
 	report := probqos.Metrics(res)
-	if *perJobPath != "" {
-		f, err := os.Create(*perJobPath)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJobsCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := writeFile(*perJobPath, res.WriteJobsCSV); err != nil {
+		return err
 	}
-	if *failRecPath != "" {
-		f, err := os.Create(*failRecPath)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteFailuresCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := writeFile(*failRecPath, res.WriteFailuresCSV); err != nil {
+		return err
 	}
-
-	if *seriesPath != "" {
-		f, err := os.Create(*seriesPath)
-		if err != nil {
-			return err
-		}
-		if err := instrument.WriteSeriesCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	// Without -series the instrument may be nil; writeFile then never
+	// calls the method value.
+	if err := writeFile(*seriesPath, instrument.WriteSeriesCSV); err != nil {
+		return err
 	}
 
 	if *asJSON {
@@ -239,7 +211,6 @@ func run(out io.Writer, args []string) error {
 		}
 		return holdOpen(out, *hold, *serveAddr)
 	}
-	performed, skipped := res.TotalCheckpoints()
 	fmt.Fprintf(out, "workload           %s (%d jobs)\n", log.Name, len(log.Jobs))
 	fmt.Fprintf(out, "failure trace      %d failures\n", trace.Len())
 	fmt.Fprintf(out, "accuracy a         %.2f\n", *accuracy)
@@ -255,7 +226,7 @@ func run(out io.Writer, args []string) error {
 		report.MeanPromise, report.ObservedSuccess)
 	fmt.Fprintf(out, "mean wait          %.1f s\n", report.MeanWaitSeconds)
 	fmt.Fprintf(out, "bounded slowdown   %.2f\n", report.MeanBoundedSlowdown)
-	fmt.Fprintf(out, "checkpoints        %d performed, %d skipped\n", performed, skipped)
+	fmt.Fprintf(out, "checkpoints        %d performed, %d skipped\n", report.CheckpointsDone, report.CheckpointsSkipped)
 	fmt.Fprintf(out, "span               %.1f days\n", report.Span.Hours()/24)
 	if *breakdown {
 		fmt.Fprintln(out, "\nby job size:")
@@ -307,21 +278,30 @@ type reliabilityBin struct {
 func reliability(res *probqos.Result) *reliabilityReport {
 	const bins = 10
 	st := probqos.PromiseLedgerOf(res, bins).Stats()
+	shares := metrics.WorkShares(res, bins, func(j *probqos.JobRecord) int { return stats.BinIndex(j.Promised, bins) })
 	rel := &reliabilityReport{Bins: make([]reliabilityBin, bins)}
 	for i, b := range st.Bins {
-		rel.Bins[i].ConformanceBin = b
+		rel.Bins[i] = reliabilityBin{b, shares[i]}
 	}
 	_, rel.Overconfidence = st.Worst()
-	var total float64
-	for _, j := range res.Jobs {
-		total += j.Exec.Seconds() * float64(j.Nodes)
-	}
-	if total > 0 {
-		for _, j := range res.Jobs {
-			rel.Bins[stats.BinIndex(j.Promised, bins)].WorkShare += j.Exec.Seconds() * float64(j.Nodes) / total
-		}
-	}
 	return rel
+}
+
+// writeFile creates path and writes it with write; an empty path writes
+// nothing.
+func writeFile(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // holdOpen blocks forever when -serve -hold asked the endpoint to outlive

@@ -54,28 +54,22 @@ func ByClasses(res *sim.Result, classes []ClassReport) []ClassReport {
 	if res == nil || len(res.Jobs) == 0 {
 		return out
 	}
-	var totalWork float64
-	for _, j := range res.Jobs {
-		totalWork += j.Exec.Seconds() * float64(j.Nodes)
-	}
+	var all fold
 	type accum struct {
-		work, qosNum, wait float64
-		missed, failed     int
+		fold
+		wait   float64
+		failed int
 	}
 	accums := make([]accum, len(out))
-	for _, j := range res.Jobs {
+	for k := range res.Jobs {
+		j := &res.Jobs[k]
+		all.record(j)
 		for i := range out {
 			if j.Nodes < out[i].MinNodes || j.Nodes > out[i].MaxNodes {
 				continue
 			}
 			a := &accums[i]
-			w := j.Exec.Seconds() * float64(j.Nodes)
-			a.work += w
-			if j.MetDeadline {
-				a.qosNum += w * j.Promised
-			} else {
-				a.missed++
-			}
+			a.record(j)
 			if j.FailuresSuffered > 0 {
 				a.failed++
 			}
@@ -86,16 +80,14 @@ func ByClasses(res *sim.Result, classes []ClassReport) []ClassReport {
 		}
 	}
 	for i := range out {
-		a := accums[i]
+		a := &accums[i]
 		if out[i].Jobs == 0 {
 			continue
 		}
 		n := float64(out[i].Jobs)
-		if a.work > 0 {
-			out[i].QoS = a.qosNum / a.work
-		}
-		if totalWork > 0 {
-			out[i].WorkShare = a.work / totalWork
+		out[i].QoS = a.qos()
+		if all.work > 0 {
+			out[i].WorkShare = a.work / all.work
 		}
 		out[i].MissRate = float64(a.missed) / n
 		out[i].FailureRate = float64(a.failed) / n

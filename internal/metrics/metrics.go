@@ -59,25 +59,16 @@ func Compute(res *sim.Result) Report {
 	}
 
 	var (
-		totalWork  float64 // sum e_j n_j
-		qosNum     float64 // sum e_j n_j q_j p_j
-		missedWork float64
-		missed     int
+		f          fold
 		promiseSum float64
 		waitSum    float64
 		slowSum    float64
 	)
 	const slowdownFloor = 10.0
-	for _, j := range res.Jobs {
-		w := j.Exec.Seconds() * float64(j.Nodes)
-		totalWork += w
+	for i := range res.Jobs {
+		j := &res.Jobs[i]
+		f.record(j)
 		promiseSum += j.Promised
-		if j.MetDeadline {
-			qosNum += w * j.Promised
-		} else {
-			missed++
-			missedWork += w
-		}
 		wait := j.LastStart.Sub(j.Arrival).Seconds()
 		waitSum += wait
 		run := j.Finish.Sub(j.LastStart).Seconds()
@@ -91,20 +82,129 @@ func Compute(res *sim.Result) Report {
 
 	n := float64(len(res.Jobs))
 	r.Span = res.Span()
-	if totalWork > 0 {
-		r.QoS = qosNum / totalWork
-		r.WorkMissRate = missedWork / totalWork
+	r.QoS = f.qos()
+	if f.work > 0 {
+		r.WorkMissRate = f.missedWork / f.work
 	}
-	if r.Span > 0 && res.ClusterNodes > 0 {
-		r.Utilization = totalWork / (r.Span.Seconds() * float64(res.ClusterNodes))
-	}
+	r.Utilization = f.utilization(r.Span, res.ClusterNodes)
 	r.LostWork = res.TotalLostWork()
 	r.JobFailures = res.JobFailures()
 	r.OccupiedFraction = res.OccupiedFraction()
-	r.DeadlineMissRate = float64(missed) / n
+	r.DeadlineMissRate = float64(f.missed) / n
 	r.ObservedSuccess = 1 - r.DeadlineMissRate
 	r.MeanPromise = promiseSum / n
 	r.MeanWaitSeconds = waitSum / n
 	r.MeanBoundedSlowdown = slowSum / n
 	return r
+}
+
+// AsOfReport is Equation 2 and its companions over an engine's admitted
+// jobs as of its clock: the scenario report's metrics, and qosd's
+// /qos/report. A job not yet settled counts in the work denominator and
+// adds to the numerator only once it completes on time.
+type AsOfReport struct {
+	// QoS is the paper's aggregate: sum(e*n*q*p) / sum(e*n) with q = 1 for
+	// jobs that met their deadline.
+	QoS float64 `json:"qos"`
+	// Utilization is useful work over Span * Nodes.
+	Utilization float64 `json:"utilization"`
+	// Span runs from 0 to the latest finish or deadline over every
+	// admitted job, finished or not.
+	Span               units.Duration `json:"span_s"`
+	TotalWorkNodeHours float64        `json:"total_work_node_hours"`
+	LostWorkNodeHours  float64        `json:"lost_work_node_hours"`
+	MeanPromise        float64        `json:"mean_promise"`
+	DeadlineMissRate   float64        `json:"deadline_miss_rate"`
+}
+
+// AsOf reports the paper's metrics over eng's admitted jobs at eng's
+// clock. The job counts, mean promise and lost work are the engine's
+// Stats; the work sums walk the jobs in ascending ID order.
+func AsOf(eng *sim.Engine) AsOfReport {
+	st := eng.Stats()
+	var (
+		f    fold
+		span units.Time
+	)
+	for _, id := range eng.JobIDs() {
+		js, _ := eng.Job(id)
+		f.add(js.Nodes, js.Exec, js.Promised, js.State == sim.JobCompleted)
+		span = span.Max(js.Finish).Max(js.Deadline)
+	}
+	r := AsOfReport{
+		QoS:                f.qos(),
+		Span:               units.Duration(span),
+		TotalWorkNodeHours: f.work / units.Hour.Seconds(),
+		LostWorkNodeHours:  st.LostWork.NodeSeconds() / units.Hour.Seconds(),
+		MeanPromise:        st.MeanPromise,
+	}
+	r.Utilization = f.utilization(r.Span, st.Nodes)
+	if st.Jobs > 0 {
+		r.DeadlineMissRate = float64(st.Missed) / float64(st.Jobs)
+	}
+	return r
+}
+
+// WorkShares splits a run's useful work over n buckets: shares[k] sums,
+// in log order, e*n / sum(e*n) over the jobs bucket maps to k.
+func WorkShares(res *sim.Result, n int, bucket func(*sim.JobRecord) int) []float64 {
+	shares := make([]float64, n)
+	if res == nil {
+		return shares
+	}
+	var all fold
+	for i := range res.Jobs {
+		all.record(&res.Jobs[i])
+	}
+	if all.work > 0 {
+		for i := range res.Jobs {
+			j := &res.Jobs[i]
+			shares[bucket(j)] += work(j.Nodes, j.Exec) / all.work
+		}
+	}
+	return shares
+}
+
+// fold sums Equation 2 over jobs in the order they are added: the useful
+// work sum(e*n), its kept part sum(e*n*p), and the work and count of the
+// jobs not kept. Every report of the paper's metrics sums through it.
+type fold struct {
+	work, kept, missedWork float64
+	missed                 int
+}
+
+// work is a job's useful work e*n, in node-seconds.
+func work(nodes int, exec units.Duration) float64 { return exec.Seconds() * float64(nodes) }
+
+// add folds in one job.
+func (f *fold) add(nodes int, exec units.Duration, promised float64, kept bool) {
+	w := work(nodes, exec)
+	f.work += w
+	if kept {
+		f.kept += w * promised
+	} else {
+		f.missed++
+		f.missedWork += w
+	}
+}
+
+// record folds in one finished job; it is kept when it met its deadline.
+func (f *fold) record(j *sim.JobRecord) {
+	f.add(j.Nodes, j.Exec, j.Promised, j.MetDeadline)
+}
+
+// qos is Equation 2 over the folded jobs, 0 without work.
+func (f *fold) qos() float64 {
+	if f.work > 0 {
+		return f.kept / f.work
+	}
+	return 0
+}
+
+// utilization is the folded work over span*nodes, 0 when either is 0.
+func (f *fold) utilization(span units.Duration, nodes int) float64 {
+	if span > 0 && nodes > 0 {
+		return f.work / (span.Seconds() * float64(nodes))
+	}
+	return 0
 }

@@ -132,3 +132,19 @@ func TestSpanUsesArrivalToFinish(t *testing.T) {
 		t.Errorf("span = %v, want 10", r.Span)
 	}
 }
+
+// TestComputeAllocatesNothing pins that the report of a 1000-job run is
+// summed without allocating: Compute runs once per point of every sweep.
+func TestComputeAllocatesNothing(t *testing.T) {
+	res := &sim.Result{ClusterNodes: 128, Jobs: make([]sim.JobRecord, 1000), Failures: make([]sim.FailureRecord, 100)}
+	for i := range res.Jobs {
+		res.Jobs[i] = sim.JobRecord{
+			ID: i + 1, Nodes: 1 + i%64, Exec: units.Duration(60 + i), Arrival: units.Time(i),
+			LastStart: units.Time(2 * i), Finish: units.Time(3*i + 60), Promised: 0.9, MetDeadline: i%7 != 0,
+		}
+	}
+	res.End = res.Jobs[len(res.Jobs)-1].Finish
+	if allocs := testing.AllocsPerRun(20, func() { Compute(res) }); allocs != 0 {
+		t.Errorf("Compute allocates %v times on a 1000-job result, want 0", allocs)
+	}
+}

@@ -74,7 +74,7 @@ type Instrument struct {
 	points  []Point
 	last    Point
 	hasLast bool
-	notes   map[string]*Counter
+	notes   map[sim.Kind]*Counter
 
 	events *Counter
 	// decisions counts the control-plane decisions by kind, weighted by N.
@@ -105,7 +105,7 @@ func NewInstrument(reg *Registry, cadence units.Duration) *Instrument {
 	ins := &Instrument{
 		cadence: cadence,
 		reg:     reg,
-		notes:   make(map[string]*Counter),
+		notes:   make(map[sim.Kind]*Counter),
 
 		events: reg.Counter("probqos_sim_events_total", "Simulator events dispatched.", nil),
 
@@ -175,20 +175,21 @@ func (ins *Instrument) Sample(st sim.State) {
 }
 
 // Decision implements the Probe decision hook: it counts control-plane
-// decisions by kind and the journal notes they render as.
+// decisions by kind and the journal notes they render as, by note kind
+// alone, without rendering the notes.
 func (ins *Instrument) Decision(d sim.Decision) {
 	if c := ins.decisions[d.Kind]; c != nil {
 		c.Add(float64(d.N))
 	}
-	n, ok := d.Note()
+	kind, ok := d.Kind.NoteKind()
 	if !ok {
 		return
 	}
 	ins.mu.Lock()
-	c, ok := ins.notes[n.Kind]
+	c, ok := ins.notes[kind]
 	if !ok {
-		c = ins.reg.Counter("probqos_sim_notes_total", "Journal notes by kind.", Labels{"kind": n.Kind})
-		ins.notes[n.Kind] = c
+		c = ins.reg.Counter("probqos_sim_notes_total", "Journal notes by kind.", Labels{"kind": kind.String()})
+		ins.notes[kind] = c
 	}
 	ins.mu.Unlock()
 	c.Inc()

@@ -8,6 +8,7 @@ import (
 
 	"probqos/internal/checkpoint"
 	"probqos/internal/failure"
+	"probqos/internal/metrics"
 	"probqos/internal/sim"
 	"probqos/internal/units"
 	"probqos/internal/workload"
@@ -147,7 +148,8 @@ func TestInstrumentAgainstSimulation(t *testing.T) {
 	// Grants are counted at request time, CheckpointsDone at completion: a
 	// failure can kill a job mid-checkpoint, so grants may exceed completions
 	// by at most the number of job-killing failures.
-	performed, skipped := res.TotalCheckpoints()
+	m := metrics.Compute(res)
+	performed, skipped := m.CheckpointsDone, m.CheckpointsSkipped
 	granted := counter("probqos_sim_checkpoints_total", Labels{"decision": "granted"})
 	if int(granted) < performed || int(granted) > performed+res.JobFailures() {
 		t.Errorf("checkpoints granted = %v, want in [%d, %d]", granted, performed, performed+res.JobFailures())

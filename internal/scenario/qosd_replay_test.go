@@ -23,7 +23,8 @@ import (
 // runner has applied so far as the WAL of a fresh data dir, boots qosd on
 // it under the scenario's fleet and background trace, and requires the
 // recovered /v1/state and /qos/conformance?n=0 to equal the runner's
-// engine and ledger. It stops at the first drain, which has no qosd op.
+// engine and ledger, and /qos/report to equal the metrics of the runner's
+// report. It stops at the first drain, which has no qosd op.
 func TestZooReplaysThroughQosdRecovery(t *testing.T) {
 	for _, file := range zooFiles(t) {
 		t.Run(filepath.Base(file), func(t *testing.T) {
@@ -67,6 +68,7 @@ func TestZooReplaysThroughQosdRecovery(t *testing.T) {
 					metrics.ConformanceStats
 					Entries []metrics.Promise `json:"entries,omitempty"`
 				}{ledger.Stats(), ledger.Entries(0)})
+				sameJSON(t, i, svc.Handler(), "/qos/report", r.Report().Metrics)
 				if err := svc.Close(); err != nil {
 					t.Fatal(err)
 				}

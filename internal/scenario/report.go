@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"probqos/internal/metrics"
-	"probqos/internal/sim"
 	"probqos/internal/units"
 )
 
@@ -21,7 +20,7 @@ type Report struct {
 	FinalClock units.Time `json:"final_clock_s"`
 
 	Jobs        JobsReport               `json:"jobs"`
-	Metrics     MetricsReport            `json:"metrics"`
+	Metrics     metrics.AsOfReport       `json:"metrics"`
 	Conformance metrics.ConformanceStats `json:"conformance"`
 
 	Assertions []AssertionResult `json:"assertions"`
@@ -43,22 +42,6 @@ type JobsReport struct {
 	InjectedFailures int `json:"injected_failures"`
 }
 
-// MetricsReport mirrors the offline metrics over the scenario's jobs.
-type MetricsReport struct {
-	// QoS is the paper's aggregate: sum(e*n*q*p) / sum(e*n) with q = 1 for
-	// jobs that met their deadline.
-	QoS float64 `json:"qos"`
-	// Utilization is useful work over Span * Nodes.
-	Utilization float64 `json:"utilization"`
-	// Span runs from 0 to the latest job finish (or deadline for jobs the
-	// engine never finished by then).
-	Span               units.Duration `json:"span_s"`
-	TotalWorkNodeHours float64        `json:"total_work_node_hours"`
-	LostWorkNodeHours  float64        `json:"lost_work_node_hours"`
-	MeanPromise        float64        `json:"mean_promise"`
-	DeadlineMissRate   float64        `json:"deadline_miss_rate"`
-}
-
 // AssertionResult is one evaluated assertion.
 type AssertionResult struct {
 	Type   string `json:"type"`
@@ -71,59 +54,22 @@ type AssertionResult struct {
 // CLI does not, but tests may); assertions then see the partial state.
 func (r *Runner) Report() *Report {
 	eng := r.m.Engine()
+	st := eng.Stats()
 	rep := &Report{
 		Scenario:   r.scn.Name,
 		Seed:       r.scn.Seed,
 		FinalClock: eng.Now(),
 		Jobs: JobsReport{
 			Submitted:        r.submitted,
+			Admitted:         st.Jobs,
 			Rejected:         r.rejected,
+			Completed:        st.Completed,
+			Missed:           st.Missed,
 			InjectedFailures: r.injected,
 		},
+		Metrics:     metrics.AsOf(eng),
 		Conformance: r.m.Ledger().Stats(),
 	}
-
-	var (
-		totalWork float64 // sum e_j * n_j, node-seconds
-		qosNum    float64
-		lostWork  units.Work
-		promised  float64
-		span      units.Time
-	)
-	for _, id := range eng.JobIDs() {
-		js, ok := eng.Job(id)
-		if !ok {
-			continue
-		}
-		rep.Jobs.Admitted++
-		w := js.Exec.Seconds() * float64(js.Nodes)
-		totalWork += w
-		promised += js.Promised
-		lostWork += js.LostWork
-		span = span.Max(js.Finish).Max(js.Deadline)
-		switch js.State {
-		case sim.JobCompleted:
-			rep.Jobs.Completed++
-			qosNum += w * js.Promised
-		case sim.JobMissed:
-			rep.Jobs.Missed++
-		}
-	}
-	m := &rep.Metrics
-	m.Span = units.Duration(span)
-	m.TotalWorkNodeHours = totalWork / units.Hour.Seconds()
-	m.LostWorkNodeHours = lostWork.NodeSeconds() / units.Hour.Seconds()
-	if totalWork > 0 {
-		m.QoS = qosNum / totalWork
-	}
-	if m.Span > 0 && r.scn.Fleet.Nodes > 0 {
-		m.Utilization = totalWork / (m.Span.Seconds() * float64(r.scn.Fleet.Nodes))
-	}
-	if rep.Jobs.Admitted > 0 {
-		m.MeanPromise = promised / float64(rep.Jobs.Admitted)
-		m.DeadlineMissRate = float64(rep.Jobs.Missed) / float64(rep.Jobs.Admitted)
-	}
-
 	rep.OK = true
 	for _, a := range r.scn.Asserts {
 		res := evalAssertion(a, rep)

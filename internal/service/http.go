@@ -357,7 +357,8 @@ type errorResponse struct {
 
 // Handler returns the full qosd API mux, with the obs endpoints
 // (/metrics, /healthz, /snapshot) mounted alongside /v1, the live promise
-// ledger on /qos/conformance, and the span-trace export on /debug/trace.
+// ledger on /qos/conformance, the paper's metrics as of the clock on
+// /qos/report, and the span-trace export on /debug/trace.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", s.obsSrv.Handler())
@@ -369,6 +370,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/advance", s.instrumented("advance", s.handleAdvance))
 	mux.HandleFunc("GET /v1/state", s.instrumented("state", s.handleState))
 	mux.HandleFunc("GET /qos/conformance", s.instrumented("conformance", s.handleConformance))
+	mux.HandleFunc("GET /qos/report", s.instrumented("report", s.handleReport))
 	mux.HandleFunc("GET /debug/trace", s.handleTrace)
 	return mux
 }
@@ -785,6 +787,14 @@ func (s *Service) handleConformance(r *http.Request, sc *trace.Scope) (int, any,
 			ConformanceStats: s.Ledger().Stats(),
 			Entries:          s.Ledger().Entries(tail),
 		}, nil
+	})
+}
+
+// handleReport serves the paper's metrics over the admitted jobs as of the
+// engine's clock: the value a scenario report embeds as "metrics".
+func (s *Service) handleReport(r *http.Request, sc *trace.Scope) (int, any, error) {
+	return s.onLoop(sc, func() (int, any, error) {
+		return http.StatusOK, metrics.AsOf(s.Engine()), nil
 	})
 }
 

@@ -148,38 +148,58 @@ type Note struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Note renders d as a journal line, or reports false for the kinds the
-// journal does not record: quotes, backfills, and deadline skips. A line
-// carries the kind of the event the decision was made on; job events carry
-// node -1, failure and recovery lines the node.
-func (d Decision) Note() (Note, bool) {
-	n := Note{Time: d.Time, JobID: d.JobID, Node: -1}
-	var kind Kind
-	switch d.Kind {
+// NoteKind is the kind of the event a decision of kind k is made on, as
+// its journal line carries it, or false for the kinds the journal does not
+// record: quotes, backfills, and deadline skips.
+func (k DecisionKind) NoteKind() (Kind, bool) {
+	switch k {
 	case DecisionReserve:
-		kind = KindArrival
-		n.Detail = "deadline=" + d.Deadline.String() + " p=" + strconv.FormatFloat(d.Promise, 'f', 3, 64)
-	case DecisionStartSlip:
-		kind, n.Detail = KindStart, "slip to "+d.SlipTo.String()
-	case DecisionStart:
-		kind, n.Width = KindStart, d.Width
-	case DecisionCheckpointGrant:
-		kind, n.Detail = KindCheckpointRequest, "perform d="+strconv.Itoa(d.AtRisk)
-	case DecisionCheckpointSkip:
-		kind, n.Detail = KindCheckpointRequest, "skip d="+strconv.Itoa(d.AtRisk)
+		return KindArrival, true
+	case DecisionStartSlip, DecisionStart:
+		return KindStart, true
+	case DecisionCheckpointGrant, DecisionCheckpointSkip:
+		return KindCheckpointRequest, true
 	case DecisionCheckpointDone:
-		kind = KindCheckpointFinish
+		return KindCheckpointFinish, true
 	case DecisionFinish:
-		kind, n.Width, n.Detail = KindFinish, d.Width, "met="+strconv.FormatBool(d.Met)
+		return KindFinish, true
 	case DecisionFailureKill, DecisionFailureIdle:
-		kind, n.Node, n.Width = KindFailure, d.Node, d.Width
-		n.Detail = "lost=" + strconv.FormatInt(int64(d.Lost), 10)
+		return KindFailure, true
 	case DecisionRecovery:
-		kind, n.Node = KindRecovery, d.Node
+		return KindRecovery, true
 	default:
+		return 0, false
+	}
+}
+
+// Note renders d as a journal line of kind d.Kind.NoteKind(), or reports
+// false for the kinds the journal does not record. Job events carry node
+// -1, failure and recovery lines the node.
+func (d Decision) Note() (Note, bool) {
+	kind, ok := d.Kind.NoteKind()
+	if !ok {
 		return Note{}, false
 	}
-	n.Kind = kind.String()
+	n := Note{Time: d.Time, Kind: kind.String(), JobID: d.JobID, Node: -1}
+	switch d.Kind {
+	case DecisionReserve:
+		n.Detail = "deadline=" + d.Deadline.String() + " p=" + strconv.FormatFloat(d.Promise, 'f', 3, 64)
+	case DecisionStartSlip:
+		n.Detail = "slip to " + d.SlipTo.String()
+	case DecisionStart:
+		n.Width = d.Width
+	case DecisionCheckpointGrant:
+		n.Detail = "perform d=" + strconv.Itoa(d.AtRisk)
+	case DecisionCheckpointSkip:
+		n.Detail = "skip d=" + strconv.Itoa(d.AtRisk)
+	case DecisionFinish:
+		n.Width, n.Detail = d.Width, "met="+strconv.FormatBool(d.Met)
+	case DecisionFailureKill, DecisionFailureIdle:
+		n.Node, n.Width = d.Node, d.Width
+		n.Detail = "lost=" + strconv.FormatInt(int64(d.Lost), 10)
+	case DecisionRecovery:
+		n.Node = d.Node
+	}
 	return n, true
 }
 

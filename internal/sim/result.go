@@ -98,12 +98,3 @@ func (r *Result) OccupiedFraction() float64 {
 	}
 	return r.BusyNodeSeconds.NodeSeconds() / (span.Seconds() * float64(r.ClusterNodes))
 }
-
-// TotalCheckpoints returns performed and skipped checkpoint counts.
-func (r *Result) TotalCheckpoints() (performed, skipped int) {
-	for _, j := range r.Jobs {
-		performed += j.CheckpointsDone
-		skipped += j.CheckpointsSkipped
-	}
-	return performed, skipped
-}

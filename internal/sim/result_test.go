@@ -16,17 +16,13 @@ func TestResultHelpers(t *testing.T) {
 	res := Result{
 		ClusterNodes: 4,
 		Jobs: []JobRecord{
-			{ID: 1, CheckpointsDone: 3, CheckpointsSkipped: 5},
-			{ID: 2, CheckpointsDone: 1, CheckpointsSkipped: 0},
+			{ID: 1},
+			{ID: 2},
 		},
 		Start: 100, End: 600, BusyNodeSeconds: 1000,
 	}
 	if got := res.Span(); got != 500 {
 		t.Errorf("span = %v", got)
-	}
-	done, skipped := res.TotalCheckpoints()
-	if done != 4 || skipped != 5 {
-		t.Errorf("checkpoints = %d/%d", done, skipped)
 	}
 	if got := res.OccupiedFraction(); got != 0.5 {
 		t.Errorf("occupancy = %v", got)

@@ -55,8 +55,11 @@ var gates = []gate{
 	// smoke run alike (the benchmark fills the pool before timing).
 	{"BenchmarkRunSDSC", 7, ""},
 	// BenchmarkRunSDSC with obs.Instrument attached as the Probe: the pair
-	// records the observability overhead.
-	{"BenchmarkRunSDSCInstrumented", -1, ""},
+	// records the observability overhead. The instrument counts journal
+	// notes by kind without rendering them; what it allocates is its
+	// series and metric registry: 275 allocs/op in a long run, 282 in the
+	// 10-iteration smoke run, gated 10% above the latter.
+	{"BenchmarkRunSDSCInstrumented", 310, ""},
 	// The daemon's layers: a snapshot of a 2000-op state; one WAL record,
 	// framed into a buffer the log keeps; one request's metric update,
 	// whose instruments are resolved once; the strict decode of a
